@@ -102,8 +102,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
     for report in reports:
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(report.metrics.items())
-                            if not isinstance(v, (dict, list)))
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(report.metrics.items()))
         print(f"[seed {report.seed}] {report.config.experiment} -> {report.out_dir}  {summary}")
     return 0
 

@@ -85,19 +85,8 @@ class ExperimentConfig:
     timing: bool = False
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_TYPES = {
-    "experiment": str, "hidden_widths": tuple, "activation": str,
-    "init_std": float, "init_mean": float, "lr": float, "lr_halve_every": int,
-    "batch_size": int, "epochs": int, "samples": int, "grid_n": int,
-    "beta": float, "record_every": int, "peak_max_count": int,
-    "peak_min_rel_amplitude": float, "df_denominator": str, "nufft_freqs": int,
-    "first_passage_tau": float, "max_iters": int, "iter_tol_rel": float,
-    "hybrid_method": str, "plateau_window": int, "plateau_tol": float,
-    "diag_loss": str, "mnist_images": str, "mnist_labels": str,
-    "synthetic": bool, "seed": int, "seeds": int, "out_dir": str,
-    "svg": bool, "timing": bool,
-}
+# every default has the field's type, so the defaults double as the schema
+_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _coerce(key: str, raw: str):

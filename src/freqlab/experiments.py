@@ -5,25 +5,27 @@ solves, and the per-mode gradient diagnostic.
 Every runner is a pure function of (config, seed): it trains with the seeded
 network and shuffle streams, records frequency-domain convergence at a fixed
 cadence, and writes CSV traces plus a resolved-config snapshot that can be
-re-run verbatim. Wall-clock columns are all zero unless timing is enabled,
-so that identical (config, seed) pairs produce byte-identical files.
+re-run verbatim. The full-batch runners share one descent loop, _descent, and
+record from the outputs it has already computed. Wall-clock columns come from
+reporting.stopwatch and are all zero unless timing is enabled, so that
+identical (config, seed) pairs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
 from . import data as datamod
 from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, DivergenceError
-from .losses import EnergyLossConfig, cross_entropy_loss, energy_loss
-from .nn import InitSpec, LrSchedule, backprop, forward, init_mlp, lr_at, sgd_step
+from .losses import EnergyLossConfig, LossValueGrad, cross_entropy_loss, energy_loss
+from .nn import InitSpec, LrSchedule, Mlp, backprop, forward, init_mlp, lr_at, params_to_vector, sgd_step
 from .poisson import (
     Grid1D,
     HybridConfig,
@@ -34,7 +36,7 @@ from .poisson import (
     run_hybrid,
     thomas_solve,
 )
-from .reporting import write_csv, write_svg_lines
+from .reporting import stopwatch, write_csv, write_svg_lines
 from .spectral import (
     FreqTrace,
     Spectrum,
@@ -56,7 +58,6 @@ class RunReport:
     out_dir: Path
     csv_paths: dict[str, Path] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    wall_seconds: dict[str, float] = field(default_factory=dict)
 
     def finish(self):
         missing = [str(p) for p in self.csv_paths.values() if not p.exists()]
@@ -73,10 +74,6 @@ def target_toy(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return np.stack([(x >= 0.0).astype(float), (x <= 0.0).astype(float)], axis=-1)
-
-
-def _clock(cfg: ExperimentConfig) -> Callable[[], float] | None:
-    return time.perf_counter if cfg.timing else None
 
 
 def _init_spec(cfg: ExperimentConfig, seed: int) -> InitSpec:
@@ -115,14 +112,41 @@ def _emit_trace_svg(out_dir: Path, trace: FreqTrace, title: str) -> Path:
                            xlabel="recording step", ylabel="relative difference", log_y=True)
 
 
+def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
+    """Report err as a divergence if the parameters have gone non-finite
+    (softmax rejects the NaN logits they produce); re-raise it otherwise."""
+    if np.all(np.isfinite(params_to_vector(net))):
+        raise err
+    raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {err}") from err
+
+
+def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
+             schedule: LrSchedule) -> Iterator[tuple[int, np.ndarray, float]]:
+    """Full-batch gradient descent of loss_of(network outputs on xs).
+
+    Yields (epoch, outputs, loss) before each epoch's update, starting with the
+    untrained network at epoch 0, for as long as the caller keeps iterating.
+    A non-finite loss raises DivergenceError instead of being yielded.
+    """
+    for epoch in itertools.count():
+        try:
+            out, cache = forward(net, xs)
+            lv = loss_of(out)
+        except ValueError as e:
+            _raise_divergence(net, epoch, e)
+        if not np.isfinite(lv.value):
+            raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
+        yield epoch, out, lv.value
+        sgd_step(net, backprop(net, cache, lv.grad.reshape(out.shape)), lr_at(schedule, epoch))
+
+
 # ---------------------------------------------------------------------------
 # step-function cross-entropy experiment
 
 
 def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report = RunReport(cfg, seed, out_dir)
-    clock = _clock(cfg)
-    t0 = clock() if clock else 0.0
+    elapsed = stopwatch(cfg.timing)
 
     xs = np.linspace(-1.0, 1.0, cfg.samples).reshape(-1, 1)
     targets = target_toy(xs[:, 0])
@@ -130,32 +154,15 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     peaks = pick_peaks(target_spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
-    schedule = LrSchedule(cfg.lr, cfg.lr_halve_every)
     trace = FreqTrace(tuple(peaks))
-
-    def record(step: int, epoch: int, loss: float, probs: np.ndarray):
-        if not np.isfinite(loss):
-            raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
-        model_spec = dft_uniform(probs[:, 0])
-        wall = (clock() - t0) * 1e3 if clock else 0.0
-        trace.append(step, epoch, wall, loss, _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
-
-    probs, _ = forward(net, xs)
-    record(0, 0, cross_entropy_loss(probs, targets).value, probs)
-    step = 0
-    for epoch in range(cfg.epochs):
-        try:
-            probs, cache = forward(net, xs)
-            lv = cross_entropy_loss(probs, targets)
-            if not np.isfinite(lv.value):
-                raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
-            sgd_step(net, backprop(net, cache, lv.grad), lr_at(schedule, epoch))
-            if (epoch + 1) % cfg.record_every == 0:
-                probs, _ = forward(net, xs)
-                step += 1
-                record(step, epoch + 1, cross_entropy_loss(probs, targets).value, probs)
-        except ValueError as e:  # NaN logits once the parameters blow up
-            raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {e}") from e
+    for epoch, probs, loss in _descent(net, xs, lambda out: cross_entropy_loss(out, targets),
+                                       LrSchedule(cfg.lr, cfg.lr_halve_every)):
+        if epoch % cfg.record_every == 0:
+            model_spec = dft_uniform(probs[:, 0])
+            trace.append(epoch // cfg.record_every, epoch, elapsed(), loss,
+                         _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
+        if epoch == cfg.epochs:
+            break
 
     report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
     report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
@@ -164,7 +171,6 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report.metrics["final_loss"] = trace.rows[-1].loss
     report.metrics["peaks"] = list(peaks)
     report.metrics["first_passage"] = {g: step_to_threshold(trace, g, cfg.first_passage_tau) for g in peaks}
-    report.wall_seconds["total"] = (clock() - t0) if clock else 0.0
     return report.finish()
 
 
@@ -185,8 +191,7 @@ def _load_images(cfg: ExperimentConfig, seed: int) -> datamod.ImageSet:
 
 def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report = RunReport(cfg, seed, out_dir)
-    clock = _clock(cfg)
-    t0 = clock() if clock else 0.0
+    elapsed = stopwatch(cfg.timing)
 
     images = _load_images(cfg, seed)
     proj = datamod.pca_project(images, seed=seed)
@@ -209,17 +214,16 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
         if not np.isfinite(loss):
             raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
         model_spec = nufft_direct(coords, probs[:, 0], cfg.nufft_freqs)
-        wall = (clock() - t0) * 1e3 if clock else 0.0
-        trace.append(step, epoch, wall, loss, _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
+        trace.append(step, epoch, elapsed(), loss, _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
 
-    record(0, 0)
-    step = 0
     n = X.shape[0]
     batch = cfg.batch_size if cfg.batch_size > 0 else n
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        lr = lr_at(schedule, epoch)
-        try:
+    epoch = 0
+    try:
+        record(0, 0)
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            lr = lr_at(schedule, epoch)
             for lo in range(0, n, batch):
                 sel = order[lo:lo + batch]
                 probs, cache = forward(net, X[sel])
@@ -228,10 +232,9 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
                     raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
                 sgd_step(net, backprop(net, cache, lv.grad), lr)
             if (epoch + 1) % cfg.record_every == 0:
-                step += 1
-                record(step, epoch + 1)
-        except ValueError as e:  # NaN logits once the parameters blow up
-            raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {e}") from e
+                record((epoch + 1) // cfg.record_every, epoch + 1)
+    except ValueError as e:
+        _raise_divergence(net, epoch, e)
 
     projected_rows = [[coords[i], int(images.labels[i])] + list(onehot[i]) for i in range(n)]
     report.csv_paths["projected"] = write_csv(
@@ -245,7 +248,6 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
         _emit_trace_svg(out_dir, trace, "image-task cross entropy, first output dimension")
     report.metrics["final_loss"] = trace.rows[-1].loss
     report.metrics["peaks"] = list(peaks)
-    report.wall_seconds["total"] = (clock() - t0) if clock else 0.0
     return report.finish()
 
 
@@ -289,13 +291,12 @@ def run_poisson_direct(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRe
 
 def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report = RunReport(cfg, seed, out_dir)
-    clock = _clock(cfg)
     _, system, ref = _poisson_setup(cfg)
     peaks = pick_peaks(dft_uniform(ref.full), cfg.peak_max_count, cfg.peak_min_rel_amplitude)
     modes = _tracked_modes(peaks, cfg.grid_n)
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
     run = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
-                  max_iters=cfg.max_iters, track_modes=modes, tol=tol, clock=clock)
+                  max_iters=cfg.max_iters, track_modes=modes, tol=tol, timing=cfg.timing)
     header = ["iter", "wall_ms", "sup_error"] + [f"alpha_{k}" for k in modes]
     rows = [[r.iteration, r.wall_ms, r.sup_error] + [r.alphas[k] for k in modes] for r in run.records]
     report.csv_paths["iters"] = write_csv(out_dir / "iters.csv", header, rows)
@@ -312,46 +313,36 @@ def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRe
     return report.finish()
 
 
+def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
+                    gvals: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
+    """_descent of a fresh seeded network on the discrete energy over the grid."""
+    ecfg = EnergyLossConfig(beta=cfg.beta, grid=grid)
+    net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", _init_spec(cfg, seed))
+    return _descent(net, grid.points.reshape(-1, 1), lambda out: energy_loss(out[:, 0], gvals, ecfg),
+                    LrSchedule(cfg.lr, cfg.lr_halve_every))
+
+
 def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report = RunReport(cfg, seed, out_dir)
-    clock = _clock(cfg)
-    t0 = clock() if clock else 0.0
+    elapsed = stopwatch(cfg.timing)
 
     grid, system, ref = _poisson_setup(cfg)
-    gvals = g_rhs(grid.points)
-    ecfg = EnergyLossConfig(beta=cfg.beta, grid=grid)
     target_spec = dft_uniform(ref.full)
     peaks = pick_peaks(target_spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
 
-    net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", _init_spec(cfg, seed))
-    schedule = LrSchedule(cfg.lr, cfg.lr_halve_every)
-    xs = grid.points.reshape(-1, 1)
     trace = FreqTrace(tuple(peaks))
     sup_rows: list[list] = []
-
-    def record(step: int, epoch: int):
-        out, _ = forward(net, xs)
-        u_pred = out[:, 0]
-        loss = energy_loss(u_pred, gvals, ecfg).value
-        if not np.isfinite(loss) or not np.all(np.isfinite(u_pred)):
-            raise DivergenceError(epoch, f"training diverged at epoch {epoch}")
-        model_spec = dft_uniform(u_pred)
-        wall = (clock() - t0) * 1e3 if clock else 0.0
-        trace.append(step, epoch, wall, loss, _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
-        sup_rows.append([step, epoch, float(np.max(np.abs(u_pred - ref.full)))])
-        return u_pred
-
-    u_pred = record(0, 0)
-    step = 0
-    for epoch in range(cfg.epochs):
-        out, cache = forward(net, xs)
-        lv = energy_loss(out[:, 0], gvals, ecfg)
-        if not np.isfinite(lv.value):
-            raise DivergenceError(epoch, f"training diverged at epoch {epoch}")
-        sgd_step(net, backprop(net, cache, lv.grad.reshape(-1, 1)), lr_at(schedule, epoch))
-        if (epoch + 1) % cfg.record_every == 0:
-            step += 1
-            u_pred = record(step, epoch + 1)
+    # a finite energy implies finite grid values: each u_i enters a squared term
+    for epoch, out, loss in _energy_descent(cfg, seed, grid, g_rhs(grid.points)):
+        if epoch % cfg.record_every == 0:
+            step = epoch // cfg.record_every
+            u_pred = out[:, 0]
+            model_spec = dft_uniform(u_pred)
+            trace.append(step, epoch, elapsed(), loss,
+                         _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
+            sup_rows.append([step, epoch, float(np.max(np.abs(u_pred - ref.full)))])
+        if epoch == cfg.epochs:
+            break
 
     report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
     report.csv_paths["sup_error"] = write_csv(out_dir / "sup_error.csv",
@@ -369,7 +360,6 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRepor
     report.metrics["rel_sup_error"] = sup_rows[-1][2] / sup_star
     report.metrics["peaks"] = list(peaks)
     report.metrics["first_passage"] = {g: step_to_threshold(trace, g, cfg.first_passage_tau) for g in peaks}
-    report.wall_seconds["total"] = (clock() - t0) if clock else 0.0
     return report.finish()
 
 
@@ -383,17 +373,7 @@ def _energy_training_stream(cfg: ExperimentConfig, seed: int, grid: Grid1D,
 
     Deterministic in seed, so separate streams replay the same trajectory.
     """
-    ecfg = EnergyLossConfig(beta=cfg.beta, grid=grid)
-    net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", _init_spec(cfg, seed))
-    schedule = LrSchedule(cfg.lr, cfg.lr_halve_every)
-    xs = grid.points.reshape(-1, 1)
-    epoch = 0
-    while True:
-        out, cache = forward(net, xs)
-        lv = energy_loss(out[:, 0], gvals, ecfg)
-        yield out[:, 0].copy(), lv.value
-        sgd_step(net, backprop(net, cache, lv.grad.reshape(-1, 1)), lr_at(schedule, epoch))
-        epoch += 1
+    return ((out[:, 0], loss) for _, out, loss in _energy_descent(cfg, seed, grid, gvals))
 
 
 def _hybrid_rows(rep: HybridReport, method: str) -> list[list]:
@@ -408,9 +388,6 @@ _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
 
 def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report = RunReport(cfg, seed, out_dir)
-    clock = _clock(cfg)
-    t0 = clock() if clock else 0.0
-
     grid, system, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
     target = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
@@ -422,14 +399,15 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
             record_every=cfg.record_every, max_steps=cfg.epochs,
             max_phase2_iters=cfg.max_iters,
         )
-        return run_hybrid(system, _energy_training_stream(cfg, seed, grid, gvals), hcfg, clock=clock)
+        return run_hybrid(system, _energy_training_stream(cfg, seed, grid, gvals), hcfg,
+                          timing=cfg.timing)
 
     rep_plateau = hybrid(None)
     plateau_step = rep_plateau.switched_at
     rep_early = hybrid(max(1, plateau_step // 4))
     rep_late = hybrid(min(2 * plateau_step, cfg.epochs))
     cold = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
-                   max_iters=cfg.max_iters, tol=target, clock=clock)
+                   max_iters=cfg.max_iters, tol=target, timing=cfg.timing)
 
     labelled = [("early", rep_early), ("plateau", rep_plateau), ("late", rep_late)]
     for label, rep in labelled:
@@ -457,7 +435,6 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     report.metrics["post_iterations"] = {label: rep.post_iterations for label, rep in labelled}
     report.metrics["cold_iterations"] = cold.iterations
     report.metrics["sup_at_switch"] = {label: rep.sup_error_at_switch for label, rep in labelled}
-    report.wall_seconds["total"] = (clock() - t0) if clock else 0.0
     return report.finish()
 
 
@@ -481,13 +458,8 @@ def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRep
         target = target_toy(xs[:, 0])
 
         def pointwise(outputs):
-            eps = 1e-12
-            pc = np.clip(outputs, eps, 1.0)
-            qc = np.clip(1.0 - outputs, eps, 1.0)
-            values = -np.sum(target * np.log(pc) + (1.0 - target) * np.log(qc), axis=1)
-            grads = np.where((outputs > eps) & (outputs < 1.0), -target / pc, 0.0)
-            grads += np.where((1.0 - outputs > eps) & (outputs > 0.0), (1.0 - target) / qc, 0.0)
-            return values, grads
+            values = np.array([cross_entropy_loss(o, t).value for o, t in zip(outputs, target)])
+            return values, cross_entropy_loss(outputs, target).grad
 
     dec = grad_decomposition(net, xs, pointwise, output_dim=0)
     mags = dec.mode_magnitudes()

@@ -28,7 +28,6 @@ __all__ = [
     "grad_check",
     "params_to_vector",
     "set_params_from_vector",
-    "grad_to_vector",
 ]
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
@@ -229,9 +228,10 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
     return schedule.base_lr * 0.5 ** (epoch // schedule.halve_every)
 
 
-def params_to_vector(mlp: Mlp) -> np.ndarray:
+def params_to_vector(params: Mlp | ParamGrad) -> np.ndarray:
+    """Flatten the weights and biases of a network or of its gradient, layer by layer."""
     parts = []
-    for w, b in zip(mlp.weights, mlp.biases):
+    for w, b in zip(params.weights, params.biases):
         parts.append(w.ravel())
         parts.append(b.ravel())
     return np.concatenate(parts)
@@ -248,14 +248,6 @@ def set_params_from_vector(mlp: Mlp, vec: np.ndarray) -> None:
         raise ValueError("vector length does not match parameter count")
 
 
-def grad_to_vector(grad: ParamGrad) -> np.ndarray:
-    parts = []
-    for w, b in zip(grad.weights, grad.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
 def grad_check(
     mlp: Mlp,
     loss_fn: Callable[[Mlp], tuple[float, ParamGrad]],
@@ -270,7 +262,7 @@ def grad_check(
     returns the worst |analytic - fd| / (|analytic| + |fd| + 1e-12).
     """
     _, grad = loss_fn(mlp)
-    gvec = grad_to_vector(grad)
+    gvec = params_to_vector(grad)
     theta = params_to_vector(mlp)
     rng = np.random.Generator(np.random.PCG64(seed))
     count = min(num_checks, len(theta))

@@ -15,6 +15,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DivergenceError
+from .reporting import stopwatch
 
 __all__ = [
     "Grid1D",
@@ -157,7 +158,8 @@ def thomas_solve(system: TridiagSystem) -> ReferenceSolution:
     res = _residual_inf(system, u)
     # backward-stable bound: fp64 cannot do better than ~eps * (||A|| ||u|| + ||rhs||)
     scale = 4.0 * np.max(np.abs(u), initial=0.0) + np.max(np.abs(system.rhs), initial=0.0)
-    assert res <= 1e-12 * max(scale, 1e-300), f"tridiagonal solve residual {res:g} out of bounds"
+    if not res <= 1e-12 * max(scale, 1e-300):
+        raise RuntimeError(f"tridiagonal solve residual {res:g} out of bounds")
     full = np.zeros(system.n + 1)
     full[1:-1] = u
     return ReferenceSolution(u_star=u, full=full, residual_inf=res)
@@ -283,7 +285,7 @@ def iterate(
     max_iters: int = 1000,
     track_modes: Sequence[int] = (),
     tol: float | None = None,
-    clock: Callable[[], float] | None = None,
+    timing: bool = False,
 ) -> IterativeRun:
     """Run Jacobi or Gauss-Seidel, recording sup error and tracked mode amplitudes.
 
@@ -302,7 +304,7 @@ def iterate(
         j = np.arange(1, n)
         basis = np.stack([np.sin(j * k * math.pi / n) for k in track])  # (modes, n-1)
     run = IterativeRun(method=method, tracked_modes=track)
-    t0 = clock() if clock else 0.0
+    elapsed = stopwatch(timing)
 
     def record(it: int):
         err = u - u_star
@@ -310,8 +312,7 @@ def iterate(
         if track:
             coeffs = (2.0 / n) * (basis @ err)
             alphas = {k: float(c) for k, c in zip(track, coeffs)}
-        wall = (clock() - t0) * 1e3 if clock else 0.0
-        run.records.append(IterRecord(it, wall, float(np.max(np.abs(err))), alphas))
+        run.records.append(IterRecord(it, elapsed(), float(np.max(np.abs(err))), alphas))
 
     record(0)
     for it in range(1, max_iters + 1):
@@ -379,7 +380,7 @@ def run_hybrid(
     system: TridiagSystem,
     solver_stream: Iterator[tuple[np.ndarray, float]],
     cfg: HybridConfig,
-    clock: Callable[[], float] | None = None,
+    timing: bool = False,
 ) -> HybridReport:
     """Train until the switch point, then hand the grid values to an iterative method.
 
@@ -391,7 +392,7 @@ def run_hybrid(
     values; boundary entries are dropped since the scheme pins them at zero.
     """
     u_star = thomas_solve(system)
-    t0 = clock() if clock else 0.0
+    elapsed = stopwatch(timing)
     phase1: list[PhaseOneRecord] = []
     recorded_losses: list[float] = []
     plateau = False
@@ -402,9 +403,8 @@ def run_hybrid(
         if u_grid.shape != (system.n + 1,):
             raise ValueError(f"stream yielded shape {u_grid.shape}, expected ({system.n + 1},)")
         if step % cfg.record_every == 0:
-            wall = (clock() - t0) * 1e3 if clock else 0.0
             sup = float(np.max(np.abs(u_grid[1:-1] - u_star.u_star)))
-            phase1.append(PhaseOneRecord(step, wall, float(loss), sup))
+            phase1.append(PhaseOneRecord(step, elapsed(), float(loss), sup))
             recorded_losses.append(float(loss))
         if cfg.switch_step is not None:
             if step >= cfg.switch_step:
@@ -432,7 +432,7 @@ def run_hybrid(
         method=cfg.method,
         max_iters=cfg.max_phase2_iters,
         tol=cfg.target,
-        clock=clock,
+        timing=timing,
     )
     return HybridReport(
         switched_at=switched_at,

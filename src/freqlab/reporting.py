@@ -1,4 +1,5 @@
-"""CSV and static-SVG emitters for experiment runs.
+"""CSV and static-SVG emitters for experiment runs, and the stopwatch behind
+their wall-clock columns.
 
 Floats are printed with 17 significant digits so a CSV re-read reproduces the
 in-memory values exactly. The SVG writer is hand-rolled: a self-contained
@@ -8,13 +9,23 @@ line chart with no external assets and byte-deterministic output.
 from __future__ import annotations
 
 import math
+import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "write_svg_lines"]
+__all__ = ["format_value", "stopwatch", "write_csv", "write_svg_lines"]
+
+
+def stopwatch(timing: bool) -> Callable[[], float]:
+    """A clock reading milliseconds since this call, or always 0.0 when timing
+    is off, so that untimed runs write byte-identical wall-clock columns."""
+    if not timing:
+        return lambda: 0.0
+    t0 = time.perf_counter()
+    return lambda: (time.perf_counter() - t0) * 1e3
 
 
 def format_value(v) -> str:

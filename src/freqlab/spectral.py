@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import Mlp, backprop, forward, grad_to_vector
+from .nn import Mlp, backprop, forward, params_to_vector
 
 __all__ = [
     "Spectrum",
@@ -248,7 +248,7 @@ def grad_decomposition(
     for j in range(n):
         seed = np.zeros_like(outputs)
         seed[j, output_dim] = 1.0
-        rows.append(grad_to_vector(backprop(mlp, cache, seed)))
+        rows.append(params_to_vector(backprop(mlp, cache, seed)))
     jac = np.stack(rows)  # (N, P)
 
     k = np.arange(n)

@@ -141,6 +141,7 @@ class TestCli:
     def test_successful_run_and_flag_override(self, tmp_path, capsys):
         code = main(["poisson-direct", "--out", str(tmp_path), "--set", "grid_n=8", "--seed", "5"])
         assert code == 0
+        assert "peaks=[" in capsys.readouterr().out  # list metrics are printed too
         assert (tmp_path / "solution.csv").exists()
         snapshot = (tmp_path / "config.txt").read_text()
         assert "seed = 5" in snapshot

@@ -4,8 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import freqlab.experiments as ex
 from freqlab.config import default_config, preset_config
-from freqlab.errors import ConfigError
+from freqlab.errors import ConfigError, DivergenceError
 from freqlab.experiments import run_experiment, run_single, target_toy
 
 
@@ -176,6 +177,62 @@ class TestDJacobi:
         u0_full = next(_energy_training_stream(cfg, 3, grid, gvals))[0]
         direct = iterate(system, u0_full[1:-1], ref.u_star, max_iters=50_000, tol=1e-4)
         assert rep.post_iterations == direct.iterations
+
+
+class TestTrainingLoop:
+    @pytest.mark.parametrize("preset,shrink", [
+        ("desk-toy-ce", dict(epochs=23, record_every=5)),
+        ("desk-poisson-dnn", dict(hidden_widths=(16, 8), epochs=23, record_every=5)),
+    ])
+    def test_one_forward_per_epoch_plus_final(self, tmp_path, monkeypatch, preset, shrink):
+        # recordings reuse the outputs of the descent step instead of a second forward
+        calls = []
+        real = ex.forward
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ex, "forward", counted)
+        cfg = tiny(preset, **shrink)
+        run_single(cfg, 0, tmp_path)
+        assert len(calls) == cfg.epochs + 1
+
+    @pytest.mark.parametrize("preset,shrink", [
+        ("desk-toy-ce", dict(epochs=4)),
+        ("desk-mnist-pca", dict(samples=80, epochs=2, record_every=1)),
+    ])
+    def test_value_error_with_finite_parameters_is_not_divergence(self, tmp_path, monkeypatch,
+                                                                    preset, shrink):
+        real = ex.cross_entropy_loss
+        calls = []
+
+        def broken(probs, onehot):  # fails after the untrained network's loss
+            calls.append(1)
+            if len(calls) > 1:
+                raise ValueError("broken loss")
+            return real(probs, onehot)
+
+        monkeypatch.setattr(ex, "cross_entropy_loss", broken)
+        with pytest.raises(ValueError, match="broken loss"):
+            run_single(tiny(preset, **shrink), 0, tmp_path)
+
+    @pytest.mark.parametrize("preset,shrink", [
+        ("desk-toy-ce", dict(epochs=4)),
+        ("desk-mnist-pca", dict(samples=80, epochs=2, record_every=1)),
+    ])
+    def test_nan_logits_from_non_finite_parameters_are_divergence(self, tmp_path, monkeypatch,
+                                                                   preset, shrink):
+        real = ex.init_mlp
+
+        def poisoned(*args):
+            net = real(*args)
+            net.weights[0][0, 0] = np.nan
+            return net
+
+        monkeypatch.setattr(ex, "init_mlp", poisoned)
+        with pytest.raises(DivergenceError):
+            run_single(tiny(preset, **shrink), 0, tmp_path)
 
 
 class TestReproducibility:

@@ -96,6 +96,15 @@ class TestThomas:
         assert ref.full[0] == 0.0 and ref.full[-1] == 0.0
         assert np.array_equal(ref.full[1:-1], ref.u_star)
 
+    def test_inaccurate_solve_raises_runtime_error(self, monkeypatch):
+        # a real exception, so the residual check survives python -O
+        import freqlab.poisson as poisson
+
+        real = poisson.solve_tridiagonal
+        monkeypatch.setattr(poisson, "solve_tridiagonal", lambda *bands: real(*bands) * (1.0 + 1e-6))
+        with pytest.raises(RuntimeError, match="residual"):
+            thomas_solve(make_system())
+
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_general_tridiagonal_matches_dense(self, m, seed):
