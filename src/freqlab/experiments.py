@@ -30,10 +30,12 @@ from .poisson import (
     Grid1D,
     HybridConfig,
     HybridReport,
+    TrainPhase,
     assemble_poisson,
     g_rhs,
+    hand_off,
     iterate,
-    run_hybrid,
+    run_hybrid,  # unused here; perfbench/tracer.py wraps experiments.run_hybrid by name
     thomas_solve,
 )
 from .reporting import stopwatch, write_csv, write_svg_lines
@@ -120,6 +122,11 @@ def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
     raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {err}") from err
 
 
+def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
+    """The last epoch the full-batch runners record; no output reads the updates after it."""
+    return cfg.epochs - cfg.epochs % cfg.record_every
+
+
 def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
              schedule: LrSchedule) -> Iterator[tuple[int, np.ndarray, float]]:
     """Full-batch gradient descent of loss_of(network outputs on xs).
@@ -155,13 +162,14 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
     trace = FreqTrace(tuple(peaks))
+    last = _last_recorded_epoch(cfg)
     for epoch, probs, loss in _descent(net, xs, lambda out: cross_entropy_loss(out, targets),
                                        LrSchedule(cfg.lr, cfg.lr_halve_every)):
         if epoch % cfg.record_every == 0:
             model_spec = dft_uniform(probs[:, 0])
             trace.append(epoch // cfg.record_every, epoch, elapsed(), loss,
                          _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
-        if epoch == cfg.epochs:
+        if epoch == last:
             break
 
     report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
@@ -332,6 +340,7 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRepor
 
     trace = FreqTrace(tuple(peaks))
     sup_rows: list[list] = []
+    last = _last_recorded_epoch(cfg)
     # a finite energy implies finite grid values: each u_i enters a squared term
     for epoch, out, loss in _energy_descent(cfg, seed, grid, g_rhs(grid.points)):
         if epoch % cfg.record_every == 0:
@@ -341,7 +350,7 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRepor
             trace.append(step, epoch, elapsed(), loss,
                          _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
             sup_rows.append([step, epoch, float(np.max(np.abs(u_pred - ref.full)))])
-        if epoch == cfg.epochs:
+        if epoch == last:
             break
 
     report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
@@ -387,29 +396,41 @@ _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
 
 
 def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
+    """Hand the energy-trained network's grid values to cfg.hybrid_method at the
+    plateau step p, early at max(1, p // 4) and late at min(2p, epochs), and
+    compare each with a cold start from zero.
+
+    One training stream runs to p and then on to the late switch; a second
+    stream replays only the prefix up to the early switch. That is
+    2p + max(1, p // 4) + 2 training steps instead of three replays from step
+    0, with the same files. All training finishes before the first hand-off.
+    """
     report = RunReport(cfg, seed, out_dir)
     grid, system, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
-    target = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
+    hcfg = HybridConfig(
+        target=cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star))),
+        plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
+        method=cfg.hybrid_method, record_every=cfg.record_every, max_steps=cfg.epochs,
+        max_phase2_iters=cfg.max_iters,
+    )
 
-    def hybrid(switch_step: int | None) -> HybridReport:
-        hcfg = HybridConfig(
-            target=target, switch_step=switch_step, plateau_window=cfg.plateau_window,
-            plateau_tol=cfg.plateau_tol, method=cfg.hybrid_method,
-            record_every=cfg.record_every, max_steps=cfg.epochs,
-            max_phase2_iters=cfg.max_iters,
-        )
-        return run_hybrid(system, _energy_training_stream(cfg, seed, grid, gvals), hcfg,
-                          timing=cfg.timing)
+    def train_phase() -> TrainPhase:
+        return TrainPhase(system, _energy_training_stream(cfg, seed, grid, gvals), ref, cfg.timing)
 
-    rep_plateau = hybrid(None)
-    plateau_step = rep_plateau.switched_at
-    rep_early = hybrid(max(1, plateau_step // 4))
-    rep_late = hybrid(min(2 * plateau_step, cfg.epochs))
+    def until(switch_step: int) -> HybridConfig:
+        return dataclasses.replace(hcfg, switch_step=switch_step)
+
+    stream = train_phase()
+    at_plateau = stream.run(hcfg)
+    plateau_step = at_plateau.step
+    at_late = stream.run(until(min(2 * plateau_step, cfg.epochs)))
+    at_early = train_phase().run(until(max(1, plateau_step // 4)))
+    labelled = [(label, hand_off(system, ref, at, hcfg, cfg.timing))
+                for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
     cold = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
-                   max_iters=cfg.max_iters, tol=target, timing=cfg.timing)
+                   max_iters=cfg.max_iters, tol=hcfg.target, timing=cfg.timing)
 
-    labelled = [("early", rep_early), ("plateau", rep_plateau), ("late", rep_late)]
     for label, rep in labelled:
         report.csv_paths[f"hybrid_{label}"] = write_csv(
             out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER, _hybrid_rows(rep, cfg.hybrid_method))
@@ -431,7 +452,7 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
         write_svg_lines(out_dir / "hybrid.svg", series, title="warm vs cold iterative solve",
                         xlabel="post-switch iteration", ylabel="sup error", log_y=True)
     report.metrics["plateau_step"] = plateau_step
-    report.metrics["plateau_detected"] = rep_plateau.plateau_detected
+    report.metrics["plateau_detected"] = at_plateau.plateau_detected
     report.metrics["post_iterations"] = {label: rep.post_iterations for label, rep in labelled}
     report.metrics["cold_iterations"] = cold.iterations
     report.metrics["sup_at_switch"] = {label: rep.sup_error_at_switch for label, rep in labelled}

@@ -3,7 +3,8 @@
 Central-difference discretization, direct tridiagonal solve, Jacobi and
 Gauss-Seidel iterations, sine-mode error analysis of the Jacobi recursion,
 and a hybrid orchestrator that warm-starts an iterative method from an
-externally trained grid approximation.
+externally trained grid approximation: a resumable train phase, then a
+hand-off phase at each switch point.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "IterRecord",
     "HybridConfig",
     "HybridReport",
+    "SwitchPoint",
+    "TrainPhase",
     "g_rhs",
     "assemble_poisson",
     "solve_tridiagonal",
@@ -37,6 +40,7 @@ __all__ = [
     "halving_ratio",
     "halving_count",
     "iterate",
+    "hand_off",
     "run_hybrid",
 ]
 
@@ -376,6 +380,102 @@ def _plateau_reached(losses: list[float], window: int, tol: float) -> bool:
     return abs(cur - prev) <= tol * abs(prev)
 
 
+@dataclass
+class SwitchPoint:
+    """Where a train phase stopped: the state a hand-off starts from."""
+
+    step: int
+    plateau_detected: bool
+    grid_values: np.ndarray          # full-grid values at step, a copy
+    phase1: list[PhaseOneRecord]     # recorded steps up to step
+
+
+class TrainPhase:
+    """Phase 1 of the hybrid: one training stream, consumed up to switch points.
+
+    solver_stream yields (full-grid values, loss) per training step, starting
+    with the untrained state at step 0. run(cfg) consumes it until a stop rule
+    fires, recording every cfg.record_every-th step against reference. A
+    later run resumes the stream where the previous one stopped, so one
+    stream serves several increasing switch points; the records and the
+    stopwatch carry on across runs, so their cfgs should differ only in the
+    stop rule.
+    """
+
+    def __init__(self, system: TridiagSystem, solver_stream: Iterator[tuple[np.ndarray, float]],
+                 reference: ReferenceSolution, timing: bool = False):
+        self._system = system
+        self._reference = reference
+        self._steps = enumerate(solver_stream)
+        self._elapsed = stopwatch(timing)
+        self._records: list[PhaseOneRecord] = []
+        self._step = -1
+        self._grid: np.ndarray | None = None
+
+    def _at_stop_step(self, cfg: HybridConfig) -> bool:
+        return (cfg.switch_step is not None and self._step >= cfg.switch_step) or self._step >= cfg.max_steps
+
+    def run(self, cfg: HybridConfig) -> SwitchPoint:
+        """Train until cfg.switch_step, or -- with no switch step -- until the
+        windowed-mean loss flattens (relative change below cfg.plateau_tol
+        between adjacent windows of cfg.plateau_window recorded samples), or
+        until cfg.max_steps. Consumes nothing if the stream already stands at
+        or past the switch step."""
+        plateau = False
+        step = self._step
+        if self._grid is None or not self._at_stop_step(cfg):
+            for step, (grid_values, loss) in self._steps:
+                self._step = step
+                self._grid = np.asarray(grid_values, dtype=float)
+                if self._grid.shape != (self._system.n + 1,):
+                    raise ValueError(f"stream yielded shape {self._grid.shape}, "
+                                     f"expected ({self._system.n + 1},)")
+                if step % cfg.record_every == 0:
+                    sup = float(np.max(np.abs(self._grid[1:-1] - self._reference.u_star)))
+                    self._records.append(PhaseOneRecord(step, self._elapsed(), float(loss), sup))
+                    # the loss windows move only when a sample is recorded
+                    window = cfg.plateau_window
+                    if cfg.switch_step is None and _plateau_reached(
+                            [r.loss for r in self._records[-2 * window:]], window, cfg.plateau_tol):
+                        plateau = True
+                        break
+                if self._at_stop_step(cfg):
+                    break
+            else:
+                if self._grid is None:
+                    raise ValueError("solver stream yielded no states")
+                step = self._records[-1].step  # stream exhausted before any stop rule fired
+        return SwitchPoint(step, plateau, self._grid.copy(), list(self._records))
+
+
+def hand_off(system: TridiagSystem, reference: ReferenceSolution, at: SwitchPoint,
+             cfg: HybridConfig, timing: bool = False) -> HybridReport:
+    """Phase 2 of the hybrid: run cfg.method from the grid values at a switch point.
+
+    The interior values seed the iteration; boundary entries are dropped since
+    the scheme pins them at zero.
+    """
+    if not np.all(np.isfinite(at.grid_values)):
+        raise DivergenceError(at.step, f"non-finite grid values at switch step {at.step}")
+    u0 = at.grid_values[1:-1]
+    phase2 = iterate(
+        system,
+        u0,
+        reference.u_star,
+        method=cfg.method,
+        max_iters=cfg.max_phase2_iters,
+        tol=cfg.target,
+        timing=timing,
+    )
+    return HybridReport(
+        switched_at=at.step,
+        plateau_detected=at.plateau_detected,
+        phase1=at.phase1,
+        phase2=phase2,
+        sup_error_at_switch=float(np.max(np.abs(u0 - reference.u_star))),
+    )
+
+
 def run_hybrid(
     system: TridiagSystem,
     solver_stream: Iterator[tuple[np.ndarray, float]],
@@ -384,60 +484,11 @@ def run_hybrid(
 ) -> HybridReport:
     """Train until the switch point, then hand the grid values to an iterative method.
 
-    solver_stream yields (full-grid values, loss) per training step, starting
-    with the untrained state at step 0. Phase 1 stops at cfg.switch_step, or
-    when the windowed-mean loss flattens (relative change below cfg.plateau_tol
-    between adjacent windows of cfg.plateau_window recorded samples), or at
-    cfg.max_steps. Phase 2 seeds the iterative method with the interior grid
-    values; boundary entries are dropped since the scheme pins them at zero.
+    The two phases on one fresh stream against the system's own direct solve:
+    TrainPhase(...).run(cfg), then hand_off. Callers that hand one stream off
+    at several switch points, or already hold the reference, use the phases
+    directly.
     """
-    u_star = thomas_solve(system)
-    elapsed = stopwatch(timing)
-    phase1: list[PhaseOneRecord] = []
-    recorded_losses: list[float] = []
-    plateau = False
-    u_grid = None
-    switched_at = -1
-    for step, (grid_values, loss) in enumerate(solver_stream):
-        u_grid = np.asarray(grid_values, dtype=float)
-        if u_grid.shape != (system.n + 1,):
-            raise ValueError(f"stream yielded shape {u_grid.shape}, expected ({system.n + 1},)")
-        if step % cfg.record_every == 0:
-            sup = float(np.max(np.abs(u_grid[1:-1] - u_star.u_star)))
-            phase1.append(PhaseOneRecord(step, elapsed(), float(loss), sup))
-            recorded_losses.append(float(loss))
-        if cfg.switch_step is not None:
-            if step >= cfg.switch_step:
-                switched_at = step
-                break
-        elif _plateau_reached(recorded_losses, cfg.plateau_window, cfg.plateau_tol):
-            plateau = True
-            switched_at = step
-            break
-        if step >= cfg.max_steps:
-            switched_at = step
-            break
-    if u_grid is None:
-        raise ValueError("solver stream yielded no states")
-    if switched_at < 0:  # stream exhausted before any stop rule fired
-        switched_at = phase1[-1].step if phase1 else 0
-    if not np.all(np.isfinite(u_grid)):
-        raise DivergenceError(switched_at, f"non-finite grid values at switch step {switched_at}")
-
-    u0 = u_grid[1:-1].copy()
-    phase2 = iterate(
-        system,
-        u0,
-        u_star.u_star,
-        method=cfg.method,
-        max_iters=cfg.max_phase2_iters,
-        tol=cfg.target,
-        timing=timing,
-    )
-    return HybridReport(
-        switched_at=switched_at,
-        plateau_detected=plateau,
-        phase1=phase1,
-        phase2=phase2,
-        sup_error_at_switch=float(np.max(np.abs(u0 - u_star.u_star))),
-    )
+    reference = thomas_solve(system)
+    at = TrainPhase(system, solver_stream, reference, timing).run(cfg)
+    return hand_off(system, reference, at, cfg, timing)

@@ -179,13 +179,102 @@ class TestDJacobi:
         assert rep.post_iterations == direct.iterations
 
 
+def _replayed_hybrids(cfg, seed):
+    """The three hand-offs as independent run_hybrid calls, each training a
+    fresh stream from step 0."""
+    from freqlab.poisson import HybridConfig, g_rhs, run_hybrid
+
+    grid, system, ref = ex._poisson_setup(cfg)
+    gvals = g_rhs(grid.points)
+
+    def hybrid(switch_step):
+        hcfg = HybridConfig(
+            target=cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star))), switch_step=switch_step,
+            plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
+            method=cfg.hybrid_method, record_every=cfg.record_every, max_steps=cfg.epochs,
+            max_phase2_iters=cfg.max_iters,
+        )
+        return run_hybrid(system, ex._energy_training_stream(cfg, seed, grid, gvals), hcfg)
+
+    plateau = hybrid(None)
+    p = plateau.switched_at
+    return [hybrid(max(1, p // 4)), plateau, hybrid(min(2 * p, cfg.epochs))]
+
+
+class TestDJacobiOneStream:
+    # the plateau stream goes on to the late switch; only the early prefix is replayed
+    PLATEAU = dict(hidden_widths=(16, 8), grid_n=16, epochs=400, record_every=5,
+                   plateau_window=10, max_iters=20_000)
+    NO_PLATEAU = dict(PLATEAU, plateau_window=100)
+
+    def _run(self, tmp_path, monkeypatch, **shrink):
+        forwards, reports = [], []
+        real_forward, real_hand_off = ex.forward, ex.hand_off
+
+        def counted(*args):
+            forwards.append(1)
+            return real_forward(*args)
+
+        def captured(*args, **kwargs):
+            reports.append(real_hand_off(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(ex, "forward", counted)
+        monkeypatch.setattr(ex, "hand_off", captured)
+        cfg = tiny("desk-d-jacobi", **shrink)
+        report = run_single(cfg, 0, tmp_path)
+        return cfg, report, len(forwards), reports
+
+    def test_forward_calls_are_one_stream_to_2p_plus_the_early_prefix(self, tmp_path, monkeypatch):
+        cfg, report, forwards, _ = self._run(tmp_path, monkeypatch, **self.PLATEAU)
+        p = report.metrics["plateau_step"]
+        assert report.metrics["plateau_detected"] and 2 * p <= cfg.epochs
+        assert p // 4 % cfg.record_every != 0  # the early switch is not a recorded step
+        assert forwards == 2 * p + max(1, p // 4) + 2
+
+    @pytest.mark.parametrize("shrink", [PLATEAU, NO_PLATEAU], ids=["plateau", "no-plateau"])
+    def test_reports_equal_three_replays(self, tmp_path, monkeypatch, shrink):
+        cfg, report, _, reports = self._run(tmp_path, monkeypatch, **shrink)
+        assert reports == _replayed_hybrids(cfg, 0)
+        assert [r.switched_at for r in reports] == [
+            int(row["switch_step"]) for row in read_csv(tmp_path / "summary.csv")[:3]]
+
+    def test_no_plateau_late_equals_plateau_without_extra_steps(self, tmp_path, monkeypatch):
+        cfg, report, forwards, (early, plateau, late) = self._run(tmp_path, monkeypatch,
+                                                                  **self.NO_PLATEAU)
+        assert not report.metrics["plateau_detected"]
+        assert report.metrics["plateau_step"] == cfg.epochs
+        assert late == plateau
+        assert forwards == cfg.epochs + 1 + cfg.epochs // 4 + 1
+
+    def test_divergence_between_plateau_and_late_switch_writes_nothing(self, tmp_path, monkeypatch):
+        cfg = tiny("desk-d-jacobi", **self.PLATEAU)
+        p = run_single(cfg, 0, tmp_path / "clean").metrics["plateau_step"]
+        real = ex.energy_loss
+        calls = []
+
+        def nan_after_plateau(*args):
+            calls.append(1)
+            lv = real(*args)
+            if len(calls) > p + p // 2:  # step p + p // 2 of the plateau stream
+                lv.value = float("nan")
+            return lv
+
+        monkeypatch.setattr(ex, "energy_loss", nan_after_plateau)
+        with pytest.raises(DivergenceError) as info:
+            run_single(cfg, 0, tmp_path / "diverged")
+        assert info.value.step == p + p // 2
+        assert list((tmp_path / "diverged").iterdir()) == []
+
+
 class TestTrainingLoop:
     @pytest.mark.parametrize("preset,shrink", [
         ("desk-toy-ce", dict(epochs=23, record_every=5)),
         ("desk-poisson-dnn", dict(hidden_widths=(16, 8), epochs=23, record_every=5)),
     ])
     def test_one_forward_per_epoch_plus_final(self, tmp_path, monkeypatch, preset, shrink):
-        # recordings reuse the outputs of the descent step instead of a second forward
+        # recordings reuse the outputs of the descent step instead of a second forward,
+        # and training stops at the last recorded epoch (20 of 23)
         calls = []
         real = ex.forward
 
@@ -196,10 +285,10 @@ class TestTrainingLoop:
         monkeypatch.setattr(ex, "forward", counted)
         cfg = tiny(preset, **shrink)
         run_single(cfg, 0, tmp_path)
-        assert len(calls) == cfg.epochs + 1
+        assert len(calls) == cfg.epochs - cfg.epochs % cfg.record_every + 1
 
     @pytest.mark.parametrize("preset,shrink", [
-        ("desk-toy-ce", dict(epochs=4)),
+        ("desk-toy-ce", dict(epochs=4, record_every=2)),
         ("desk-mnist-pca", dict(samples=80, epochs=2, record_every=1)),
     ])
     def test_value_error_with_finite_parameters_is_not_divergence(self, tmp_path, monkeypatch,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import freqlab.poisson as poisson_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +9,7 @@ from freqlab.errors import DivergenceError
 from freqlab.poisson import (
     Grid1D,
     HybridConfig,
+    TrainPhase,
     assemble_poisson,
     g_rhs,
     gauss_seidel_step,
@@ -352,3 +355,59 @@ class TestHybrid:
         report = run_hybrid(system, stream(), cfg)
         assert report.switched_at == 25
         assert not report.plateau_detected
+
+    def test_plateau_rule_runs_only_on_recorded_steps(self, monkeypatch):
+        system, _ = self._system_and_ref()
+        calls = []
+        real = poisson_mod._plateau_reached
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(poisson_mod, "_plateau_reached", counted)
+
+        def stream():
+            while True:
+                yield np.zeros(system.n + 1), 1.0
+
+        cfg = HybridConfig(target=1e-12, plateau_window=10_000, record_every=4, max_steps=40,
+                           max_phase2_iters=1)
+        report = run_hybrid(system, stream(), cfg)
+        assert report.switched_at == 40
+        assert len(calls) == len(report.phase1) == 11
+
+
+class TestTrainPhase:
+    def _phase(self, consumed):
+        system = assemble_poisson(Grid1D(n=8), g_rhs)
+
+        def stream():
+            for step in range(100):
+                consumed.append(step)
+                yield np.full(system.n + 1, 0.01 * step), 1.0 / (1 + step)
+
+        return system, TrainPhase(system, stream(), thomas_solve(system))
+
+    def test_resume_equals_one_run_to_the_later_switch(self):
+        consumed = []
+        _, phase = self._phase(consumed)
+        early = phase.run(HybridConfig(target=1e-3, switch_step=5, record_every=2))
+        late = phase.run(HybridConfig(target=1e-3, switch_step=11, record_every=2))
+        _, fresh = self._phase([])
+        direct = fresh.run(HybridConfig(target=1e-3, switch_step=11, record_every=2))
+        assert consumed == list(range(12))
+        assert (early.step, late.step) == (5, 11)
+        assert late.phase1 == direct.phase1
+        assert late.phase1[:len(early.phase1)] == early.phase1
+        assert np.array_equal(late.grid_values, direct.grid_values)
+        assert np.array_equal(early.grid_values, np.full(9, 0.05))  # a copy, not the stream's latest
+
+    def test_resume_at_or_before_the_stop_consumes_nothing(self):
+        consumed = []
+        _, phase = self._phase(consumed)
+        first = phase.run(HybridConfig(target=1e-3, switch_step=7))
+        again = phase.run(HybridConfig(target=1e-3, switch_step=7))
+        assert consumed == list(range(8))
+        assert again.step == first.step == 7
+        assert again.phase1 == first.phase1
