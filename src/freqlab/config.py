@@ -1,7 +1,8 @@
 """Experiment configuration: a flat, typed key-value format with a strict
 schema, named presets at both full scale and desk scale, and validation.
 
-Config files hold one `key = value` pair per line (# starts a comment).
+Config files hold one `key = value` pair per line; a # at the start of a line
+or after whitespace starts a comment, so values such as paths may contain #.
 Unknown keys are rejected. CLI flags override file values; the resolved
 config is snapshotted next to every run's outputs and can be re-run as-is.
 """
@@ -9,6 +10,7 @@ config is snapshotted next to every run's outputs and can be re-run as-is.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,11 +114,14 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"cannot parse {key} = {raw!r} as {ty.__name__}") from e
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines into typed values; unknown keys are errors."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -2,11 +2,16 @@
 image task, the energy-trained Poisson network, the warm-started iterative
 solves, and the per-mode gradient diagnostic.
 
-Every runner is a pure function of (config, seed): it trains with the seeded
-network and shuffle streams, records frequency-domain convergence at a fixed
-cadence, and writes CSV traces plus a resolved-config snapshot that can be
-re-run verbatim. The full-batch runners share one descent loop, _descent, and
-record from the outputs it has already computed. Wall-clock columns come from
+Every runner is a function (cfg, seed, out_dir) -> metrics dict and a pure
+function of (config, seed): it trains with the seeded network and shuffle
+streams, records frequency-domain convergence at a fixed cadence, writes its
+CSV (and, with cfg.svg, SVG) files into out_dir through the module-level
+write_csv/write_svg_lines, and returns the metrics the CLI prints. run_single
+owns the run directory: it validates the config, creates the directory, calls
+the runner and, once the runner has returned, writes the resolved-config
+snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
+snapshot. The full-batch runners share one descent loop, _descent, and record
+from the outputs it has already computed. Wall-clock columns come from
 reporting.stopwatch and are all zero unless timing is enabled, so that
 identical (config, seed) pairs produce byte-identical files.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn
 
@@ -38,7 +43,7 @@ from .poisson import (
     run_hybrid,  # unused here; perfbench/tracer.py wraps experiments.run_hybrid by name
     thomas_solve,
 )
-from .reporting import stopwatch, write_csv, write_svg_lines
+from .reporting import stopwatch, write_atomic, write_csv, write_svg_lines
 from .spectral import (
     FreqTrace,
     Spectrum,
@@ -58,14 +63,7 @@ class RunReport:
     config: ExperimentConfig
     seed: int
     out_dir: Path
-    csv_paths: dict[str, Path] = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-
-    def finish(self):
-        missing = [str(p) for p in self.csv_paths.values() if not p.exists()]
-        if missing:
-            raise OSError(f"run finished without writing: {missing}")
-        return self
+    metrics: dict
 
 
 def target_toy(x) -> np.ndarray:
@@ -84,34 +82,29 @@ def _init_spec(cfg: ExperimentConfig, seed: int) -> InitSpec:
 
 def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     """Write the resolved single-seed config; re-running it reproduces this run."""
-    resolved = dataclasses.replace(cfg, seed=seed, seeds=1)
-    path = out_dir / "config.txt"
-    path.write_text(config_to_text(resolved))
-    return path
+    return write_atomic(out_dir / "config.txt", config_to_text(dataclasses.replace(cfg, seed=seed, seeds=1)))
 
 
 def _df_row(model: Spectrum, target: Spectrum, peaks, denominator: str) -> dict[int, float]:
     return {g: rel_freq_diff(model, target, g, denominator=denominator) for g in peaks}
 
 
-def _first_passage_rows(trace: FreqTrace, tau: float) -> list[list]:
-    return [[g, step_to_threshold(trace, g, tau)] for g in trace.selected_peaks]
+def _first_passage(trace: FreqTrace, tau: float) -> dict[int, int | None]:
+    return {g: step_to_threshold(trace, g, tau) for g in trace.selected_peaks}
 
 
-def _emit_trace(out_dir: Path, trace: FreqTrace, tau: float) -> dict[str, Path]:
-    paths = {
-        "trace": write_csv(out_dir / "trace.csv", trace.header(), trace.table()),
-        "first_passage": write_csv(out_dir / "first_passage.csv", ["gamma", "first_step"],
-                                   _first_passage_rows(trace, tau)),
-    }
-    return paths
-
-
-def _emit_trace_svg(out_dir: Path, trace: FreqTrace, title: str) -> Path:
-    steps = [r.recording_step for r in trace.rows]
-    series = [(f"gamma={g}", steps, [r.df[g] for r in trace.rows]) for g in trace.selected_peaks]
-    return write_svg_lines(out_dir / "trace.svg", series, title=title,
-                           xlabel="recording step", ylabel="relative difference", log_y=True)
+def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: str) -> dict:
+    """Write trace.csv, first_passage.csv and (with cfg.svg) trace.svg; return
+    the final_loss and peaks metrics."""
+    write_csv(out_dir / "trace.csv", trace.header(), trace.table())
+    write_csv(out_dir / "first_passage.csv", ["gamma", "first_step"],
+              list(_first_passage(trace, cfg.first_passage_tau).items()))
+    if cfg.svg:
+        steps = [r.recording_step for r in trace.rows]
+        series = [(f"gamma={g}", steps, [r.df[g] for r in trace.rows]) for g in trace.selected_peaks]
+        write_svg_lines(out_dir / "trace.svg", series, title=title,
+                        xlabel="recording step", ylabel="relative difference", log_y=True)
+    return {"final_loss": trace.rows[-1].loss, "peaks": list(trace.selected_peaks)}
 
 
 def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
@@ -151,8 +144,7 @@ def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValue
 # step-function cross-entropy experiment
 
 
-def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
-    report = RunReport(cfg, seed, out_dir)
+def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     xs = np.linspace(-1.0, 1.0, cfg.samples).reshape(-1, 1)
@@ -172,14 +164,8 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
         if epoch == last:
             break
 
-    report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
-    if cfg.svg:
-        _emit_trace_svg(out_dir, trace, "step-target cross entropy")
-    report.metrics["final_loss"] = trace.rows[-1].loss
-    report.metrics["peaks"] = list(peaks)
-    report.metrics["first_passage"] = {g: step_to_threshold(trace, g, cfg.first_passage_tau) for g in peaks}
-    return report.finish()
+    return {**_emit_trace(cfg, out_dir, trace, "step-target cross entropy"),
+            "first_passage": _first_passage(trace, cfg.first_passage_tau)}
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +183,7 @@ def _load_images(cfg: ExperimentConfig, seed: int) -> datamod.ImageSet:
     raise ConfigError("no dataset: give mnist_images/mnist_labels or set synthetic")
 
 
-def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
-    report = RunReport(cfg, seed, out_dir)
+def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     images = _load_images(cfg, seed)
@@ -245,18 +230,8 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
         _raise_divergence(net, epoch, e)
 
     projected_rows = [[coords[i], int(images.labels[i])] + list(onehot[i]) for i in range(n)]
-    report.csv_paths["projected"] = write_csv(
-        out_dir / "projected.csv",
-        ["x", "label"] + [f"y{j}" for j in range(10)],
-        projected_rows,
-    )
-    report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
-    if cfg.svg:
-        _emit_trace_svg(out_dir, trace, "image-task cross entropy, first output dimension")
-    report.metrics["final_loss"] = trace.rows[-1].loss
-    report.metrics["peaks"] = list(peaks)
-    return report.finish()
+    write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(10)], projected_rows)
+    return _emit_trace(cfg, out_dir, trace, "image-task cross entropy, first output dimension")
 
 
 # ---------------------------------------------------------------------------
@@ -276,29 +251,19 @@ def _tracked_modes(peaks, n: int) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def run_poisson_direct(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
-    report = RunReport(cfg, seed, out_dir)
+def run_poisson_direct(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     grid, system, ref = _poisson_setup(cfg)
     spec = dft_uniform(ref.full)
     peaks = pick_peaks(spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
-    report.csv_paths["solution"] = write_csv(
-        out_dir / "solution.csv", ["x", "u_star"],
-        [[x, u] for x, u in zip(grid.points, ref.full)],
-    )
+    write_csv(out_dir / "solution.csv", ["x", "u_star"], [[x, u] for x, u in zip(grid.points, ref.full)])
     half = len(spec) // 2
-    report.csv_paths["spectrum"] = write_csv(
-        out_dir / "spectrum.csv", ["gamma", "amplitude", "is_peak"],
-        [[g, float(abs(spec.coefficients[g])), int(g in peaks)] for g in range(half + 1)],
-    )
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
-    report.metrics["residual_inf"] = ref.residual_inf
-    report.metrics["peaks"] = list(peaks)
-    report.metrics["sup_u_star"] = float(np.max(np.abs(ref.full)))
-    return report.finish()
+    write_csv(out_dir / "spectrum.csv", ["gamma", "amplitude", "is_peak"],
+              [[g, float(abs(spec.coefficients[g])), int(g in peaks)] for g in range(half + 1)])
+    return {"residual_inf": ref.residual_inf, "peaks": list(peaks),
+            "sup_u_star": float(np.max(np.abs(ref.full)))}
 
 
-def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
-    report = RunReport(cfg, seed, out_dir)
+def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     _, system, ref = _poisson_setup(cfg)
     peaks = pick_peaks(dft_uniform(ref.full), cfg.peak_max_count, cfg.peak_min_rel_amplitude)
     modes = _tracked_modes(peaks, cfg.grid_n)
@@ -307,18 +272,15 @@ def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRe
                   max_iters=cfg.max_iters, track_modes=modes, tol=tol, timing=cfg.timing)
     header = ["iter", "wall_ms", "sup_error"] + [f"alpha_{k}" for k in modes]
     rows = [[r.iteration, r.wall_ms, r.sup_error] + [r.alphas[k] for k in modes] for r in run.records]
-    report.csv_paths["iters"] = write_csv(out_dir / "iters.csv", header, rows)
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
+    write_csv(out_dir / "iters.csv", header, rows)
     if cfg.svg:
         its = [r.iteration for r in run.records]
         series = [("sup_error", its, [r.sup_error for r in run.records])]
         series += [(f"|alpha_{k}|", its, [abs(r.alphas[k]) for r in run.records]) for k in modes]
         write_svg_lines(out_dir / "iters.svg", series, title=f"{cfg.hybrid_method} iteration",
                         xlabel="iteration", ylabel="sup error / |alpha|", log_y=True)
-    report.metrics["iterations"] = run.iterations
-    report.metrics["final_sup_error"] = run.records[-1].sup_error
-    report.metrics["tracked_modes"] = list(modes)
-    return report.finish()
+    return {"iterations": run.iterations, "final_sup_error": run.records[-1].sup_error,
+            "tracked_modes": list(modes)}
 
 
 def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
@@ -330,8 +292,7 @@ def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
                     LrSchedule(cfg.lr, cfg.lr_halve_every))
 
 
-def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
-    report = RunReport(cfg, seed, out_dir)
+def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     grid, system, ref = _poisson_setup(cfg)
@@ -353,23 +314,14 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRepor
         if epoch == last:
             break
 
-    report.csv_paths.update(_emit_trace(out_dir, trace, cfg.first_passage_tau))
-    report.csv_paths["sup_error"] = write_csv(out_dir / "sup_error.csv",
-                                              ["step", "epoch", "sup_error"], sup_rows)
-    report.csv_paths["solution"] = write_csv(
-        out_dir / "solution.csv", ["x", "u_dnn", "u_star"],
-        [[x, up, us] for x, up, us in zip(grid.points, u_pred, ref.full)],
-    )
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
-    if cfg.svg:
-        _emit_trace_svg(out_dir, trace, "energy-trained network vs direct solution")
-    sup_star = float(np.max(np.abs(ref.full)))
-    report.metrics["final_loss"] = trace.rows[-1].loss
-    report.metrics["final_sup_error"] = sup_rows[-1][2]
-    report.metrics["rel_sup_error"] = sup_rows[-1][2] / sup_star
-    report.metrics["peaks"] = list(peaks)
-    report.metrics["first_passage"] = {g: step_to_threshold(trace, g, cfg.first_passage_tau) for g in peaks}
-    return report.finish()
+    metrics = _emit_trace(cfg, out_dir, trace, "energy-trained network vs direct solution")
+    write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"], sup_rows)
+    write_csv(out_dir / "solution.csv", ["x", "u_dnn", "u_star"],
+              [[x, up, us] for x, up, us in zip(grid.points, u_pred, ref.full)])
+    final_sup = sup_rows[-1][2]
+    return {**metrics, "final_sup_error": final_sup,
+            "rel_sup_error": final_sup / float(np.max(np.abs(ref.full))),
+            "first_passage": _first_passage(trace, cfg.first_passage_tau)}
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +347,7 @@ def _hybrid_rows(rep: HybridReport, method: str) -> list[list]:
 _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
 
 
-def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
+def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Hand the energy-trained network's grid values to cfg.hybrid_method at the
     plateau step p, early at max(1, p // 4) and late at min(2p, epochs), and
     compare each with a cold start from zero.
@@ -405,7 +357,6 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
     2p + max(1, p // 4) + 2 training steps instead of three replays from step
     0, with the same files. All training finishes before the first hand-off.
     """
-    report = RunReport(cfg, seed, out_dir)
     grid, system, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
     hcfg = HybridConfig(
@@ -432,39 +383,34 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
                    max_iters=cfg.max_iters, tol=hcfg.target, timing=cfg.timing)
 
     for label, rep in labelled:
-        report.csv_paths[f"hybrid_{label}"] = write_csv(
-            out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER, _hybrid_rows(rep, cfg.hybrid_method))
-    report.csv_paths["baseline"] = write_csv(
-        out_dir / "baseline.csv", _HYBRID_HEADER,
-        [[cfg.hybrid_method, r.iteration, r.wall_ms, r.sup_error] for r in cold.records])
+        write_csv(out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER, _hybrid_rows(rep, cfg.hybrid_method))
+    write_csv(out_dir / "baseline.csv", _HYBRID_HEADER,
+              [[cfg.hybrid_method, r.iteration, r.wall_ms, r.sup_error] for r in cold.records])
     summary = [[label, rep.switched_at, rep.sup_error_at_switch, rep.post_iterations]
                for label, rep in labelled]
     summary.append(["cold", 0, cold.records[0].sup_error, cold.iterations])
-    report.csv_paths["summary"] = write_csv(
-        out_dir / "summary.csv",
-        ["label", "switch_step", "sup_error_at_switch", "post_iterations"], summary)
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
+    write_csv(out_dir / "summary.csv", ["label", "switch_step", "sup_error_at_switch", "post_iterations"],
+              summary)
     if cfg.svg:
-        series = [(label, [row[1] for row in _hybrid_rows(rep, cfg.hybrid_method) if row[0] != "dnn"],
-                   [row[3] for row in _hybrid_rows(rep, cfg.hybrid_method) if row[0] != "dnn"])
-                  for label, rep in labelled]
-        series.append(("cold", [r.iteration for r in cold.records], [r.sup_error for r in cold.records]))
+        runs = [(label, rep.phase2) for label, rep in labelled] + [("cold", cold)]
+        series = [(label, [r.iteration for r in run.records], [r.sup_error for r in run.records])
+                  for label, run in runs]
         write_svg_lines(out_dir / "hybrid.svg", series, title="warm vs cold iterative solve",
                         xlabel="post-switch iteration", ylabel="sup error", log_y=True)
-    report.metrics["plateau_step"] = plateau_step
-    report.metrics["plateau_detected"] = at_plateau.plateau_detected
-    report.metrics["post_iterations"] = {label: rep.post_iterations for label, rep in labelled}
-    report.metrics["cold_iterations"] = cold.iterations
-    report.metrics["sup_at_switch"] = {label: rep.sup_error_at_switch for label, rep in labelled}
-    return report.finish()
+    return {
+        "plateau_step": plateau_step,
+        "plateau_detected": at_plateau.plateau_detected,
+        "post_iterations": {label: rep.post_iterations for label, rep in labelled},
+        "cold_iterations": cold.iterations,
+        "sup_at_switch": {label: rep.sup_error_at_switch for label, rep in labelled},
+    }
 
 
 # ---------------------------------------------------------------------------
 # gradient decomposition diagnostic
 
 
-def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunReport:
-    report = RunReport(cfg, seed, out_dir)
+def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     n = cfg.samples
     xs = (-1.0 + 2.0 * np.arange(n) / n).reshape(-1, 1)
     if cfg.diag_loss == "mse":
@@ -472,27 +418,19 @@ def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> RunRep
         target = target_toy(xs[:, 0])[:, :1]
 
         def pointwise(outputs):
-            diff = outputs - target
-            return np.sum(diff * diff, axis=1), 2.0 * diff
+            return 2.0 * (outputs - target)
     else:
         net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
         target = target_toy(xs[:, 0])
 
         def pointwise(outputs):
-            values = np.array([cross_entropy_loss(o, t).value for o, t in zip(outputs, target)])
-            return values, cross_entropy_loss(outputs, target).grad
+            return cross_entropy_loss(outputs, target).grad
 
     dec = grad_decomposition(net, xs, pointwise, output_dim=0)
     mags = dec.mode_magnitudes()
-    report.csv_paths["decomposition"] = write_csv(
-        out_dir / "decomposition.csv",
-        ["gamma", "abs_d", "mode_term_norm"],
-        [[k, float(abs(dec.d_k[k])), float(mags[k])] for k in range(n)],
-    )
-    report.csv_paths["snapshot"] = _snapshot(cfg, seed, out_dir)
-    report.metrics["real_residual"] = dec.real_residual
-    report.metrics["imag_residual"] = dec.imag_residual
-    return report.finish()
+    write_csv(out_dir / "decomposition.csv", ["gamma", "abs_d", "mode_term_norm"],
+              [[k, float(abs(dec.d_k[k])), float(mags[k])] for k in range(n)])
+    return {"real_residual": dec.real_residual, "imag_residual": dec.imag_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +449,14 @@ _RUNNERS = {
 
 
 def run_single(cfg: ExperimentConfig, seed: int, out_dir: str | Path) -> RunReport:
-    """Run one experiment instance for one seed, writing into out_dir."""
+    """Run one experiment instance for one seed, writing into out_dir; the
+    config snapshot is written only once the runner has returned."""
     validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg, seed, out)
+    metrics = _RUNNERS[cfg.experiment](cfg, seed, out)
+    _snapshot(cfg, seed, out)
+    return RunReport(cfg, seed, out, metrics)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunReport]:

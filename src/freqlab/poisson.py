@@ -305,8 +305,7 @@ def iterate(
     track = tuple(track_modes)
     n = system.n
     if track:
-        j = np.arange(1, n)
-        basis = np.stack([np.sin(j * k * math.pi / n) for k in track])  # (modes, n-1)
+        basis = np.stack([sine_mode(n, k) for k in track])  # (modes, n-1)
     run = IterativeRun(method=method, tracked_modes=track)
     elapsed = stopwatch(timing)
 
@@ -422,7 +421,6 @@ class TrainPhase:
         until cfg.max_steps. Consumes nothing if the stream already stands at
         or past the switch step."""
         plateau = False
-        step = self._step
         if self._grid is None or not self._at_stop_step(cfg):
             for step, (grid_values, loss) in self._steps:
                 self._step = step
@@ -444,8 +442,8 @@ class TrainPhase:
             else:
                 if self._grid is None:
                     raise ValueError("solver stream yielded no states")
-                step = self._records[-1].step  # stream exhausted before any stop rule fired
-        return SwitchPoint(step, plateau, self._grid.copy(), list(self._records))
+        # an exhausted stream switches at its last state, recorded or not
+        return SwitchPoint(self._step, plateau, self._grid.copy(), list(self._records))
 
 
 def hand_off(system: TridiagSystem, reference: ReferenceSolution, at: SwitchPoint,

@@ -218,14 +218,14 @@ def _check_uniform(xs: np.ndarray) -> None:
 def grad_decomposition(
     mlp: Mlp,
     xs: np.ndarray,
-    pointwise_loss: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    pointwise_loss: Callable[[np.ndarray], np.ndarray],
     output_dim: int = 0,
 ) -> GradDecomposition:
     """Split the loss gradient through one output dimension into Fourier modes.
 
-    pointwise_loss maps the (N, out) network outputs to per-sample loss values
-    (N,) and per-sample derivatives (N, out); the loss must act sample by
-    sample (couplings across samples break the identity). The expansion uses
+    pointwise_loss maps the (N, out) network outputs to the loss derivatives
+    (N, out) with respect to them; the loss must act sample by sample
+    (couplings across samples break the identity). The expansion uses
     the orthonormal basis p_k(j) = exp(2*pi*i*k*j/N)/sqrt(N) over the sample
     index, which requires uniformly spaced scalar samples.
     """
@@ -238,7 +238,7 @@ def grad_decomposition(
     outputs, cache = forward(mlp, flat)
     if not 0 <= output_dim < outputs.shape[1]:
         raise IndexError(f"output_dim {output_dim} out of range")
-    _, dl_dout = pointwise_loss(outputs)
+    dl_dout = pointwise_loss(outputs)
     if dl_dout.shape != outputs.shape:
         raise ValueError("pointwise_loss must return per-sample derivatives matching the outputs")
     s = dl_dout[:, output_dim]

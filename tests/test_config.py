@@ -35,6 +35,19 @@ class TestParsing:
         values = parse_config_text("# a comment\n\nseed = 3  # trailing\n")
         assert values == {"seed": 3}
 
+    def test_hash_inside_a_value_is_kept(self):
+        assert parse_config_text("out_dir = runs/#3\n") == {"out_dir": "runs/#3"}
+        assert parse_config_text("out_dir = runs/#3\t# trailing\n") == {"out_dir": "runs/#3"}
+        assert parse_config_text("  # indented comment\nseed = 4\n") == {"seed": 4}
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config_text("seed = 4#5")  # no whitespace before #: part of the value
+
+    def test_roundtrip_keeps_hash_in_paths(self):
+        cfg = dataclasses.replace(preset_config("desk-mnist-pca"), out_dir="runs/#3",
+                                  mnist_images="data/#1/images.idx")
+        parsed = apply_overrides(ExperimentConfig(), parse_config_text(config_to_text(cfg)))
+        assert parsed == cfg
+
     def test_width_lists_accept_dashes_and_commas(self):
         assert parse_config_text("hidden_widths = 400-400-200-100")["hidden_widths"] == (400, 400, 200, 100)
         assert parse_config_text("hidden_widths = 64,32")["hidden_widths"] == (64, 32)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import freqlab.experiments as ex
+from freqlab.cli import main
 from freqlab.config import default_config, preset_config
 from freqlab.errors import ConfigError, DivergenceError
 from freqlab.experiments import run_experiment, run_single, target_toy
@@ -322,6 +323,37 @@ class TestTrainingLoop:
         monkeypatch.setattr(ex, "init_mlp", poisoned)
         with pytest.raises(DivergenceError):
             run_single(tiny(preset, **shrink), 0, tmp_path)
+
+
+class TestRunDirectory:
+    # subcommand, shrinking flags, files written without svg, files svg adds
+    RUNS = {
+        "toy-ce": (["--preset", "desk-toy-ce", "--set", "epochs=20", "--set", "record_every=10"],
+                   {"trace.csv", "first_passage.csv"}, {"trace.svg"}),
+        "mnist-pca": (["--preset", "desk-mnist-pca", "--set", "samples=60", "--set", "epochs=2",
+                       "--set", "record_every=1"],
+                      {"projected.csv", "trace.csv", "first_passage.csv"}, {"trace.svg"}),
+        "poisson-direct": (["--set", "grid_n=16"], {"solution.csv", "spectrum.csv"}, set()),
+        "poisson-jacobi": (["--set", "grid_n=16", "--set", "max_iters=200"], {"iters.csv"}, {"iters.svg"}),
+        "poisson-dnn": (["--preset", "desk-poisson-dnn", "--set", "hidden_widths=8", "--set", "grid_n=16",
+                         "--set", "epochs=20", "--set", "record_every=10"],
+                        {"trace.csv", "first_passage.csv", "sup_error.csv", "solution.csv"}, {"trace.svg"}),
+        "d-jacobi": (["--preset", "desk-d-jacobi", "--set", "hidden_widths=8", "--set", "grid_n=16",
+                      "--set", "epochs=40", "--set", "record_every=5", "--set", "plateau_window=2",
+                      "--set", "max_iters=2000"],
+                     {"hybrid_early.csv", "hybrid_plateau.csv", "hybrid_late.csv", "baseline.csv",
+                      "summary.csv"}, {"hybrid.svg"}),
+        "diagnose-grad": (["--set", "hidden_widths=8", "--set", "samples=16"], {"decomposition.csv"}, set()),
+    }
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_each_subcommand_writes_exactly_its_files(self, tmp_path, command, svg):
+        flags, files, svg_files = self.RUNS[command]
+        out = tmp_path / "run"
+        assert main([command, *flags, "--out", str(out)] + (["--svg"] if svg else [])) == 0
+        expected = files | {"config.txt"} | (svg_files if svg else set())
+        assert {p.name for p in out.iterdir()} == expected
 
 
 class TestReproducibility:

@@ -411,3 +411,17 @@ class TestTrainPhase:
         assert consumed == list(range(8))
         assert again.step == first.step == 7
         assert again.phase1 == first.phase1
+
+    def test_exhausted_stream_switches_at_its_last_state(self):
+        # 7 states, recorded at steps 0 and 5: the hand-off starts from step 6
+        system = assemble_poisson(Grid1D(n=8), g_rhs)
+        reference = thomas_solve(system)
+        states = [np.full(system.n + 1, 0.1 * step) for step in range(7)]
+        cfg = HybridConfig(target=1e-3, record_every=5)
+        at = TrainPhase(system, ((u, 1.0) for u in states), reference).run(cfg)
+        assert [r.step for r in at.phase1] == [0, 5]
+        assert at.step == 6 and not at.plateau_detected
+        assert np.array_equal(at.grid_values, states[6])
+        report = poisson_mod.hand_off(system, reference, at, cfg)
+        assert report.switched_at == 6
+        assert report.sup_error_at_switch == float(np.max(np.abs(states[6][1:-1] - reference.u_star)))

@@ -1,12 +1,14 @@
 import csv
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqlab.reporting as reporting
 from freqlab.reporting import format_value, write_csv, write_svg_lines
 from freqlab.spectral import FreqTrace
 
@@ -89,3 +91,38 @@ class TestSvg:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg_lines(tmp_path / "t.svg", [("s", [], [])])
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "csv": lambda path: write_csv(path, ["a", "b"], [[i, 0.5 * i] for i in range(50)]),
+        "svg": lambda path: write_svg_lines(path, [("s", [0, 1, 2], [1.0, 0.1, 0.01])]),
+    }
+
+    @pytest.fixture(params=sorted(WRITERS))
+    def writer(self, request):
+        return self.WRITERS[request.param]
+
+    def test_interrupted_write_keeps_old_content_and_no_temp(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / "out.file"
+        target.write_text("old\n")
+        real = Path.write_text
+
+        def half_then_fail(self, text, *args, **kwargs):
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            writer(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.file"]
+        assert target.read_text() == "old\n"
+
+    def test_failed_replace_leaves_nothing(self, tmp_path, monkeypatch, writer):
+        def refuse(src, dst):
+            raise OSError("cannot replace")
+
+        monkeypatch.setattr(reporting.os, "replace", refuse)
+        with pytest.raises(OSError, match="cannot replace"):
+            writer(tmp_path / "out.file")
+        assert list(tmp_path.iterdir()) == []
