@@ -4,7 +4,8 @@ schema, named presets at both full scale and desk scale, and validation.
 Config files hold one `key = value` pair per line; a # at the start of a line
 or after whitespace starts a comment, so values such as paths may contain #.
 Unknown keys are rejected. CLI flags override file values; the resolved
-config is snapshotted next to every run's outputs and can be re-run as-is.
+config is snapshotted next to every run's outputs and can be re-run as-is, so
+validate rejects any string value its own snapshot line would not read back.
 """
 
 from __future__ import annotations
@@ -239,10 +240,21 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _reads_back(key: str, value: str) -> bool:
+    """Whether the snapshot line `key = value` is one line that parses back to value."""
+    line = f"{key} = {value}"
+    return len(line.splitlines()) == 1 and parse_config_text(line) == {key: value}
+
+
 def validate(cfg: ExperimentConfig) -> None:
     """Reject configurations that cannot run; called before every experiment."""
     _require(cfg.experiment in EXPERIMENTS,
              f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        _require(not isinstance(value, str) or _reads_back(f.name, value),
+                 f"{f.name} = {value!r} would not read back from config.txt (a # after "
+                 "whitespace starts a comment; line breaks and outer whitespace are lost)")
     _require(cfg.seeds >= 1, "seeds must be >= 1")
     _require(cfg.record_every >= 1, "record_every must be >= 1")
     _require(cfg.df_denominator in ("target", "model"),

@@ -10,7 +10,8 @@ write_csv/write_svg_lines, and returns the metrics the CLI prints. run_single
 owns the run directory: it validates the config, creates the directory, calls
 the runner and, once the runner has returned, writes the resolved-config
 snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
-snapshot. The full-batch runners share one descent loop, _descent, and record
+snapshot. Every training step is one _evaluate (forward, loss, divergence
+rule); the full-batch runners share one descent loop, _descent, and record
 from the outputs it has already computed. Wall-clock columns come from
 reporting.stopwatch and are all zero unless timing is enabled, so that
 identical (config, seed) pairs produce byte-identical files.
@@ -29,12 +30,14 @@ import numpy as np
 from . import data as datamod
 from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, DivergenceError
-from .losses import EnergyLossConfig, LossValueGrad, cross_entropy_loss, energy_loss
-from .nn import InitSpec, LrSchedule, Mlp, backprop, forward, init_mlp, lr_at, params_to_vector, sgd_step
+from .losses import EnergyLossConfig, LossValueGrad, cross_entropy_loss, energy_loss, mse_loss
+from .nn import (ForwardCache, InitSpec, LrSchedule, Mlp, backprop, forward, init_mlp, lr_at,
+                 params_to_vector, sgd_step)
 from .poisson import (
     Grid1D,
     HybridConfig,
-    HybridReport,
+    IterativeRun,
+    PhaseOneRecord,
     TrainPhase,
     assemble_poisson,
     g_rhs,
@@ -103,7 +106,7 @@ def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: s
         steps = [r.recording_step for r in trace.rows]
         series = [(f"gamma={g}", steps, [r.df[g] for r in trace.rows]) for g in trace.selected_peaks]
         write_svg_lines(out_dir / "trace.svg", series, title=title,
-                        xlabel="recording step", ylabel="relative difference", log_y=True)
+                        xlabel="recording step", ylabel="relative difference")
     return {"final_loss": trace.rows[-1].loss, "peaks": list(trace.selected_peaks)}
 
 
@@ -120,22 +123,30 @@ def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
     return cfg.epochs - cfg.epochs % cfg.record_every
 
 
+def _evaluate(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
+              epoch: int) -> tuple[np.ndarray, ForwardCache, LossValueGrad]:
+    """(outputs, cache, loss) of net on xs. A non-finite loss raises DivergenceError
+    for epoch, and so does a ValueError once the parameters are non-finite."""
+    try:
+        out, cache = forward(net, xs)
+        lv = loss_of(out)
+    except ValueError as e:
+        _raise_divergence(net, epoch, e)
+    if not np.isfinite(lv.value):
+        raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
+    return out, cache, lv
+
+
 def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
              schedule: LrSchedule) -> Iterator[tuple[int, np.ndarray, float]]:
     """Full-batch gradient descent of loss_of(network outputs on xs).
 
     Yields (epoch, outputs, loss) before each epoch's update, starting with the
     untrained network at epoch 0, for as long as the caller keeps iterating.
-    A non-finite loss raises DivergenceError instead of being yielded.
+    Each step is one _evaluate, so a divergence is raised instead of yielded.
     """
     for epoch in itertools.count():
-        try:
-            out, cache = forward(net, xs)
-            lv = loss_of(out)
-        except ValueError as e:
-            _raise_divergence(net, epoch, e)
-        if not np.isfinite(lv.value):
-            raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
+        out, cache, lv = _evaluate(net, xs, loss_of, epoch)
         yield epoch, out, lv.value
         sgd_step(net, backprop(net, cache, lv.grad.reshape(out.shape)), lr_at(schedule, epoch))
 
@@ -202,32 +213,23 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     trace = FreqTrace(tuple(peaks))
 
     def record(step: int, epoch: int):
-        probs, _ = forward(net, X)
-        loss = cross_entropy_loss(probs, onehot).value
-        if not np.isfinite(loss):
-            raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
+        probs, _, lv = _evaluate(net, X, lambda out: cross_entropy_loss(out, onehot), epoch)
         model_spec = nufft_direct(coords, probs[:, 0], cfg.nufft_freqs)
-        trace.append(step, epoch, elapsed(), loss, _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
+        trace.append(step, epoch, elapsed(), lv.value,
+                     _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
 
     n = X.shape[0]
     batch = cfg.batch_size if cfg.batch_size > 0 else n
-    epoch = 0
-    try:
-        record(0, 0)
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n)
-            lr = lr_at(schedule, epoch)
-            for lo in range(0, n, batch):
-                sel = order[lo:lo + batch]
-                probs, cache = forward(net, X[sel])
-                lv = cross_entropy_loss(probs, onehot[sel])
-                if not np.isfinite(lv.value):
-                    raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
-                sgd_step(net, backprop(net, cache, lv.grad), lr)
-            if (epoch + 1) % cfg.record_every == 0:
-                record((epoch + 1) // cfg.record_every, epoch + 1)
-    except ValueError as e:
-        _raise_divergence(net, epoch, e)
+    record(0, 0)
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        lr = lr_at(schedule, epoch)
+        for lo in range(0, n, batch):
+            sel = order[lo:lo + batch]
+            _, cache, lv = _evaluate(net, X[sel], lambda out: cross_entropy_loss(out, onehot[sel]), epoch)
+            sgd_step(net, backprop(net, cache, lv.grad), lr)
+        if (epoch + 1) % cfg.record_every == 0:
+            record((epoch + 1) // cfg.record_every, epoch + 1)
 
     projected_rows = [[coords[i], int(images.labels[i])] + list(onehot[i]) for i in range(n)]
     write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(10)], projected_rows)
@@ -270,16 +272,15 @@ def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
     run = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
                   max_iters=cfg.max_iters, track_modes=modes, tol=tol, timing=cfg.timing)
-    header = ["iter", "wall_ms", "sup_error"] + [f"alpha_{k}" for k in modes]
-    rows = [[r.iteration, r.wall_ms, r.sup_error] + [r.alphas[k] for k in modes] for r in run.records]
-    write_csv(out_dir / "iters.csv", header, rows)
+    its = range(run.iterations + 1)
+    write_csv(out_dir / "iters.csv", ["iter", "wall_ms", "sup_error"] + [f"alpha_{k}" for k in run.alphas],
+              zip(its, run.wall_ms, run.sup_errors, *run.alphas.values()))
     if cfg.svg:
-        its = [r.iteration for r in run.records]
-        series = [("sup_error", its, [r.sup_error for r in run.records])]
-        series += [(f"|alpha_{k}|", its, [abs(r.alphas[k]) for r in run.records]) for k in modes]
+        series = [("sup_error", its, run.sup_errors)]
+        series += [(f"|alpha_{k}|", its, [abs(a) for a in trace]) for k, trace in run.alphas.items()]
         write_svg_lines(out_dir / "iters.svg", series, title=f"{cfg.hybrid_method} iteration",
-                        xlabel="iteration", ylabel="sup error / |alpha|", log_y=True)
-    return {"iterations": run.iterations, "final_sup_error": run.records[-1].sup_error,
+                        xlabel="iteration", ylabel="sup error / |alpha|")
+    return {"iterations": run.iterations, "final_sup_error": run.sup_errors[-1],
             "tracked_modes": list(modes)}
 
 
@@ -337,11 +338,11 @@ def _energy_training_stream(cfg: ExperimentConfig, seed: int, grid: Grid1D,
     return ((out[:, 0], loss) for _, out, loss in _energy_descent(cfg, seed, grid, gvals))
 
 
-def _hybrid_rows(rep: HybridReport, method: str) -> list[list]:
-    rows = [["dnn", r.step, r.wall_ms, r.sup_error] for r in rep.phase1]
-    base_wall = rep.phase1[-1].wall_ms if rep.phase1 else 0.0
-    rows += [[method, r.iteration, base_wall + r.wall_ms, r.sup_error] for r in rep.phase2.records]
-    return rows
+def _hybrid_rows(phase1: list[PhaseOneRecord], phase2: IterativeRun, method: str) -> list[list]:
+    rows = [["dnn", r.step, r.wall_ms, r.sup_error] for r in phase1]
+    base_wall = phase1[-1].wall_ms if phase1 else 0.0
+    return rows + [[method, i, base_wall + wall, sup]
+                   for i, (wall, sup) in enumerate(zip(phase2.wall_ms, phase2.sup_errors))]
 
 
 _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
@@ -383,20 +384,19 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                    max_iters=cfg.max_iters, tol=hcfg.target, timing=cfg.timing)
 
     for label, rep in labelled:
-        write_csv(out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER, _hybrid_rows(rep, cfg.hybrid_method))
-    write_csv(out_dir / "baseline.csv", _HYBRID_HEADER,
-              [[cfg.hybrid_method, r.iteration, r.wall_ms, r.sup_error] for r in cold.records])
+        write_csv(out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER,
+                  _hybrid_rows(rep.phase1, rep.phase2, cfg.hybrid_method))
+    write_csv(out_dir / "baseline.csv", _HYBRID_HEADER, _hybrid_rows([], cold, cfg.hybrid_method))
     summary = [[label, rep.switched_at, rep.sup_error_at_switch, rep.post_iterations]
                for label, rep in labelled]
-    summary.append(["cold", 0, cold.records[0].sup_error, cold.iterations])
+    summary.append(["cold", 0, cold.sup_errors[0], cold.iterations])
     write_csv(out_dir / "summary.csv", ["label", "switch_step", "sup_error_at_switch", "post_iterations"],
               summary)
     if cfg.svg:
         runs = [(label, rep.phase2) for label, rep in labelled] + [("cold", cold)]
-        series = [(label, [r.iteration for r in run.records], [r.sup_error for r in run.records])
-                  for label, run in runs]
+        series = [(label, range(run.iterations + 1), run.sup_errors) for label, run in runs]
         write_svg_lines(out_dir / "hybrid.svg", series, title="warm vs cold iterative solve",
-                        xlabel="post-switch iteration", ylabel="sup error", log_y=True)
+                        xlabel="post-switch iteration", ylabel="sup error")
     return {
         "plateau_step": plateau_step,
         "plateau_detected": at_plateau.plateau_detected,
@@ -418,7 +418,7 @@ def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         target = target_toy(xs[:, 0])[:, :1]
 
         def pointwise(outputs):
-            return 2.0 * (outputs - target)
+            return mse_loss(outputs, target).grad
     else:
         net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
         target = target_toy(xs[:, 0])

@@ -23,7 +23,6 @@ __all__ = [
     "TridiagSystem",
     "ReferenceSolution",
     "IterativeRun",
-    "IterRecord",
     "HybridConfig",
     "HybridReport",
     "SwitchPoint",
@@ -242,32 +241,18 @@ def halving_count(n: int, k: int) -> int:
 
 
 @dataclass
-class IterRecord:
-    iteration: int
-    wall_ms: float
-    sup_error: float
-    alphas: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass
 class IterativeRun:
-    """Per-iteration history of an iterative solve against a known reference."""
+    """Per-iteration history of an iterative solve against a known reference:
+    one list per column, alphas one per tracked mode k. Entry i of each list
+    belongs to iteration i; iteration 0 is the initial state."""
 
-    method: str
-    tracked_modes: tuple[int, ...]
-    records: list[IterRecord] = field(default_factory=list)
+    wall_ms: list[float] = field(default_factory=list)
+    sup_errors: list[float] = field(default_factory=list)
+    alphas: dict[int, list[float]] = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
-        return self.records[-1].iteration if self.records else 0
-
-    def sup_errors(self) -> np.ndarray:
-        return np.array([r.sup_error for r in self.records])
-
-    def alpha_trace(self, k: int) -> np.ndarray:
-        if k not in self.tracked_modes:
-            raise KeyError(f"mode {k} was not tracked")
-        return np.array([r.alphas[k] for r in self.records])
+        return max(len(self.sup_errors) - 1, 0)
 
     def halving_iteration(self, k: int) -> int | None:
         """First iteration at which |alpha_k| drops to half its initial value.
@@ -275,10 +260,10 @@ class IterativeRun:
         The comparison carries 1e-9 relative slack so that modes whose
         amplitude hits exactly half (lambda^l = 1/2) count that iteration.
         """
-        trace = np.abs(self.alpha_trace(k))
+        trace = np.abs(self.alphas[k])
         target = 0.5 * trace[0] * (1.0 + 1e-9)
         hits = np.nonzero(trace <= target)[0]
-        return int(self.records[hits[0]].iteration) if hits.size else None
+        return int(hits[0]) if hits.size else None
 
 
 def iterate(
@@ -304,25 +289,23 @@ def iterate(
         raise ValueError("u0 and u_star shapes differ")
     track = tuple(track_modes)
     n = system.n
-    if track:
-        basis = np.stack([sine_mode(n, k) for k in track])  # (modes, n-1)
-    run = IterativeRun(method=method, tracked_modes=track)
+    basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), n - 1)
+    run = IterativeRun(alphas={k: [] for k in track})
     elapsed = stopwatch(timing)
 
-    def record(it: int):
+    def record():
         err = u - u_star
-        alphas = {}
-        if track:
-            coeffs = (2.0 / n) * (basis @ err)
-            alphas = {k: float(c) for k, c in zip(track, coeffs)}
-        run.records.append(IterRecord(it, elapsed(), float(np.max(np.abs(err))), alphas))
+        for k, c in zip(track, (2.0 / n) * (basis @ err)):
+            run.alphas[k].append(float(c))
+        run.wall_ms.append(elapsed())
+        run.sup_errors.append(float(np.max(np.abs(err))))
 
-    record(0)
-    for it in range(1, max_iters + 1):
-        if tol is not None and run.records[-1].sup_error <= tol:
+    record()
+    for _ in range(max_iters):
+        if tol is not None and run.sup_errors[-1] <= tol:
             break
         u = step_fn(system, u)
-        record(it)
+        record()
     return run
 
 

@@ -14,7 +14,7 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -57,7 +57,7 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
@@ -95,28 +95,24 @@ def write_svg_lines(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    log_y: bool = True,
 ) -> Path:
-    """Write one polyline per (label, xs, ys) series.
+    """Write one polyline per (label, xs, ys) series on a log10 y axis.
 
-    With log_y, nonpositive values are clipped to a tenth of the smallest
+    Nonpositive and non-finite values are clipped to a tenth of the smallest
     positive value in the data (the scale is for ratios, not signs).
     """
     all_x = [float(x) for _, xs, _ in series for x in xs]
     if not all_x:
         raise ValueError("no data to plot")
-    if log_y:
-        positive = [y for _, _, ys in series for y in map(float, ys) if y > 0 and math.isfinite(y)]
-        floor = (min(positive) / 10) if positive else 1e-16
+    positive = [y for _, _, ys in series for y in map(float, ys) if y > 0 and math.isfinite(y)]
+    floor = (min(positive) / 10) if positive else 1e-16
 
-    def scale(y) -> float | None:
-        """Plotted y: clipped log10 with log_y, else y; None drops the point."""
+    def scale(y) -> float:
+        """Plotted y: log10 of y clipped at floor."""
         y = float(y)
-        if log_y:
-            return math.log10(max(y if math.isfinite(y) else floor, floor))
-        return y if math.isfinite(y) else None
+        return math.log10(max(y if math.isfinite(y) else floor, floor))
 
-    all_y = [y for _, _, ys in series for y in map(scale, ys) if y is not None]
+    all_y = [y for _, _, ys in series for y in map(scale, ys)]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -141,11 +137,10 @@ def write_svg_lines(
         x = px(t)
         out.append(f'<line x1="{x:.2f}" y1="{_H - _MB}" x2="{x:.2f}" y2="{_H - _MB + 5}" stroke="black"/>')
         out.append(f'<text x="{x:.2f}" y="{_H - _MB + 18}" text-anchor="middle">{t:g}</text>')
-    for t in _ticks(y_lo, y_hi, log=log_y):
+    for t in _ticks(y_lo, y_hi, log=True):
         y = py(t)
-        label = f"1e{t:g}" if log_y else f"{t:g}"
         out.append(f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>')
-        out.append(f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">{label}</text>')
+        out.append(f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">1e{t:g}</text>')
     if title:
         out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 14}" text-anchor="middle" '
                    f'font-size="15">{escape(title)}</text>')
@@ -158,8 +153,7 @@ def write_svg_lines(
         color = _PALETTE[i % len(_PALETTE)]
         coords = []  # a loop: as a list comprehension, relax's 89k-point chart peaked 2.5 MB higher in RSS
         for x, y in zip(xs, map(scale, ys)):
-            if y is not None:
-                coords.append(f"{px(float(x)):.2f},{py(y):.2f}")
+            coords.append(f"{px(float(x)):.2f},{py(y):.2f}")
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(coords)}"/>')
         ly = _MT + 16 + 18 * i
         out.append(f'<line x1="{_W - _MR + 10}" y1="{ly - 4}" x2="{_W - _MR + 34}" y2="{ly - 4}" '

@@ -57,13 +57,14 @@ def test_criterion_01_jacobi_eigen_identity():
     run = iterate(system, ref.u_star + e0, ref.u_star, method="jacobi",
                   max_iters=200, track_modes=range(1, n))
     lam = np.array([abs(jacobi_eigen(n, k)) for k in range(1, n)])
-    a0 = np.array([abs(run.records[0].alphas[k]) for k in range(1, n)])
+    alphas = np.abs([run.alphas[k] for k in range(1, n)])  # (modes, iterations + 1)
+    a0 = alphas[:, 0]
     worst = 0.0
-    for rec in run.records:
-        actual = np.array([abs(rec.alphas[k]) for k in range(1, n)])
-        predicted = lam ** rec.iteration * a0
+    for it in range(run.iterations + 1):
+        actual = alphas[:, it]
+        predicted = lam ** it * a0
         assert np.all(np.abs(actual - predicted) <= 1e-8 * predicted + 1e-13), \
-            f"iteration {rec.iteration}"
+            f"iteration {it}"
         worst = max(worst, float(np.max(np.abs(actual - predicted))))
     elapsed = _budget(1, t0, 1.0)
     _report(1, f"|alpha_k^l| follows lambda_k^l for l<=200, worst abs dev {worst:.2e} ({elapsed:.2f}s)")

@@ -125,6 +125,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate(ExperimentConfig(experiment="lattice_qcd"))
 
+    @pytest.mark.parametrize("value", ["runs #3", "#runs", "runs\nb", "runs\n", " runs", "runs\t"])
+    def test_string_that_would_not_read_back_rejected(self, value):
+        cfg = dataclasses.replace(default_config("poisson_direct"), out_dir=value)
+        with pytest.raises(ConfigError, match="would not read back"):
+            validate(cfg)
+
+    @pytest.mark.parametrize("value", ["runs/#3", "my runs", "a=b", ""])
+    def test_string_that_reads_back_accepted(self, value):
+        cfg = dataclasses.replace(default_config("poisson_direct"), out_dir=value)
+        validate(cfg)
+        assert parse_config_text(config_to_text(cfg))["out_dir"] == value
+
 
 class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -159,6 +171,17 @@ class TestCli:
         snapshot = (tmp_path / "config.txt").read_text()
         assert "seed = 5" in snapshot
         assert "grid_n = 8" in snapshot
+
+    def test_out_dir_that_would_not_read_back_exits_2(self, tmp_path, capsys):
+        # its snapshot line `out_dir = .../runs #3` would read back as `.../runs`
+        assert main(["poisson-direct", "--out", str(tmp_path / "runs #3"), "--set", "grid_n=8"]) == 2
+        assert "would not read back" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_with_hash_after_slash_runs(self, tmp_path):
+        out = tmp_path / "runs" / "#3"
+        assert main(["poisson-direct", "--out", str(out), "--set", "grid_n=8"]) == 0
+        assert parse_config_text((out / "config.txt").read_text())["out_dir"] == str(out)
 
     def test_config_file_plus_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -1,14 +1,20 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freqlab
 import freqlab.experiments as ex
 from freqlab.cli import main
 from freqlab.config import default_config, preset_config
 from freqlab.errors import ConfigError, DivergenceError
 from freqlab.experiments import run_experiment, run_single, target_toy
+from freqlab.poisson import Grid1D, assemble_poisson, g_rhs, jacobi_step, mode_amplitudes, thomas_solve
 
 
 def tiny(preset, **kw):
@@ -124,6 +130,25 @@ class TestPoissonRunners:
         assert f"alpha_{report.metrics['tracked_modes'][0]}" in rows[0]
         sups = [float(r["sup_error"]) for r in rows]
         assert sups[-1] < sups[0]
+
+    def test_iters_csv_row_i_is_iteration_i(self, tmp_path):
+        n = 16
+        cfg = dataclasses.replace(default_config("poisson_jacobi"), grid_n=n, max_iters=40)
+        report = run_single(cfg, 0, tmp_path)
+        rows = read_csv(tmp_path / "iters.csv")
+        assert len(rows) == report.metrics["iterations"] + 1 == 41
+        # replay the sweeps: every column of row i describes the state after i sweeps
+        system = assemble_poisson(Grid1D(n=n), g_rhs)
+        ref = thomas_solve(system)
+        u = np.zeros(n - 1)
+        for i, row in enumerate(rows):
+            assert int(row["iter"]) == i
+            err = u - ref.u_star
+            assert float(row["sup_error"]) == np.max(np.abs(err))
+            amps = mode_amplitudes(err, n)
+            for k in report.metrics["tracked_modes"]:
+                assert float(row[f"alpha_{k}"]) == pytest.approx(amps[k - 1], rel=1e-12, abs=1e-15)
+            u = jacobi_step(system, u)
 
     def test_poisson_dnn_short_run(self, tmp_path):
         cfg = tiny("desk-poisson-dnn", hidden_widths=(32, 16), epochs=40, record_every=20)
@@ -386,3 +411,19 @@ class TestReproducibility:
         assert len(reports) == 2
         assert (tmp_path / "seed0" / "trace.csv").exists()
         assert (tmp_path / "seed1" / "trace.csv").exists()
+
+
+class TestBlasThreads:
+    def test_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # minibatch SGD amplifies the different rounding of a threaded BLAS
+        src = str(Path(freqlab.__file__).parents[1])
+        traces = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "freqlab.cli", "mnist-pca", "--preset", "desk-mnist-pca",
+                            "--set", "samples=120", "--set", "epochs=10", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]

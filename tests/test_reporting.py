@@ -64,7 +64,7 @@ class TestSvg:
             ("gamma=3", xs, [2.0 / (i + 1) for i in xs]),
             ("gamma=8", xs, [3.0 / (i + 1) for i in xs]),
         ]
-        path = write_svg_lines(tmp_path / "t.svg", series, title="trace", log_y=True)
+        path = write_svg_lines(tmp_path / "t.svg", series, title="trace")
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
@@ -74,12 +74,12 @@ class TestSvg:
 
     def test_nonpositive_values_survive_log_scale(self, tmp_path):
         series = [("a", [0, 1, 2], [1.0, 0.0, 0.5])]
-        path = write_svg_lines(tmp_path / "t.svg", series, log_y=True)
+        path = write_svg_lines(tmp_path / "t.svg", series)
         ET.parse(path)  # must stay well-formed
 
     def test_label_escaping(self, tmp_path):
         series = [("<&>", [0, 1], [1.0, 2.0])]
-        path = write_svg_lines(tmp_path / "t.svg", series, title="a < b & c", log_y=False)
+        path = write_svg_lines(tmp_path / "t.svg", series, title="a < b & c")
         ET.parse(path)
 
     def test_deterministic_bytes(self, tmp_path):
