@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto the experiments; configuration is resolved as
-defaults < preset < config file < --set overrides < direct flags, then
+defaults < preset < config file < --set overrides < direct flags; the
+resolved experiment must be the subcommand's, and the config is then
 validated. Exit codes: 0 success, 2 configuration error, 3 training
 divergence, 4 I/O failure.
 """
@@ -54,21 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace):
-    if args.preset:
-        cfg = preset_config(args.preset)
-        if cfg.experiment != args.experiment:
-            raise ConfigError(
-                f"preset {args.preset!r} is for {cfg.experiment}, not {args.experiment}")
-    else:
-        cfg = default_config(args.experiment)
+    cfg = preset_config(args.preset) if args.preset else default_config(args.experiment)
     if args.config:
-        values = load_config_file(args.config)
-        if values.get("experiment", cfg.experiment) != cfg.experiment:
-            raise ConfigError(
-                f"config file sets experiment={values['experiment']!r}, "
-                f"but the subcommand runs {cfg.experiment}")
-        values.pop("experiment", None)
-        cfg = apply_overrides(cfg, values)
+        cfg = apply_overrides(cfg, load_config_file(args.config))
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -83,7 +72,11 @@ def resolve_config(args: argparse.Namespace):
         value = getattr(args, attr, None)
         if value is not None:
             direct[key] = value
-    return apply_overrides(cfg, direct)
+    cfg = apply_overrides(cfg, direct)
+    if cfg.experiment != args.experiment:
+        raise ConfigError(f"the resolved config is for experiment {cfg.experiment!r}, "
+                          f"but the subcommand runs {args.experiment}")
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ validate rejects any string value its own snapshot line would not read back.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -255,6 +256,9 @@ def validate(cfg: ExperimentConfig) -> None:
         _require(not isinstance(value, str) or _reads_back(f.name, value),
                  f"{f.name} = {value!r} would not read back from config.txt (a # after "
                  "whitespace starts a comment; line breaks and outer whitespace are lost)")
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"{f.name} must be finite, got {value!r}")
+    _require(cfg.seed >= 0, "seed must be >= 0")
     _require(cfg.seeds >= 1, "seeds must be >= 1")
     _require(cfg.record_every >= 1, "record_every must be >= 1")
     _require(cfg.df_denominator in ("target", "model"),

@@ -12,9 +12,15 @@ the runner and, once the runner has returned, writes the resolved-config
 snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
 snapshot. Every training step is one _evaluate (forward, loss, divergence
 rule); the full-batch runners share one descent loop, _descent, and record
-from the outputs it has already computed. Wall-clock columns come from
+from the outputs it has already computed. Histories are columns: a FreqTrace,
+an IterativeRun and a SwitchPoint's phase-one record each hold one list per
+column, and the CSV rows are zipped from them. Wall-clock columns come from
 reporting.stopwatch and are all zero unless timing is enabled, so that
 identical (config, seed) pairs produce byte-identical files.
+
+The runners reach the other modules' functions (forward, iterate, write_csv,
+...) through this module's globals, imported by name, and run_hybrid stays
+imported: perfbench/tracer.py wraps those names here to time each layer.
 """
 
 from __future__ import annotations
@@ -35,15 +41,14 @@ from .nn import (ForwardCache, InitSpec, LrSchedule, Mlp, backprop, forward, ini
                  params_to_vector, sgd_step)
 from .poisson import (
     Grid1D,
-    HybridConfig,
     IterativeRun,
-    PhaseOneRecord,
+    SwitchPoint,
     TrainPhase,
     assemble_poisson,
     g_rhs,
     hand_off,
     iterate,
-    run_hybrid,  # unused here; perfbench/tracer.py wraps experiments.run_hybrid by name
+    run_hybrid,  # unused here; see the module docstring
     thomas_solve,
 )
 from .reporting import stopwatch, write_atomic, write_csv, write_svg_lines
@@ -103,11 +108,10 @@ def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: s
     write_csv(out_dir / "first_passage.csv", ["gamma", "first_step"],
               list(_first_passage(trace, cfg.first_passage_tau).items()))
     if cfg.svg:
-        steps = [r.recording_step for r in trace.rows]
-        series = [(f"gamma={g}", steps, [r.df[g] for r in trace.rows]) for g in trace.selected_peaks]
+        series = [(f"gamma={g}", trace.steps, trace.df[g]) for g in trace.selected_peaks]
         write_svg_lines(out_dir / "trace.svg", series, title=title,
                         xlabel="recording step", ylabel="relative difference")
-    return {"final_loss": trace.rows[-1].loss, "peaks": list(trace.selected_peaks)}
+    return {"final_loss": trace.losses[-1], "peaks": list(trace.selected_peaks)}
 
 
 def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
@@ -338,11 +342,15 @@ def _energy_training_stream(cfg: ExperimentConfig, seed: int, grid: Grid1D,
     return ((out[:, 0], loss) for _, out, loss in _energy_descent(cfg, seed, grid, gvals))
 
 
-def _hybrid_rows(phase1: list[PhaseOneRecord], phase2: IterativeRun, method: str) -> list[list]:
-    rows = [["dnn", r.step, r.wall_ms, r.sup_error] for r in phase1]
-    base_wall = phase1[-1].wall_ms if phase1 else 0.0
+def _hybrid_rows(run: IterativeRun, method: str, at: SwitchPoint | None = None) -> list[list]:
+    """Rows of a hybrid_*.csv: the phase-one columns of at, if given, then the
+    iterative solve, its wall clock carried on from the last recorded step."""
+    rows, base_wall = [], 0.0
+    if at is not None:
+        rows = [["dnn", *row] for row in zip(at.steps, at.wall_ms, at.sup_errors)]
+        base_wall = at.wall_ms[-1]
     return rows + [[method, i, base_wall + wall, sup]
-                   for i, (wall, sup) in enumerate(zip(phase2.wall_ms, phase2.sup_errors))]
+                   for i, (wall, sup) in enumerate(zip(run.wall_ms, run.sup_errors))]
 
 
 _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
@@ -360,49 +368,40 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """
     grid, system, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
-    hcfg = HybridConfig(
-        target=cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star))),
-        plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
-        method=cfg.hybrid_method, record_every=cfg.record_every, max_steps=cfg.epochs,
-        max_phase2_iters=cfg.max_iters,
-    )
+    tol = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
 
     def train_phase() -> TrainPhase:
-        return TrainPhase(system, _energy_training_stream(cfg, seed, grid, gvals), ref, cfg.timing)
-
-    def until(switch_step: int) -> HybridConfig:
-        return dataclasses.replace(hcfg, switch_step=switch_step)
+        return TrainPhase(system, _energy_training_stream(cfg, seed, grid, gvals), ref, cfg.record_every,
+                          cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
 
     stream = train_phase()
-    at_plateau = stream.run(hcfg)
+    at_plateau = stream.run()
     plateau_step = at_plateau.step
-    at_late = stream.run(until(min(2 * plateau_step, cfg.epochs)))
-    at_early = train_phase().run(until(max(1, plateau_step // 4)))
-    labelled = [(label, hand_off(system, ref, at, hcfg, cfg.timing))
+    at_late = stream.run(min(2 * plateau_step, cfg.epochs))
+    at_early = train_phase().run(max(1, plateau_step // 4))
+    labelled = [(label, at, hand_off(system, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
                 for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
     cold = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
-                   max_iters=cfg.max_iters, tol=hcfg.target, timing=cfg.timing)
+                   max_iters=cfg.max_iters, tol=tol, timing=cfg.timing)
 
-    for label, rep in labelled:
-        write_csv(out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER,
-                  _hybrid_rows(rep.phase1, rep.phase2, cfg.hybrid_method))
-    write_csv(out_dir / "baseline.csv", _HYBRID_HEADER, _hybrid_rows([], cold, cfg.hybrid_method))
-    summary = [[label, rep.switched_at, rep.sup_error_at_switch, rep.post_iterations]
-               for label, rep in labelled]
+    for label, at, run in labelled:
+        write_csv(out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER, _hybrid_rows(run, cfg.hybrid_method, at))
+    write_csv(out_dir / "baseline.csv", _HYBRID_HEADER, _hybrid_rows(cold, cfg.hybrid_method))
+    summary = [[label, at.step, run.sup_errors[0], run.iterations] for label, at, run in labelled]
     summary.append(["cold", 0, cold.sup_errors[0], cold.iterations])
     write_csv(out_dir / "summary.csv", ["label", "switch_step", "sup_error_at_switch", "post_iterations"],
               summary)
     if cfg.svg:
-        runs = [(label, rep.phase2) for label, rep in labelled] + [("cold", cold)]
+        runs = [(label, run) for label, _, run in labelled] + [("cold", cold)]
         series = [(label, range(run.iterations + 1), run.sup_errors) for label, run in runs]
         write_svg_lines(out_dir / "hybrid.svg", series, title="warm vs cold iterative solve",
                         xlabel="post-switch iteration", ylabel="sup error")
     return {
         "plateau_step": plateau_step,
         "plateau_detected": at_plateau.plateau_detected,
-        "post_iterations": {label: rep.post_iterations for label, rep in labelled},
+        "post_iterations": {label: run.iterations for label, _, run in labelled},
         "cold_iterations": cold.iterations,
-        "sup_at_switch": {label: rep.sup_error_at_switch for label, rep in labelled},
+        "sup_at_switch": {label: run.sup_errors[0] for label, _, run in labelled},
     }
 
 

@@ -2,9 +2,12 @@
 
 Central-difference discretization, direct tridiagonal solve, Jacobi and
 Gauss-Seidel iterations, sine-mode error analysis of the Jacobi recursion,
-and a hybrid orchestrator that warm-starts an iterative method from an
-externally trained grid approximation: a resumable train phase, then a
-hand-off phase at each switch point.
+and a hybrid that warm-starts an iterative method from an externally trained
+grid approximation. The hybrid is two phases: a resumable TrainPhase, which
+takes its stop policy once and returns a SwitchPoint per run, and hand_off,
+which iterates from a SwitchPoint and returns the IterativeRun; run_hybrid
+composes them on one stream. Both histories, IterativeRun and the phase-one
+columns of a SwitchPoint, are held as one list per column.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ __all__ = [
     "TridiagSystem",
     "ReferenceSolution",
     "IterativeRun",
-    "HybridConfig",
-    "HybridReport",
     "SwitchPoint",
     "TrainPhase",
     "g_rhs",
@@ -309,49 +310,6 @@ def iterate(
     return run
 
 
-@dataclass
-class HybridConfig:
-    """Switch policy and targets for the train-then-iterate hybrid."""
-
-    target: float                      # sup-error goal for phase 2
-    switch_step: int | None = None     # fixed step budget; None = plateau rule
-    plateau_window: int = 200          # W, in recorded loss samples
-    plateau_tol: float = 0.01          # relative change of windowed mean loss
-    method: str = "jacobi"
-    record_every: int = 1              # training steps between recorded samples
-    max_steps: int = 200_000           # hard cap on phase-1 steps
-    max_phase2_iters: int = 200_000
-
-    def __post_init__(self):
-        if self.plateau_window < 2:
-            raise ValueError("plateau_window must be >= 2")
-        if self.plateau_tol <= 0:
-            raise ValueError("plateau_tol must be positive")
-        if self.target <= 0:
-            raise ValueError("target must be positive")
-
-
-@dataclass
-class PhaseOneRecord:
-    step: int
-    wall_ms: float
-    loss: float
-    sup_error: float
-
-
-@dataclass
-class HybridReport:
-    switched_at: int
-    plateau_detected: bool
-    phase1: list[PhaseOneRecord]
-    phase2: IterativeRun
-    sup_error_at_switch: float
-
-    @property
-    def post_iterations(self) -> int:
-        return self.phase2.iterations
-
-
 def _plateau_reached(losses: list[float], window: int, tol: float) -> bool:
     if len(losses) < 2 * window:
         return False
@@ -362,114 +320,126 @@ def _plateau_reached(losses: list[float], window: int, tol: float) -> bool:
     return abs(cur - prev) <= tol * abs(prev)
 
 
+def _require_positive_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 @dataclass
 class SwitchPoint:
-    """Where a train phase stopped: the state a hand-off starts from."""
+    """Where a train phase stopped: the state a hand-off starts from, and the
+    phase-one columns recorded up to it. Entry i of steps, wall_ms, losses and
+    sup_errors belongs to the i-th recorded training step."""
 
     step: int
     plateau_detected: bool
     grid_values: np.ndarray          # full-grid values at step, a copy
-    phase1: list[PhaseOneRecord]     # recorded steps up to step
+    steps: list[int]
+    wall_ms: list[float]
+    losses: list[float]
+    sup_errors: list[float]
 
 
 class TrainPhase:
     """Phase 1 of the hybrid: one training stream, consumed up to switch points.
 
     solver_stream yields (full-grid values, loss) per training step, starting
-    with the untrained state at step 0. run(cfg) consumes it until a stop rule
-    fires, recording every cfg.record_every-th step against reference. A
-    later run resumes the stream where the previous one stopped, so one
-    stream serves several increasing switch points; the records and the
-    stopwatch carry on across runs, so their cfgs should differ only in the
-    stop rule.
+    with the untrained state at step 0. The stop policy is fixed here: every
+    record_every-th step is recorded against reference, and without a switch
+    step training stops once the windowed-mean loss flattens (relative change
+    at most plateau_tol between adjacent windows of plateau_window recorded
+    samples), and in any case at max_steps. Each run resumes the stream where
+    the previous one stopped, so one stream serves several increasing switch
+    points; the recorded columns and the stopwatch carry on across runs.
     """
 
     def __init__(self, system: TridiagSystem, solver_stream: Iterator[tuple[np.ndarray, float]],
-                 reference: ReferenceSolution, timing: bool = False):
+                 reference: ReferenceSolution, record_every: int = 1, plateau_window: int = 200,
+                 plateau_tol: float = 0.01, max_steps: int = 200_000, timing: bool = False):
+        if plateau_window < 2:
+            raise ValueError("plateau_window must be >= 2")
+        if not plateau_tol > 0:
+            raise ValueError("plateau_tol must be positive")
         self._system = system
         self._reference = reference
-        self._steps = enumerate(solver_stream)
+        self._record_every = record_every
+        self._plateau_window = plateau_window
+        self._plateau_tol = plateau_tol
+        self._max_steps = max_steps
+        self._stream = enumerate(solver_stream)
         self._elapsed = stopwatch(timing)
-        self._records: list[PhaseOneRecord] = []
+        self._steps: list[int] = []
+        self._wall_ms: list[float] = []
+        self._losses: list[float] = []
+        self._sup_errors: list[float] = []
         self._step = -1
         self._grid: np.ndarray | None = None
 
-    def _at_stop_step(self, cfg: HybridConfig) -> bool:
-        return (cfg.switch_step is not None and self._step >= cfg.switch_step) or self._step >= cfg.max_steps
+    def _at_stop_step(self, switch_step: int | None) -> bool:
+        return (switch_step is not None and self._step >= switch_step) or self._step >= self._max_steps
 
-    def run(self, cfg: HybridConfig) -> SwitchPoint:
-        """Train until cfg.switch_step, or -- with no switch step -- until the
-        windowed-mean loss flattens (relative change below cfg.plateau_tol
-        between adjacent windows of cfg.plateau_window recorded samples), or
-        until cfg.max_steps. Consumes nothing if the stream already stands at
-        or past the switch step."""
+    def run(self, switch_step: int | None = None) -> SwitchPoint:
+        """Train until switch_step, or -- with no switch step -- until the loss
+        plateau, or until max_steps. Consumes nothing if the stream already
+        stands at or past the stop step."""
         plateau = False
-        if self._grid is None or not self._at_stop_step(cfg):
-            for step, (grid_values, loss) in self._steps:
+        if self._grid is None or not self._at_stop_step(switch_step):
+            for step, (grid_values, loss) in self._stream:
                 self._step = step
                 self._grid = np.asarray(grid_values, dtype=float)
                 if self._grid.shape != (self._system.n + 1,):
                     raise ValueError(f"stream yielded shape {self._grid.shape}, "
                                      f"expected ({self._system.n + 1},)")
-                if step % cfg.record_every == 0:
+                if step % self._record_every == 0:
                     sup = float(np.max(np.abs(self._grid[1:-1] - self._reference.u_star)))
-                    self._records.append(PhaseOneRecord(step, self._elapsed(), float(loss), sup))
+                    self._steps.append(step)
+                    self._wall_ms.append(self._elapsed())
+                    self._losses.append(float(loss))
+                    self._sup_errors.append(sup)
                     # the loss windows move only when a sample is recorded
-                    window = cfg.plateau_window
-                    if cfg.switch_step is None and _plateau_reached(
-                            [r.loss for r in self._records[-2 * window:]], window, cfg.plateau_tol):
+                    if switch_step is None and _plateau_reached(
+                            self._losses, self._plateau_window, self._plateau_tol):
                         plateau = True
                         break
-                if self._at_stop_step(cfg):
+                if self._at_stop_step(switch_step):
                     break
             else:
                 if self._grid is None:
                     raise ValueError("solver stream yielded no states")
         # an exhausted stream switches at its last state, recorded or not
-        return SwitchPoint(self._step, plateau, self._grid.copy(), list(self._records))
+        return SwitchPoint(self._step, plateau, self._grid.copy(), self._steps[:], self._wall_ms[:],
+                           self._losses[:], self._sup_errors[:])
 
 
-def hand_off(system: TridiagSystem, reference: ReferenceSolution, at: SwitchPoint,
-             cfg: HybridConfig, timing: bool = False) -> HybridReport:
-    """Phase 2 of the hybrid: run cfg.method from the grid values at a switch point.
+def hand_off(system: TridiagSystem, reference: ReferenceSolution, at: SwitchPoint, method: str,
+             max_iters: int, tol: float, timing: bool = False) -> IterativeRun:
+    """Phase 2 of the hybrid: iterate method from the grid values at a switch
+    point until the sup error reaches tol or for max_iters sweeps.
 
     The interior values seed the iteration; boundary entries are dropped since
-    the scheme pins them at zero.
+    the scheme pins them at zero. Iteration 0 of the result is the switch
+    point's own state, so its sup_errors[0] is the error at the switch.
     """
+    _require_positive_tol(tol)
     if not np.all(np.isfinite(at.grid_values)):
         raise DivergenceError(at.step, f"non-finite grid values at switch step {at.step}")
-    u0 = at.grid_values[1:-1]
-    phase2 = iterate(
-        system,
-        u0,
-        reference.u_star,
-        method=cfg.method,
-        max_iters=cfg.max_phase2_iters,
-        tol=cfg.target,
-        timing=timing,
-    )
-    return HybridReport(
-        switched_at=at.step,
-        plateau_detected=at.plateau_detected,
-        phase1=at.phase1,
-        phase2=phase2,
-        sup_error_at_switch=float(np.max(np.abs(u0 - reference.u_star))),
-    )
+    return iterate(system, at.grid_values[1:-1], reference.u_star, method=method,
+                   max_iters=max_iters, tol=tol, timing=timing)
 
 
-def run_hybrid(
-    system: TridiagSystem,
-    solver_stream: Iterator[tuple[np.ndarray, float]],
-    cfg: HybridConfig,
-    timing: bool = False,
-) -> HybridReport:
+def run_hybrid(system: TridiagSystem, solver_stream: Iterator[tuple[np.ndarray, float]], tol: float,
+               switch_step: int | None = None, method: str = "jacobi", max_iters: int = 200_000,
+               timing: bool = False, **policy) -> tuple[SwitchPoint, IterativeRun]:
     """Train until the switch point, then hand the grid values to an iterative method.
 
     The two phases on one fresh stream against the system's own direct solve:
-    TrainPhase(...).run(cfg), then hand_off. Callers that hand one stream off
-    at several switch points, or already hold the reference, use the phases
-    directly.
+    TrainPhase(system, solver_stream, reference, **policy, timing=timing)
+    .run(switch_step), then hand_off. policy takes TrainPhase's record_every,
+    plateau_window, plateau_tol and max_steps. Callers that hand one stream
+    off at several switch points, or already hold the reference, use the
+    phases directly.
     """
+    _require_positive_tol(tol)
     reference = thomas_solve(system)
-    at = TrainPhase(system, solver_stream, reference, timing).run(cfg)
-    return hand_off(system, reference, at, cfg, timing)
+    at = TrainPhase(system, solver_stream, reference, **policy, timing=timing).run(switch_step)
+    return at, hand_off(system, reference, at, method, max_iters, tol, timing)

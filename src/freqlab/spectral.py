@@ -1,5 +1,6 @@
-"""Frequency-domain machinery: direct transforms, peak tracking, and the
-per-mode decomposition of a training gradient.
+"""Frequency-domain machinery: direct transforms, peak tracking, the
+per-recording-step trace of relative frequency differences (FreqTrace, one
+list per column), and the per-mode decomposition of a training gradient.
 
 All transforms are exact direct summations (O(N^2) / O(nK)); at the sample
 sizes used here that is cheap and keeps every value independently checkable
@@ -19,7 +20,6 @@ from .nn import Mlp, backprop, forward, params_to_vector
 __all__ = [
     "Spectrum",
     "FreqTrace",
-    "TraceRow",
     "GradDecomposition",
     "dft_uniform",
     "nufft_direct",
@@ -132,46 +132,49 @@ def rel_freq_diff(
 
 
 @dataclass
-class TraceRow:
-    recording_step: int
-    epoch: int
-    wall_ms: float
-    loss: float
-    df: dict[int, float]
-
-
-@dataclass
 class FreqTrace:
-    """Per-recording-step history of the relative frequency differences."""
+    """Per-recording-step history of the relative frequency differences: one
+    list per column, df one per selected peak. Entry i of each list belongs to
+    the i-th recording."""
 
     selected_peaks: tuple[int, ...]
-    rows: list[TraceRow] = field(default_factory=list)
+    steps: list[int] = field(default_factory=list)
+    epochs: list[int] = field(default_factory=list)
+    wall_ms: list[float] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)
+    df: dict[int, list[float]] = field(init=False)
+
+    def __post_init__(self):
+        self.df = {g: [] for g in self.selected_peaks}
 
     def append(self, recording_step: int, epoch: int, wall_ms: float, loss: float, df: dict[int, float]):
-        if self.rows and recording_step <= self.rows[-1].recording_step:
+        if self.steps and recording_step <= self.steps[-1]:
             raise ValueError("recording_step must be strictly increasing")
         missing = set(self.selected_peaks) - set(df)
         if missing:
             raise ValueError(f"missing frequency entries {sorted(missing)}")
-        self.rows.append(TraceRow(recording_step, epoch, wall_ms, loss, dict(df)))
+        self.steps.append(recording_step)
+        self.epochs.append(epoch)
+        self.wall_ms.append(wall_ms)
+        self.losses.append(loss)
+        for g, column in self.df.items():
+            column.append(df[g])
 
     def header(self) -> list[str]:
         return ["step", "epoch", "wall_ms", "loss"] + [f"df_{g}" for g in self.selected_peaks]
 
     def table(self) -> list[list]:
-        return [
-            [r.recording_step, r.epoch, r.wall_ms, r.loss] + [r.df[g] for g in self.selected_peaks]
-            for r in self.rows
-        ]
+        columns = [self.df[g] for g in self.selected_peaks]
+        return [list(row) for row in zip(self.steps, self.epochs, self.wall_ms, self.losses, *columns)]
 
 
 def step_to_threshold(trace: FreqTrace, freq_index: int, threshold: float) -> int | None:
     """First recording step with the relative difference at or below threshold."""
     if freq_index not in trace.selected_peaks:
         raise KeyError(f"frequency index {freq_index} is not tracked by this trace")
-    for row in trace.rows:
-        if row.df[freq_index] <= threshold:
-            return row.recording_step
+    for step, df in zip(trace.steps, trace.df[freq_index]):
+        if df <= threshold:
+            return step
     return None
 
 

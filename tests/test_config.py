@@ -125,6 +125,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate(ExperimentConfig(experiment="lattice_qcd"))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                     if isinstance(f.default, float)])
+    def test_non_finite_float_rejected(self, key, value):
+        cfg = dataclasses.replace(preset_config("desk-d-jacobi"), **{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            validate(cfg)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            validate(dataclasses.replace(default_config("poisson_direct"), seed=-1))
+
     @pytest.mark.parametrize("value", ["runs #3", "#runs", "runs\nb", "runs\n", " runs", "runs\t"])
     def test_string_that_would_not_read_back_rejected(self, value):
         cfg = dataclasses.replace(default_config("poisson_direct"), out_dir=value)
@@ -148,6 +160,30 @@ class TestCli:
 
     def test_preset_experiment_mismatch(self, tmp_path):
         assert main(["toy-ce", "--preset", "fig4", "--out", str(tmp_path)]) == 2
+
+    def test_set_experiment_mismatch(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["poisson-dnn", "--set", "experiment=poisson_jacobi", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_file_experiment_mismatch(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("experiment = toy_ce\n")
+        out = tmp_path / "run"
+        assert main(["poisson-direct", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "lr=inf"],
+        ["toy-ce", "--preset", "desk-toy-ce", "--set", "init_mean=inf"],
+        ["toy-ce", "--preset", "desk-toy-ce", "--set", "first_passage_tau=nan"],
+        ["toy-ce", "--preset", "desk-toy-ce", "--seed", "-1"],
+    ], ids=["lr-inf", "init-mean-inf", "tau-nan", "seed-negative"])
+    def test_bad_numbers_exit_2_before_the_run_directory(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main([*args, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergence_exit_code(self, tmp_path):
         code = main([

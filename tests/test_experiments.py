@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,40 +193,44 @@ class TestDJacobi:
     def test_switch_step_zero_equals_cold_from_untrained_net(self, tmp_path):
         # an untrained-but-seeded net is a fixed function; switching immediately
         # must reproduce a plain iteration from that function's interior values
-        from freqlab.poisson import HybridConfig, run_hybrid, iterate, g_rhs
+        from freqlab.poisson import run_hybrid, iterate, g_rhs
         from freqlab.experiments import _energy_training_stream, _poisson_setup
 
         cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16)
         grid, system, ref = _poisson_setup(cfg)
         gvals = g_rhs(grid.points)
         stream = _energy_training_stream(cfg, 3, grid, gvals)
-        hcfg = HybridConfig(target=1e-4, switch_step=0, max_phase2_iters=50_000)
-        rep = run_hybrid(system, stream, hcfg)
+        _, run = run_hybrid(system, stream, 1e-4, switch_step=0, max_iters=50_000)
         u0_full = next(_energy_training_stream(cfg, 3, grid, gvals))[0]
         direct = iterate(system, u0_full[1:-1], ref.u_star, max_iters=50_000, tol=1e-4)
-        assert rep.post_iterations == direct.iterations
+        assert run.iterations == direct.iterations
 
 
 def _replayed_hybrids(cfg, seed):
     """The three hand-offs as independent run_hybrid calls, each training a
-    fresh stream from step 0."""
-    from freqlab.poisson import HybridConfig, g_rhs, run_hybrid
+    fresh stream from step 0: (SwitchPoint, IterativeRun) pairs."""
+    from freqlab.poisson import g_rhs, run_hybrid
 
     grid, system, ref = ex._poisson_setup(cfg)
     gvals = g_rhs(grid.points)
 
     def hybrid(switch_step):
-        hcfg = HybridConfig(
-            target=cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star))), switch_step=switch_step,
-            plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
-            method=cfg.hybrid_method, record_every=cfg.record_every, max_steps=cfg.epochs,
-            max_phase2_iters=cfg.max_iters,
-        )
-        return run_hybrid(system, ex._energy_training_stream(cfg, seed, grid, gvals), hcfg)
+        return run_hybrid(system, ex._energy_training_stream(cfg, seed, grid, gvals),
+                          cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star))), switch_step,
+                          cfg.hybrid_method, cfg.max_iters, record_every=cfg.record_every,
+                          plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
+                          max_steps=cfg.epochs)
 
     plateau = hybrid(None)
-    p = plateau.switched_at
+    p = plateau[0].step
     return [hybrid(max(1, p // 4)), plateau, hybrid(min(2 * p, cfg.epochs))]
+
+
+def _hand_off_fields(at, run):
+    """Everything a hand-off reports, comparable with ==: the switch step, the
+    plateau flag, the grid values, every phase-one column and the IterativeRun."""
+    return (at.step, at.plateau_detected, at.grid_values.tolist(),
+            at.steps, at.wall_ms, at.losses, at.sup_errors, run)
 
 
 class TestDJacobiOneStream:
@@ -234,22 +240,25 @@ class TestDJacobiOneStream:
     NO_PLATEAU = dict(PLATEAU, plateau_window=100)
 
     def _run(self, tmp_path, monkeypatch, **shrink):
-        forwards, reports = [], []
+        """The run's report, its forward calls and its hand-offs as
+        _hand_off_fields, in call order."""
+        forwards, hand_offs = [], []
         real_forward, real_hand_off = ex.forward, ex.hand_off
 
         def counted(*args):
             forwards.append(1)
             return real_forward(*args)
 
-        def captured(*args, **kwargs):
-            reports.append(real_hand_off(*args, **kwargs))
-            return reports[-1]
+        def captured(system, reference, at, *args, **kwargs):
+            run = real_hand_off(system, reference, at, *args, **kwargs)
+            hand_offs.append(_hand_off_fields(at, run))
+            return run
 
         monkeypatch.setattr(ex, "forward", counted)
         monkeypatch.setattr(ex, "hand_off", captured)
         cfg = tiny("desk-d-jacobi", **shrink)
         report = run_single(cfg, 0, tmp_path)
-        return cfg, report, len(forwards), reports
+        return cfg, report, len(forwards), hand_offs
 
     def test_forward_calls_are_one_stream_to_2p_plus_the_early_prefix(self, tmp_path, monkeypatch):
         cfg, report, forwards, _ = self._run(tmp_path, monkeypatch, **self.PLATEAU)
@@ -260,9 +269,9 @@ class TestDJacobiOneStream:
 
     @pytest.mark.parametrize("shrink", [PLATEAU, NO_PLATEAU], ids=["plateau", "no-plateau"])
     def test_reports_equal_three_replays(self, tmp_path, monkeypatch, shrink):
-        cfg, report, _, reports = self._run(tmp_path, monkeypatch, **shrink)
-        assert reports == _replayed_hybrids(cfg, 0)
-        assert [r.switched_at for r in reports] == [
+        cfg, report, _, hand_offs = self._run(tmp_path, monkeypatch, **shrink)
+        assert hand_offs == [_hand_off_fields(*replay) for replay in _replayed_hybrids(cfg, 0)]
+        assert [fields[0] for fields in hand_offs] == [
             int(row["switch_step"]) for row in read_csv(tmp_path / "summary.csv")[:3]]
 
     def test_no_plateau_late_equals_plateau_without_extra_steps(self, tmp_path, monkeypatch):
@@ -427,3 +436,23 @@ class TestBlasThreads:
                            env=env, check=True, capture_output=True)
             traces.append((out / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
+
+
+class TestTracer:
+    def test_traced_d_jacobi_finds_the_names_it_wraps(self, tmp_path):
+        # perfbench/tracer.py wraps experiments' module globals by name; a span
+        # count of zero would mean the runners no longer call through them
+        root = Path(__file__).resolve().parents[1]
+        spans_path, out = tmp_path / "spans.json", tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans_path), "--",
+             "d-jacobi", "--preset", "desk-d-jacobi", "--set", "hidden_widths=16,8", "--set", "grid_n=16",
+             "--set", "epochs=400", "--set", "record_every=5", "--set", "plateau_window=10",
+             "--set", "max_iters=20000", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = [span[2] for span in json.loads(spans_path.read_text())["spans"]]
+        p = int(re.search(r"plateau_step=(\d+)", proc.stdout).group(1))
+        assert names.count("poisson.iterate") == 4
+        assert names.count("nn.forward") == 2 * p + max(1, p // 4) + 2

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from freqlab.errors import DivergenceError
 from freqlab.poisson import (
     Grid1D,
-    HybridConfig,
     TrainPhase,
     assemble_poisson,
     g_rhs,
     gauss_seidel_step,
+    hand_off,
     halving_count,
     halving_ratio,
     iterate,
@@ -303,10 +303,9 @@ class TestHybrid:
     def test_warm_start_within_target_does_zero_iterations(self):
         system, ref = self._system_and_ref()
         stream = iter([(ref.full, 0.5)])
-        cfg = HybridConfig(target=1e-6, switch_step=0)
-        report = run_hybrid(system, stream, cfg)
-        assert report.post_iterations == 0
-        assert report.switched_at == 0
+        at, run = run_hybrid(system, stream, 1e-6, switch_step=0)
+        assert run.iterations == 0
+        assert at.step == 0
 
     def test_switch_at_zero_is_plain_iteration_from_initial_state(self):
         system, ref = self._system_and_ref()
@@ -316,11 +315,10 @@ class TestHybrid:
             yield u0_full, 1.0
             raise AssertionError("must not train past the switch step")
 
-        cfg = HybridConfig(target=1e-8, switch_step=0, max_phase2_iters=100_000)
-        report = run_hybrid(system, stream(), cfg)
+        _, run = run_hybrid(system, stream(), 1e-8, switch_step=0, max_iters=100_000)
         direct = iterate(system, u0_full[1:-1], ref.u_star, max_iters=100_000, tol=1e-8)
-        assert report.post_iterations == direct.iterations
-        assert report.phase2.sup_errors[-1] == pytest.approx(direct.sup_errors[-1])
+        assert run.iterations == direct.iterations
+        assert run.sup_errors[-1] == pytest.approx(direct.sup_errors[-1])
 
     def test_plateau_rule_triggers_on_flat_loss(self):
         system, ref = self._system_and_ref()
@@ -332,17 +330,16 @@ class TestHybrid:
                 yield np.zeros(system.n + 1), loss
                 step += 1
 
-        cfg = HybridConfig(target=1e-3, plateau_window=10, plateau_tol=0.05, max_steps=10_000)
-        report = run_hybrid(system, stream(), cfg)
-        assert report.plateau_detected
-        assert report.switched_at < 200
+        at, _ = run_hybrid(system, stream(), 1e-3, plateau_window=10, plateau_tol=0.05,
+                           max_steps=10_000)
+        assert at.plateau_detected
+        assert at.step < 200
 
     def test_divergent_stream_raises(self):
         system, _ = self._system_and_ref()
         bad = np.full(system.n + 1, np.nan)
-        cfg = HybridConfig(target=1e-3, switch_step=0)
         with pytest.raises(DivergenceError):
-            run_hybrid(system, iter([(bad, 1.0)]), cfg)
+            run_hybrid(system, iter([(bad, 1.0)]), 1e-3, switch_step=0)
 
     def test_max_steps_cap(self):
         system, _ = self._system_and_ref()
@@ -351,11 +348,10 @@ class TestHybrid:
             while True:
                 yield np.zeros(system.n + 1), 1.0
 
-        cfg = HybridConfig(target=1e-12, switch_step=None, plateau_window=10_000,
-                           plateau_tol=1e-9, max_steps=25, max_phase2_iters=1)
-        report = run_hybrid(system, stream(), cfg)
-        assert report.switched_at == 25
-        assert not report.plateau_detected
+        at, _ = run_hybrid(system, stream(), 1e-12, plateau_window=10_000, plateau_tol=1e-9,
+                           max_steps=25, max_iters=1)
+        assert at.step == 25
+        assert not at.plateau_detected
 
     def test_plateau_rule_runs_only_on_recorded_steps(self, monkeypatch):
         system, _ = self._system_and_ref()
@@ -372,15 +368,28 @@ class TestHybrid:
             while True:
                 yield np.zeros(system.n + 1), 1.0
 
-        cfg = HybridConfig(target=1e-12, plateau_window=10_000, record_every=4, max_steps=40,
-                           max_phase2_iters=1)
-        report = run_hybrid(system, stream(), cfg)
-        assert report.switched_at == 40
-        assert len(calls) == len(report.phase1) == 11
+        at, _ = run_hybrid(system, stream(), 1e-12, plateau_window=10_000, record_every=4,
+                           max_steps=40, max_iters=1)
+        assert at.step == 40
+        assert len(calls) == len(at.steps) == 11
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_non_positive_tol_rejected_before_training(self, tol):
+        system, ref = self._system_and_ref()
+
+        def stream():
+            raise AssertionError("must not train with a bad tol")
+            yield
+
+        with pytest.raises(ValueError, match="tol"):
+            run_hybrid(system, stream(), tol)
+        at = TrainPhase(system, iter([(ref.full, 1.0)]), ref).run(0)
+        with pytest.raises(ValueError, match="tol"):
+            hand_off(system, ref, at, "jacobi", 10, tol)
 
 
 class TestTrainPhase:
-    def _phase(self, consumed):
+    def _phase(self, consumed, **policy):
         system = assemble_poisson(Grid1D(n=8), g_rhs)
 
         def stream():
@@ -388,41 +397,53 @@ class TestTrainPhase:
                 consumed.append(step)
                 yield np.full(system.n + 1, 0.01 * step), 1.0 / (1 + step)
 
-        return system, TrainPhase(system, stream(), thomas_solve(system))
+        return system, TrainPhase(system, stream(), thomas_solve(system), **policy)
+
+    @staticmethod
+    def _columns(at):
+        return at.steps, at.wall_ms, at.losses, at.sup_errors
 
     def test_resume_equals_one_run_to_the_later_switch(self):
         consumed = []
-        _, phase = self._phase(consumed)
-        early = phase.run(HybridConfig(target=1e-3, switch_step=5, record_every=2))
-        late = phase.run(HybridConfig(target=1e-3, switch_step=11, record_every=2))
-        _, fresh = self._phase([])
-        direct = fresh.run(HybridConfig(target=1e-3, switch_step=11, record_every=2))
+        _, phase = self._phase(consumed, record_every=2)
+        early = phase.run(5)
+        late = phase.run(11)
+        _, fresh = self._phase([], record_every=2)
+        direct = fresh.run(11)
         assert consumed == list(range(12))
         assert (early.step, late.step) == (5, 11)
-        assert late.phase1 == direct.phase1
-        assert late.phase1[:len(early.phase1)] == early.phase1
+        assert self._columns(late) == self._columns(direct)
+        assert (early.steps, late.steps) == ([0, 2, 4], [0, 2, 4, 6, 8, 10])  # copies, not aliases
+        assert early.losses == [1.0, 1.0 / 3, 1.0 / 5]
+        assert all(column[:len(early.steps)] == early_column
+                   for column, early_column in zip(self._columns(late), self._columns(early)))
         assert np.array_equal(late.grid_values, direct.grid_values)
         assert np.array_equal(early.grid_values, np.full(9, 0.05))  # a copy, not the stream's latest
 
     def test_resume_at_or_before_the_stop_consumes_nothing(self):
         consumed = []
         _, phase = self._phase(consumed)
-        first = phase.run(HybridConfig(target=1e-3, switch_step=7))
-        again = phase.run(HybridConfig(target=1e-3, switch_step=7))
+        first = phase.run(7)
+        again = phase.run(7)
         assert consumed == list(range(8))
         assert again.step == first.step == 7
-        assert again.phase1 == first.phase1
+        assert self._columns(again) == self._columns(first)
 
     def test_exhausted_stream_switches_at_its_last_state(self):
         # 7 states, recorded at steps 0 and 5: the hand-off starts from step 6
         system = assemble_poisson(Grid1D(n=8), g_rhs)
         reference = thomas_solve(system)
         states = [np.full(system.n + 1, 0.1 * step) for step in range(7)]
-        cfg = HybridConfig(target=1e-3, record_every=5)
-        at = TrainPhase(system, ((u, 1.0) for u in states), reference).run(cfg)
-        assert [r.step for r in at.phase1] == [0, 5]
+        at = TrainPhase(system, ((u, 1.0) for u in states), reference, record_every=5).run()
+        assert at.steps == [0, 5]
         assert at.step == 6 and not at.plateau_detected
         assert np.array_equal(at.grid_values, states[6])
-        report = poisson_mod.hand_off(system, reference, at, cfg)
-        assert report.switched_at == 6
-        assert report.sup_error_at_switch == float(np.max(np.abs(states[6][1:-1] - reference.u_star)))
+        run = hand_off(system, reference, at, "jacobi", 200_000, 1e-3)
+        assert run.sup_errors[0] == float(np.max(np.abs(states[6][1:-1] - reference.u_star)))
+
+    @pytest.mark.parametrize("policy", [dict(plateau_window=1), dict(plateau_window=0),
+                                        dict(plateau_tol=0.0), dict(plateau_tol=-0.01),
+                                        dict(plateau_tol=float("nan"))])
+    def test_bad_plateau_policy_rejected(self, policy):
+        with pytest.raises(ValueError, match="plateau"):
+            self._phase([], **policy)

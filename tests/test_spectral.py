@@ -215,6 +215,12 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace.append(10, 100, 0.0, 0.5, {0: 0.1})
 
+    def test_table_is_the_appended_rows_in_peak_order(self):
+        trace = FreqTrace(selected_peaks=(5, 2))
+        trace.append(0, 0, 0.0, 1.0, {2: 0.8, 5: 0.6, 9: 0.1})
+        trace.append(3, 30, 1.5, 0.25, {9: 0.2, 5: 0.3, 2: 0.4})
+        assert trace.table() == [[0, 0, 0.0, 1.0, 0.6, 0.8], [3, 30, 1.5, 0.25, 0.3, 0.4]]
+
 
 class TestGradDecomposition:
     def _mse_pointwise(self, target):
