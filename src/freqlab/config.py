@@ -110,7 +110,7 @@ def _coerce(key: str, raw: str):
         if ty is tuple:
             if not raw:
                 return ()
-            return tuple(int(p) for p in raw.replace("-", ",").split(",") if p.strip())
+            return tuple(int(p) for p in raw.replace("-", ",").split(","))  # int("") raises
         return raw
     except ValueError as e:
         raise ConfigError(f"cannot parse {key} = {raw!r} as {ty.__name__}") from e

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "ImageSet",
@@ -36,8 +39,8 @@ IDX_LABEL_MAGIC = 0x00000801
 NUM_CLASSES = 10
 
 
-class IdxFormatError(ValueError):
-    """Malformed IDX container."""
+class IdxFormatError(ConfigError):
+    """Malformed IDX container (a bad input file is a configuration error)."""
 
 
 class PowerIterationError(RuntimeError):
@@ -72,7 +75,6 @@ class ImageSet:
 @dataclass
 class PcaProjection:
     direction: np.ndarray   # unit vector, n_pixels
-    mean: np.ndarray        # mean image, n_pixels
     coords: np.ndarray      # projected, rescaled scalars in [0, 1]
 
 
@@ -109,7 +111,10 @@ def load_idx_bytes(path: str | Path) -> bytes:
     """Read an IDX file, transparently decompressing gzip."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
+        try:
+            return gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:  # truncated or corrupt
+            raise IdxFormatError(f"{path}: bad gzip stream: {e}") from e
     return raw
 
 
@@ -196,8 +201,6 @@ def pca_project(images: ImageSet, tol: float = 1e-10, max_iters: int = 10_000,
     The projection is taken against the centered images; the rescale absorbs
     the constant shift, so the coordinates match projecting the raw images.
     """
-    mean = images.images.mean(axis=1)
-    Xc = images.images - mean[:, None]
+    Xc = center(images.images)
     p1 = leading_eigenvector(Xc, tol=tol, max_iters=max_iters, seed=seed)
-    coords = project_rescale(Xc, p1)
-    return PcaProjection(direction=p1, mean=mean, coords=coords)
+    return PcaProjection(direction=p1, coords=project_rescale(Xc, p1))

@@ -12,9 +12,11 @@ the runner and, once the runner has returned, writes the resolved-config
 snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
 snapshot. Every training step is one _evaluate (forward, loss, divergence
 rule); the full-batch runners share one descent loop, _descent, and record
-from the outputs it has already computed. Histories are columns: a FreqTrace,
-an IterativeRun and a SwitchPoint's phase-one record each hold one list per
-column, and the CSV rows are zipped from them. Wall-clock columns come from
+from the outputs it has already computed. toy_ce, mnist_pca and poisson_dnn
+take the F-Principle measurement through one recorder, _spectral_recorder, and
+_emit_trace writes it. Histories are columns: a FreqTrace, an IterativeRun and
+a SwitchPoint's phase-one record each hold one list per column, and the CSV
+rows are zipped from them. Wall-clock columns come from
 reporting.stopwatch and are all zero unless timing is enabled, so that
 identical (config, seed) pairs produce byte-identical files.
 
@@ -93,25 +95,35 @@ def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     return write_atomic(out_dir / "config.txt", config_to_text(dataclasses.replace(cfg, seed=seed, seeds=1)))
 
 
-def _df_row(model: Spectrum, target: Spectrum, peaks, denominator: str) -> dict[int, float]:
-    return {g: rel_freq_diff(model, target, g, denominator=denominator) for g in peaks}
+def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float],
+                       transform: Callable[[np.ndarray], Spectrum],
+                       target_values: np.ndarray) -> tuple[FreqTrace, Callable]:
+    """A FreqTrace over the peaks of transform(target_values), and record(epoch,
+    loss, values), which appends recording step epoch // cfg.record_every with
+    the relative difference of transform(values) from the target at each peak."""
+    target = transform(target_values)
+    trace = FreqTrace(tuple(pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude)))
 
+    def record(epoch: int, loss: float, values: np.ndarray) -> None:
+        model = transform(values)
+        trace.append(epoch // cfg.record_every, epoch, elapsed(), loss,
+                     {g: rel_freq_diff(model, target, g, cfg.df_denominator) for g in trace.selected_peaks})
 
-def _first_passage(trace: FreqTrace, tau: float) -> dict[int, int | None]:
-    return {g: step_to_threshold(trace, g, tau) for g in trace.selected_peaks}
+    return trace, record
 
 
 def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: str) -> dict:
     """Write trace.csv, first_passage.csv and (with cfg.svg) trace.svg; return
-    the final_loss and peaks metrics."""
+    the final_loss, peaks and first_passage metrics."""
+    first_passage = {g: step_to_threshold(trace, g, cfg.first_passage_tau) for g in trace.selected_peaks}
     write_csv(out_dir / "trace.csv", trace.header(), trace.table())
-    write_csv(out_dir / "first_passage.csv", ["gamma", "first_step"],
-              list(_first_passage(trace, cfg.first_passage_tau).items()))
+    write_csv(out_dir / "first_passage.csv", ["gamma", "first_step"], list(first_passage.items()))
     if cfg.svg:
         series = [(f"gamma={g}", trace.steps, trace.df[g]) for g in trace.selected_peaks]
         write_svg_lines(out_dir / "trace.svg", series, title=title,
                         xlabel="recording step", ylabel="relative difference")
-    return {"final_loss": trace.losses[-1], "peaks": list(trace.selected_peaks)}
+    return {"final_loss": trace.losses[-1], "peaks": list(trace.selected_peaks),
+            "first_passage": first_passage}
 
 
 def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
@@ -123,7 +135,7 @@ def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
 
 
 def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
-    """The last epoch the full-batch runners record; no output reads the updates after it."""
+    """The last epoch the trace runners record; no output reads the updates after it."""
     return cfg.epochs - cfg.epochs % cfg.record_every
 
 
@@ -164,23 +176,16 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
     xs = np.linspace(-1.0, 1.0, cfg.samples).reshape(-1, 1)
     targets = target_toy(xs[:, 0])
-    target_spec = dft_uniform(targets[:, 0])
-    peaks = pick_peaks(target_spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
+    trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, targets[:, 0])
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
-    trace = FreqTrace(tuple(peaks))
-    last = _last_recorded_epoch(cfg)
-    for epoch, probs, loss in _descent(net, xs, lambda out: cross_entropy_loss(out, targets),
-                                       LrSchedule(cfg.lr, cfg.lr_halve_every)):
+    descent = _descent(net, xs, lambda out: cross_entropy_loss(out, targets),
+                       LrSchedule(cfg.lr, cfg.lr_halve_every))
+    for epoch, probs, loss in itertools.islice(descent, _last_recorded_epoch(cfg) + 1):
         if epoch % cfg.record_every == 0:
-            model_spec = dft_uniform(probs[:, 0])
-            trace.append(epoch // cfg.record_every, epoch, elapsed(), loss,
-                         _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
-        if epoch == last:
-            break
+            record(epoch, loss, probs[:, 0])
 
-    return {**_emit_trace(cfg, out_dir, trace, "step-target cross entropy"),
-            "first_passage": _first_passage(trace, cfg.first_passage_tau)}
+    return _emit_trace(cfg, out_dir, trace, "step-target cross entropy")
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +207,26 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     images = _load_images(cfg, seed)
-    proj = datamod.pca_project(images, seed=seed)
-    coords = proj.coords
+    coords = datamod.pca_project(images, seed=seed).coords
     onehot = images.onehot().T                      # (n, 10)
     X = images.images.T                             # (n, pixels)
 
-    target_spec = nufft_direct(coords, onehot[:, 0], cfg.nufft_freqs)
-    peaks = pick_peaks(target_spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
+    trace, record = _spectral_recorder(cfg, elapsed, lambda v: nufft_direct(coords, v, cfg.nufft_freqs),
+                                       onehot[:, 0])
 
     net = init_mlp([X.shape[1], *cfg.hidden_widths, 10], cfg.activation, "softmax",
                    _init_spec(cfg, seed))
     schedule = LrSchedule(cfg.lr, cfg.lr_halve_every)
     shuffle_rng = np.random.Generator(np.random.PCG64([seed, 1]))
-    trace = FreqTrace(tuple(peaks))
 
-    def record(step: int, epoch: int):
+    def record_full_batch(epoch: int):
         probs, _, lv = _evaluate(net, X, lambda out: cross_entropy_loss(out, onehot), epoch)
-        model_spec = nufft_direct(coords, probs[:, 0], cfg.nufft_freqs)
-        trace.append(step, epoch, elapsed(), lv.value,
-                     _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
+        record(epoch, lv.value, probs[:, 0])
 
     n = X.shape[0]
     batch = cfg.batch_size if cfg.batch_size > 0 else n
-    record(0, 0)
-    for epoch in range(cfg.epochs):
+    record_full_batch(0)
+    for epoch in range(_last_recorded_epoch(cfg)):
         order = shuffle_rng.permutation(n)
         lr = lr_at(schedule, epoch)
         for lo in range(0, n, batch):
@@ -233,7 +234,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             _, cache, lv = _evaluate(net, X[sel], lambda out: cross_entropy_loss(out, onehot[sel]), epoch)
             sgd_step(net, backprop(net, cache, lv.grad), lr)
         if (epoch + 1) % cfg.record_every == 0:
-            record((epoch + 1) // cfg.record_every, epoch + 1)
+            record_full_batch(epoch + 1)
 
     projected_rows = [[coords[i], int(images.labels[i])] + list(onehot[i]) for i in range(n)]
     write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(10)], projected_rows)
@@ -301,32 +302,24 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     grid, system, ref = _poisson_setup(cfg)
-    target_spec = dft_uniform(ref.full)
-    peaks = pick_peaks(target_spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
+    trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, ref.full)
 
-    trace = FreqTrace(tuple(peaks))
-    sup_rows: list[list] = []
-    last = _last_recorded_epoch(cfg)
+    sup_errors: list[float] = []
+    descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
     # a finite energy implies finite grid values: each u_i enters a squared term
-    for epoch, out, loss in _energy_descent(cfg, seed, grid, g_rhs(grid.points)):
+    for epoch, out, loss in itertools.islice(descent, _last_recorded_epoch(cfg) + 1):
         if epoch % cfg.record_every == 0:
-            step = epoch // cfg.record_every
             u_pred = out[:, 0]
-            model_spec = dft_uniform(u_pred)
-            trace.append(step, epoch, elapsed(), loss,
-                         _df_row(model_spec, target_spec, peaks, cfg.df_denominator))
-            sup_rows.append([step, epoch, float(np.max(np.abs(u_pred - ref.full)))])
-        if epoch == last:
-            break
+            record(epoch, loss, u_pred)
+            sup_errors.append(float(np.max(np.abs(u_pred - ref.full))))
 
     metrics = _emit_trace(cfg, out_dir, trace, "energy-trained network vs direct solution")
-    write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"], sup_rows)
+    write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"],
+              zip(trace.steps, trace.epochs, sup_errors))
     write_csv(out_dir / "solution.csv", ["x", "u_dnn", "u_star"],
               [[x, up, us] for x, up, us in zip(grid.points, u_pred, ref.full)])
-    final_sup = sup_rows[-1][2]
-    return {**metrics, "final_sup_error": final_sup,
-            "rel_sup_error": final_sup / float(np.max(np.abs(ref.full))),
-            "first_passage": _first_passage(trace, cfg.first_passage_tau)}
+    return {**metrics, "final_sup_error": sup_errors[-1],
+            "rel_sup_error": sup_errors[-1] / float(np.max(np.abs(ref.full)))}
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ class ForwardCache:
     """Activations recorded by forward, consumed by backprop."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]      # post-activation per layer; last = outputs
 
 
@@ -161,18 +160,17 @@ def forward(mlp: Mlp, xs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != mlp.widths[0]:
         raise ValueError(f"expected inputs of shape (batch, {mlp.widths[0]}), got {xs.shape}")
-    pre, post = [], []
+    post = []
     a = xs
     last = mlp.num_layers - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = a @ w + b
-        pre.append(z)
         if l < last:
             a = np.tanh(z) if mlp.hidden_activation == "tanh" else np.maximum(z, 0.0)
         else:
             a = softmax(z) if mlp.output_activation == "softmax" else z
         post.append(a)
-    return a, ForwardCache(inputs=xs, pre_activations=pre, activations=post)
+    return a, ForwardCache(inputs=xs, activations=post)
 
 
 def backprop(mlp: Mlp, cache: ForwardCache, dloss_doutputs: np.ndarray) -> ParamGrad:
@@ -185,7 +183,7 @@ def backprop(mlp: Mlp, cache: ForwardCache, dloss_doutputs: np.ndarray) -> Param
     out = cache.activations[-1]
     if g.shape != out.shape:
         raise ValueError(f"gradient shape {g.shape} does not match outputs {out.shape}")
-    if len(cache.pre_activations) != mlp.num_layers:
+    if len(cache.activations) != mlp.num_layers:
         raise ValueError("cache does not match this network")
     if mlp.output_activation == "softmax":
         delta = out * (g - np.sum(g * out, axis=1, keepdims=True))
@@ -201,7 +199,7 @@ def backprop(mlp: Mlp, cache: ForwardCache, dloss_doutputs: np.ndarray) -> Param
             if mlp.hidden_activation == "tanh":
                 delta = delta * (1.0 - cache.activations[l - 1] ** 2)
             else:
-                delta = delta * (cache.pre_activations[l - 1] > 0.0)
+                delta = delta * (cache.activations[l - 1] > 0.0)  # max(z, 0) > 0 exactly where z > 0
     return grad
 
 

@@ -356,6 +356,8 @@ class TrainPhase:
     def __init__(self, system: TridiagSystem, solver_stream: Iterator[tuple[np.ndarray, float]],
                  reference: ReferenceSolution, record_every: int = 1, plateau_window: int = 200,
                  plateau_tol: float = 0.01, max_steps: int = 200_000, timing: bool = False):
+        if record_every < 1:
+            raise ValueError("record_every must be >= 1")
         if plateau_window < 2:
             raise ValueError("plateau_window must be >= 2")
         if not plateau_tol > 0:

@@ -52,6 +52,11 @@ class TestParsing:
         assert parse_config_text("hidden_widths = 400-400-200-100")["hidden_widths"] == (400, 400, 200, 100)
         assert parse_config_text("hidden_widths = 64,32")["hidden_widths"] == (64, 32)
 
+    @pytest.mark.parametrize("raw", ["-8", "8--4", "8,,4", "8,"])
+    def test_width_list_with_empty_part_rejected(self, raw):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config_text(f"hidden_widths = {raw}")
+
     def test_bool_forms(self):
         assert parse_config_text("svg = true")["svg"] is True
         assert parse_config_text("svg = 0")["svg"] is False

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqlab.cli import main
 from freqlab.data import (
     IdxFormatError,
     PowerIterationError,
@@ -98,6 +99,20 @@ class TestLoading:
         (tmp_path / "lb").write_bytes(build_idx_labels([1, 2, 3]))
         with pytest.raises(IdxFormatError):
             load_image_set(tmp_path / "im", tmp_path / "lb")
+
+    @pytest.mark.parametrize("images,labels", [
+        (b"not an idx file", build_idx_labels([1, 2])),
+        (build_idx_images(count=2), build_idx_labels([1, 12])),
+        (build_idx_images(count=2), gzip.compress(build_idx_labels([1, 2]))[:-12]),
+        (build_idx_images(count=2), gzip.compress(build_idx_labels([1, 2]))[:-6] + b"\0" * 6),
+    ], ids=["bad-magic", "label-out-of-range", "truncated-gzip", "bad-gzip-crc"])
+    def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, images, labels):
+        (tmp_path / "im").write_bytes(images)
+        (tmp_path / "lb").write_bytes(labels)
+        code = main(["mnist-pca", "--preset", "desk-mnist-pca", "--mnist-images", str(tmp_path / "im"),
+                     "--mnist-labels", str(tmp_path / "lb"), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_load_image_set_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)

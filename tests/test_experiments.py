@@ -306,10 +306,11 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("preset,shrink", [
         ("desk-toy-ce", dict(epochs=23, record_every=5)),
         ("desk-poisson-dnn", dict(hidden_widths=(16, 8), epochs=23, record_every=5)),
+        ("desk-mnist-pca", dict(samples=80, batch_size=32, epochs=7, record_every=3)),
     ])
     def test_one_forward_per_epoch_plus_final(self, tmp_path, monkeypatch, preset, shrink):
-        # recordings reuse the outputs of the descent step instead of a second forward,
-        # and training stops at the last recorded epoch (20 of 23)
+        # full-batch recordings reuse the outputs of the descent step instead of a second
+        # forward, and training stops at the last recorded epoch (20 of 23, 6 of 7)
         calls = []
         real = ex.forward
 
@@ -320,7 +321,25 @@ class TestTrainingLoop:
         monkeypatch.setattr(ex, "forward", counted)
         cfg = tiny(preset, **shrink)
         run_single(cfg, 0, tmp_path)
-        assert len(calls) == cfg.epochs - cfg.epochs % cfg.record_every + 1
+        last = cfg.epochs - cfg.epochs % cfg.record_every
+        if cfg.experiment == "mnist_pca":  # ceil(n / batch) minibatches an epoch, a full batch per recording
+            assert len(calls) == last * -(-cfg.samples // cfg.batch_size) + last // cfg.record_every + 1
+        else:
+            assert len(calls) == last + 1
+
+    # each tau leaves some peaks crossed and some not
+    @pytest.mark.parametrize("preset,shrink", [
+        ("desk-toy-ce", dict(epochs=300, record_every=20)),
+        ("desk-mnist-pca", dict(samples=80, epochs=6, record_every=2, first_passage_tau=0.5)),
+        ("desk-poisson-dnn", dict(hidden_widths=(16, 8), epochs=300, record_every=20, first_passage_tau=0.95)),
+    ])
+    def test_first_passage_metric_is_the_csv(self, tmp_path, preset, shrink):
+        metrics = run_single(tiny(preset, **shrink), 0, tmp_path).metrics
+        rows = read_csv(tmp_path / "first_passage.csv")
+        assert metrics["first_passage"] == {int(r["gamma"]): int(r["first_step"]) if r["first_step"] else None
+                                            for r in rows}
+        assert list(metrics["first_passage"]) == metrics["peaks"]
+        assert None in metrics["first_passage"].values() and set(metrics["first_passage"].values()) != {None}
 
     @pytest.mark.parametrize("preset,shrink", [
         ("desk-toy-ce", dict(epochs=4, record_every=2)),

@@ -447,3 +447,8 @@ class TestTrainPhase:
     def test_bad_plateau_policy_rejected(self, policy):
         with pytest.raises(ValueError, match="plateau"):
             self._phase([], **policy)
+
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_record_every_below_one_rejected(self, record_every):
+        with pytest.raises(ValueError, match="record_every"):
+            self._phase([], record_every=record_every)
