@@ -6,6 +6,11 @@ or after whitespace starts a comment, so values such as paths may contain #.
 Unknown keys are rejected. CLI flags override file values; the resolved
 config is snapshotted next to every run's outputs and can be re-run as-is, so
 validate rejects any string value its own snapshot line would not read back.
+
+ExperimentConfig is the only settings type: the runners pass its fields to nn,
+losses and poisson as plain arguments, and validate reads each choice list
+(hidden activations, iterative methods, spectral denominators) from the module
+that implements it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .nn import HIDDEN_ACTIVATIONS
+from .poisson import STEPPERS
+from .spectral import DF_DENOMINATORS
 
 __all__ = [
     "ExperimentConfig",
@@ -241,6 +249,10 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
+    _require(value in choices, f"{key} must be one of {', '.join(choices)}; got {value!r}")
+
+
 def _reads_back(key: str, value: str) -> bool:
     """Whether the snapshot line `key = value` is one line that parses back to value."""
     line = f"{key} = {value}"
@@ -261,15 +273,14 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.seed >= 0, "seed must be >= 0")
     _require(cfg.seeds >= 1, "seeds must be >= 1")
     _require(cfg.record_every >= 1, "record_every must be >= 1")
-    _require(cfg.df_denominator in ("target", "model"),
-             "df_denominator must be 'target' or 'model'")
+    _require_choice("df_denominator", cfg.df_denominator, DF_DENOMINATORS)
     _require(cfg.peak_max_count >= 1, "peak_max_count must be >= 1")
     _require(0 <= cfg.peak_min_rel_amplitude <= 1, "peak_min_rel_amplitude must be in [0, 1]")
     _require(cfg.epochs >= 0, "epochs must be >= 0")
     if cfg.experiment in _NET_EXPERIMENTS:
         _require(len(cfg.hidden_widths) >= 1 and all(w >= 1 for w in cfg.hidden_widths),
                  "hidden_widths must be a nonempty tuple of positive ints")
-        _require(cfg.activation in ("tanh", "relu"), "activation must be tanh or relu")
+        _require_choice("activation", cfg.activation, HIDDEN_ACTIVATIONS)
         _require(cfg.init_std > 0, "init_std must be positive")
         _require(cfg.lr > 0, "lr must be positive")
         _require(cfg.lr_halve_every >= 0, "lr_halve_every must be >= 0")
@@ -277,12 +288,13 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment in _GRID_EXPERIMENTS:
         _require(cfg.grid_n >= 2, "grid_n must be >= 2")
     if cfg.experiment in ("poisson_dnn", "d_jacobi"):
+        _require(cfg.grid_n >= 3, f"grid_n must be >= 3 for {cfg.experiment}: at grid_n = 2 the only "
+                 "interior node is x = 0, where the source vanishes, so the direct solution is zero")
         _require(cfg.beta > 0, "beta must be positive; beta = 0 leaves the boundary unpinned")
     if cfg.experiment in ("poisson_jacobi", "d_jacobi"):
         _require(cfg.max_iters >= 1, "max_iters must be >= 1")
         _require(cfg.iter_tol_rel > 0, "iter_tol_rel must be positive")
-        _require(cfg.hybrid_method in ("jacobi", "gauss_seidel"),
-                 "hybrid_method must be jacobi or gauss_seidel")
+        _require_choice("hybrid_method", cfg.hybrid_method, tuple(STEPPERS))
     if cfg.experiment == "d_jacobi":
         _require(cfg.plateau_window >= 2, "plateau_window must be >= 2")
         _require(cfg.plateau_tol > 0, "plateau_tol must be positive")

@@ -38,9 +38,8 @@ import numpy as np
 from . import data as datamod
 from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, DivergenceError
-from .losses import EnergyLossConfig, LossValueGrad, cross_entropy_loss, energy_loss, mse_loss
-from .nn import (ForwardCache, InitSpec, LrSchedule, Mlp, backprop, forward, init_mlp, lr_at,
-                 params_to_vector, sgd_step)
+from .losses import LossValueGrad, cross_entropy_loss, energy_loss, mse_loss
+from .nn import ForwardCache, Mlp, backprop, forward, init_mlp, lr_at, params_to_vector, sgd_step
 from .poisson import (
     Grid1D,
     IterativeRun,
@@ -86,13 +85,14 @@ def target_toy(x) -> np.ndarray:
     return np.stack([(x >= 0.0).astype(float), (x <= 0.0).astype(float)], axis=-1)
 
 
-def _init_spec(cfg: ExperimentConfig, seed: int) -> InitSpec:
-    return InitSpec(std=cfg.init_std, mean=cfg.init_mean, seed=seed)
-
-
 def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
-    """Write the resolved single-seed config; re-running it reproduces this run."""
-    return write_atomic(out_dir / "config.txt", config_to_text(dataclasses.replace(cfg, seed=seed, seeds=1)))
+    """Write the resolved single-seed config of the run that wrote out_dir;
+    re-running it reproduces this run there. out_dir is recorded as cfg gives
+    it when that names the same directory, so a single-seed snapshot keeps the
+    user's spelling; a seed subdirectory is recorded as itself."""
+    recorded = cfg.out_dir if Path(cfg.out_dir) == out_dir else str(out_dir)
+    return write_atomic(out_dir / "config.txt",
+                        config_to_text(dataclasses.replace(cfg, seed=seed, seeds=1, out_dir=recorded)))
 
 
 def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float],
@@ -100,9 +100,14 @@ def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float],
                        target_values: np.ndarray) -> tuple[FreqTrace, Callable]:
     """A FreqTrace over the peaks of transform(target_values), and record(epoch,
     loss, values), which appends recording step epoch // cfg.record_every with
-    the relative difference of transform(values) from the target at each peak."""
+    the relative difference of transform(values) from the target at each peak.
+    A target spectrum with no peak leaves nothing to measure: ConfigError."""
     target = transform(target_values)
-    trace = FreqTrace(tuple(pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude)))
+    peaks = tuple(pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude))
+    if not peaks:
+        raise ConfigError(f"the target spectrum has no peak to track (samples = {cfg.samples}, "
+                          f"nufft_freqs = {cfg.nufft_freqs}); it needs more samples or frequencies")
+    trace = FreqTrace(peaks)
 
     def record(epoch: int, loss: float, values: np.ndarray) -> None:
         model = transform(values)
@@ -154,17 +159,19 @@ def _evaluate(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValu
 
 
 def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
-             schedule: LrSchedule) -> Iterator[tuple[int, np.ndarray, float]]:
+             cfg: ExperimentConfig) -> Iterator[tuple[int, np.ndarray, float]]:
     """Full-batch gradient descent of loss_of(network outputs on xs).
 
     Yields (epoch, outputs, loss) before each epoch's update, starting with the
-    untrained network at epoch 0, for as long as the caller keeps iterating.
-    Each step is one _evaluate, so a divergence is raised instead of yielded.
+    untrained network at epoch 0, for as long as the caller keeps iterating,
+    at cfg's learning rate and halving cadence. Each step is one _evaluate, so
+    a divergence is raised instead of yielded.
     """
     for epoch in itertools.count():
         out, cache, lv = _evaluate(net, xs, loss_of, epoch)
         yield epoch, out, lv.value
-        sgd_step(net, backprop(net, cache, lv.grad.reshape(out.shape)), lr_at(schedule, epoch))
+        grad = backprop(net, cache, lv.grad.reshape(out.shape))
+        sgd_step(net, grad, lr_at(cfg.lr, cfg.lr_halve_every, epoch))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +185,8 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     targets = target_toy(xs[:, 0])
     trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, targets[:, 0])
 
-    net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
-    descent = _descent(net, xs, lambda out: cross_entropy_loss(out, targets),
-                       LrSchedule(cfg.lr, cfg.lr_halve_every))
+    net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", cfg.init_std, cfg.init_mean, seed)
+    descent = _descent(net, xs, lambda out: cross_entropy_loss(out, targets), cfg)
     for epoch, probs, loss in itertools.islice(descent, _last_recorded_epoch(cfg) + 1):
         if epoch % cfg.record_every == 0:
             record(epoch, loss, probs[:, 0])
@@ -215,8 +221,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                                        onehot[:, 0])
 
     net = init_mlp([X.shape[1], *cfg.hidden_widths, 10], cfg.activation, "softmax",
-                   _init_spec(cfg, seed))
-    schedule = LrSchedule(cfg.lr, cfg.lr_halve_every)
+                   cfg.init_std, cfg.init_mean, seed)
     shuffle_rng = np.random.Generator(np.random.PCG64([seed, 1]))
 
     def record_full_batch(epoch: int):
@@ -228,7 +233,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     record_full_batch(0)
     for epoch in range(_last_recorded_epoch(cfg)):
         order = shuffle_rng.permutation(n)
-        lr = lr_at(schedule, epoch)
+        lr = lr_at(cfg.lr, cfg.lr_halve_every, epoch)
         for lo in range(0, n, batch):
             sel = order[lo:lo + batch]
             _, cache, lv = _evaluate(net, X[sel], lambda out: cross_entropy_loss(out, onehot[sel]), epoch)
@@ -292,10 +297,9 @@ def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
                     gvals: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
     """_descent of a fresh seeded network on the discrete energy over the grid."""
-    ecfg = EnergyLossConfig(beta=cfg.beta, grid=grid)
-    net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", _init_spec(cfg, seed))
-    return _descent(net, grid.points.reshape(-1, 1), lambda out: energy_loss(out[:, 0], gvals, ecfg),
-                    LrSchedule(cfg.lr, cfg.lr_halve_every))
+    net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", cfg.init_std, cfg.init_mean, seed)
+    return _descent(net, grid.points.reshape(-1, 1),
+                    lambda out: energy_loss(out[:, 0], gvals, grid, cfg.beta), cfg)
 
 
 def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
@@ -406,13 +410,15 @@ def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     n = cfg.samples
     xs = (-1.0 + 2.0 * np.arange(n) / n).reshape(-1, 1)
     if cfg.diag_loss == "mse":
-        net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", _init_spec(cfg, seed))
+        net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity",
+                       cfg.init_std, cfg.init_mean, seed)
         target = target_toy(xs[:, 0])[:, :1]
 
         def pointwise(outputs):
             return mse_loss(outputs, target).grad
     else:
-        net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", _init_spec(cfg, seed))
+        net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax",
+                       cfg.init_std, cfg.init_mean, seed)
         target = target_toy(xs[:, 0])
 
         def pointwise(outputs):

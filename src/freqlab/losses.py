@@ -15,7 +15,6 @@ from .poisson import Grid1D, solve_tridiagonal
 
 __all__ = [
     "LossValueGrad",
-    "EnergyLossConfig",
     "mse_loss",
     "cross_entropy_loss",
     "energy_loss",
@@ -35,18 +34,6 @@ class LossValueGrad:
 
     value: float
     grad: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyLossConfig:
-    """Penalty weight and grid for the discrete energy functional."""
-
-    beta: float
-    grid: Grid1D
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> LossValueGrad:
@@ -86,52 +73,55 @@ def cross_entropy_loss(probs: np.ndarray, onehot: np.ndarray) -> LossValueGrad:
     return LossValueGrad(value=value, grad=grad)
 
 
-def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, cfg: EnergyLossConfig) -> LossValueGrad:
-    """Discrete boundary-penalized energy of a grid function.
+def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D, beta: float) -> LossValueGrad:
+    """Discrete boundary-penalized energy of a grid function on grid, with
+    penalty weight beta >= 0.
 
     value = dx * sum_i 0.5*((u_{i+1}-u_i)/dx)^2 - dx * sum_i g_i u_i
             + beta * (u_0^2 + u_n^2)
     using forward differences and rectangle-rule weights; grad is the exact
     derivative with respect to every u_i.
     """
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     u = np.asarray(u_grid, dtype=float)
     g = np.asarray(g_grid, dtype=float)
-    npts = cfg.grid.n + 1
+    npts = grid.n + 1
     if u.shape != (npts,) or g.shape != (npts,):
         raise ValueError(f"expected grid vectors of length {npts}")
     if npts < 3:
         raise ValueError("energy loss needs at least 3 grid points")
-    dx = cfg.grid.dx
+    dx = grid.dx
     # overflow to inf on diverged grid values is intended: trainers watch for it
     with np.errstate(over="ignore", invalid="ignore"):
         diff = (u[1:] - u[:-1]) / dx
         value = dx * 0.5 * float(np.sum(diff * diff)) - dx * float(np.sum(g * u))
-        value += cfg.beta * float(u[0] * u[0] + u[-1] * u[-1])
+        value += beta * float(u[0] * u[0] + u[-1] * u[-1])
         grad = -dx * g
         grad[:-1] -= diff
         grad[1:] += diff
-        grad[0] += 2.0 * cfg.beta * u[0]
-        grad[-1] += 2.0 * cfg.beta * u[-1]
+        grad[0] += 2.0 * beta * u[0]
+        grad[-1] += 2.0 * beta * u[-1]
     return LossValueGrad(value=value, grad=grad)
 
 
-def discrete_energy_minimizer(g_grid: np.ndarray, cfg: EnergyLossConfig) -> np.ndarray:
-    """Exact minimizer of the discrete energy over all grid functions.
+def discrete_energy_minimizer(g_grid: np.ndarray, grid: Grid1D, beta: float) -> np.ndarray:
+    """Exact minimizer of energy_loss(., g_grid, grid, beta) over all grid functions.
 
     The energy is a convex quadratic; its stationarity conditions form a
     tridiagonal SPD system (for beta > 0) solved directly. beta = 0 leaves
     the constant mode unpinned and is rejected.
     """
     g = np.asarray(g_grid, dtype=float)
-    npts = cfg.grid.n + 1
+    npts = grid.n + 1
     if g.shape != (npts,):
         raise ValueError(f"expected grid vector of length {npts}")
     if npts < 3:
         raise ValueError("energy minimizer needs at least 3 grid points")
-    if cfg.beta <= 0:
+    if beta <= 0:
         raise ValueError("beta must be positive; beta = 0 makes the system singular")
-    dx = cfg.grid.dx
+    dx = grid.dx
     diag = np.full(npts, 2.0 / dx)
-    diag[0] = diag[-1] = 1.0 / dx + 2.0 * cfg.beta
+    diag[0] = diag[-1] = 1.0 / dx + 2.0 * beta
     off = np.full(npts - 1, -1.0 / dx)
     return solve_tridiagonal(off, diag, off, dx * g)

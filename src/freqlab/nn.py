@@ -14,11 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "InitSpec",
+    "HIDDEN_ACTIVATIONS",
     "Mlp",
     "ParamGrad",
     "ForwardCache",
-    "LrSchedule",
     "init_mlp",
     "softmax",
     "forward",
@@ -32,33 +31,6 @@ __all__ = [
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
-
-
-@dataclass(frozen=True)
-class InitSpec:
-    """Gaussian initialization: Normal(mean, std) from a seeded generator."""
-
-    std: float
-    mean: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError(f"init std must be positive, got {self.std}")
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Base learning rate, halved every halve_every epochs (0 = constant)."""
-
-    base_lr: float
-    halve_every: int = 0
-
-    def __post_init__(self):
-        if not self.base_lr > 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.halve_every < 0:
-            raise ValueError("halve_every must be >= 0")
 
 
 @dataclass
@@ -120,12 +92,14 @@ def init_mlp(
     widths: Sequence[int],
     hidden_activation: str = "tanh",
     output_activation: str = "identity",
-    init: InitSpec = InitSpec(std=0.1),
+    std: float = 0.1,
+    mean: float = 0.0,
+    seed: int = 0,
 ) -> Mlp:
     """Build a network with i.i.d. Normal(mean, std) weights and biases.
 
     Parameters are drawn layer by layer, weights before biases, from
-    PCG64(seed); the same InitSpec reproduces the arrays bit for bit.
+    PCG64(seed); the same (std, mean, seed) reproduces the arrays bit for bit.
     """
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
@@ -134,11 +108,13 @@ def init_mlp(
         raise ValueError(f"unknown hidden activation {hidden_activation!r}")
     if output_activation not in OUTPUT_ACTIVATIONS:
         raise ValueError(f"unknown output activation {output_activation!r}")
-    rng = np.random.Generator(np.random.PCG64(init.seed))
+    if not std > 0:
+        raise ValueError(f"init std must be positive, got {std}")
+    rng = np.random.Generator(np.random.PCG64(seed))
     weights, biases = [], []
     for n_in, n_out in zip(widths[:-1], widths[1:]):
-        w = init.mean + init.std * _box_muller(rng, n_in * n_out).reshape(n_in, n_out)
-        b = init.mean + init.std * _box_muller(rng, n_out)
+        w = mean + std * _box_muller(rng, n_in * n_out).reshape(n_in, n_out)
+        b = mean + std * _box_muller(rng, n_out)
         weights.append(w)
         biases.append(b)
     return Mlp(widths=widths, weights=weights, biases=biases,
@@ -217,13 +193,18 @@ def sgd_step(mlp: Mlp, grad: ParamGrad, lr: float) -> Mlp:
     return mlp
 
 
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    """Learning rate after the halvings that have occurred by this epoch."""
+def lr_at(base_lr: float, halve_every: int, epoch: int) -> float:
+    """Learning rate at this epoch: base_lr halved every halve_every epochs
+    (0 = constant)."""
+    if not base_lr > 0:
+        raise ValueError(f"base_lr must be positive, got {base_lr}")
+    if halve_every < 0:
+        raise ValueError("halve_every must be >= 0")
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if schedule.halve_every == 0:
-        return schedule.base_lr
-    return schedule.base_lr * 0.5 ** (epoch // schedule.halve_every)
+    if halve_every == 0:
+        return base_lr
+    return base_lr * 0.5 ** (epoch // halve_every)
 
 
 def params_to_vector(params: Mlp | ParamGrad) -> np.ndarray:

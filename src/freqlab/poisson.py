@@ -28,6 +28,7 @@ __all__ = [
     "IterativeRun",
     "SwitchPoint",
     "TrainPhase",
+    "STEPPERS",
     "g_rhs",
     "assemble_poisson",
     "solve_tridiagonal",
@@ -47,39 +48,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid of n+1 points on [a, b]."""
+    """Uniform grid of n+1 points on the problem's interval [-1, 1]."""
 
     n: int
-    a: float = -1.0
-    b: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2 subintervals, got {self.n}")
-        if not self.b > self.a:
-            raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
 
     @property
     def dx(self) -> float:
-        return (self.b - self.a) / self.n
+        return 2.0 / self.n
 
     @property
     def points(self) -> np.ndarray:
-        return self.a + self.dx * np.arange(self.n + 1)
+        return -1.0 + self.dx * np.arange(self.n + 1)
 
 
 @dataclass
 class TridiagSystem:
     """The (n-1)x(n-1) system A u = rhs from central differencing.
 
-    A has 2 on the diagonal and -1 off it; rhs_i = dx^2 * g(x_i) at the
+    A is the constant stencil 2 on the diagonal and -1 off it, which the
+    solvers and steppers apply directly; rhs_i = dx^2 * g(x_i) at the
     interior nodes i = 1..n-1.
     """
 
     n: int
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
     rhs: np.ndarray
 
     @property
@@ -109,13 +104,7 @@ def assemble_poisson(grid: Grid1D, g_fn: Callable[[np.ndarray], np.ndarray] = g_
     rhs = grid.dx ** 2 * np.asarray(g_fn(xs), dtype=float)
     if rhs.shape != (m,):
         raise ValueError(f"g_fn returned shape {rhs.shape}, expected ({m},)")
-    return TridiagSystem(
-        n=grid.n,
-        sub=np.full(m - 1, -1.0),
-        diag=np.full(m, 2.0),
-        sup=np.full(m - 1, -1.0),
-        rhs=rhs,
-    )
+    return TridiagSystem(n=grid.n, rhs=rhs)
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -150,15 +139,17 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
 
 
 def _residual_inf(system: TridiagSystem, u: np.ndarray) -> float:
-    r = system.diag * u - system.rhs
-    r[1:] += system.sub * u[:-1]
-    r[:-1] += system.sup * u[1:]
+    r = 2.0 * u - system.rhs
+    r[1:] -= u[:-1]
+    r[:-1] -= u[1:]
     return float(np.max(np.abs(r)))
 
 
 def thomas_solve(system: TridiagSystem) -> ReferenceSolution:
     """Direct banded solve of A u = rhs; the reference the iterations chase."""
-    u = solve_tridiagonal(system.sub, system.diag, system.sup, system.rhs)
+    m = system.size
+    off = np.full(m - 1, -1.0)
+    u = solve_tridiagonal(off, np.full(m, 2.0), off, system.rhs)
     res = _residual_inf(system, u)
     # backward-stable bound: fp64 cannot do better than ~eps * (||A|| ||u|| + ||rhs||)
     scale = 4.0 * np.max(np.abs(u), initial=0.0) + np.max(np.abs(system.rhs), initial=0.0)
@@ -194,7 +185,8 @@ def gauss_seidel_step(system: TridiagSystem, u: np.ndarray) -> np.ndarray:
     return w
 
 
-_STEPPERS = {"jacobi": jacobi_step, "gauss_seidel": gauss_seidel_step}
+#: the iterative methods by name; config.validate reads the names from here
+STEPPERS = {"jacobi": jacobi_step, "gauss_seidel": gauss_seidel_step}
 
 
 def jacobi_eigen(n: int, k: int) -> float:
@@ -282,9 +274,9 @@ def iterate(
     Records the initial state as iteration 0. Stops once the sup error against
     u_star reaches tol (checked before each sweep) or after max_iters sweeps.
     """
-    if method not in _STEPPERS:
+    if method not in STEPPERS:
         raise ValueError(f"unknown method {method!r}")
-    step_fn = _STEPPERS[method]
+    step_fn = STEPPERS[method]
     u = np.array(u0, dtype=float, copy=True)
     if u.shape != u_star.shape:
         raise ValueError("u0 and u_star shapes differ")

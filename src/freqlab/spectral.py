@@ -18,6 +18,7 @@ import numpy as np
 from .nn import Mlp, backprop, forward, params_to_vector
 
 __all__ = [
+    "DF_DENOMINATORS",
     "Spectrum",
     "FreqTrace",
     "GradDecomposition",
@@ -31,6 +32,9 @@ __all__ = [
 
 #: denominator amplitudes below this yield an infinite relative difference
 _DENOM_FLOOR = 1e-14
+
+#: the spectra rel_freq_diff can normalize by; config.validate reads them here
+DF_DENOMINATORS = ("target", "model")
 
 
 @dataclass
@@ -119,8 +123,8 @@ def rel_freq_diff(
 
     Returns +inf when the denominator amplitude is below 1e-14.
     """
-    if denominator not in ("target", "model"):
-        raise ValueError(f"denominator must be 'target' or 'model', got {denominator!r}")
+    if denominator not in DF_DENOMINATORS:
+        raise ValueError(f"denominator must be one of {DF_DENOMINATORS}, got {denominator!r}")
     if not 0 <= freq_index < min(len(model_spec), len(target_spec)):
         raise IndexError(f"frequency index {freq_index} out of range")
     num = abs(model_spec.coefficients[freq_index] - target_spec.coefficients[freq_index])

@@ -16,13 +16,12 @@ from freqlab.config import preset_config
 from freqlab.data import leading_eigenvector
 from freqlab.experiments import run_single
 from freqlab.losses import (
-    EnergyLossConfig,
     cross_entropy_loss,
     discrete_energy_minimizer,
     energy_loss,
     mse_loss,
 )
-from freqlab.nn import InitSpec, backprop, forward, grad_check, init_mlp
+from freqlab.nn import backprop, forward, grad_check, init_mlp
 from freqlab.poisson import (
     Grid1D,
     assemble_poisson,
@@ -108,7 +107,7 @@ def test_criterion_04_gradient_decomposition_identity():
     t0 = time.perf_counter()
     n = 32
     xs = (-1.0 + 2.0 * np.arange(n) / n).reshape(-1, 1)
-    net = init_mlp([1, 16, 1], "tanh", "identity", InitSpec(std=0.5, seed=11))
+    net = init_mlp([1, 16, 1], "tanh", "identity", std=0.5, seed=11)
     target = np.sin(2 * math.pi * 2 * np.arange(n) / n).reshape(-1, 1) * 0.4 + 0.5
 
     def mse_pointwise(outputs):
@@ -149,18 +148,17 @@ def test_criterion_05_backprop_correctness():
                 if loss_name == "energy":
                     grid = Grid1D(n=12)
                     net = init_mlp([1] + widths[1:] + [1], hidden_act, "identity",
-                                   InitSpec(std=0.4, seed=int(rng.integers(1 << 30))))
+                                   std=0.4, seed=int(rng.integers(1 << 30)))
                     gx = grid.points.reshape(-1, 1)
                     gvals = g_rhs(grid.points)
-                    ecfg = EnergyLossConfig(beta=10.0, grid=grid)
 
                     def loss_fn(m):
                         out, cache = forward(m, gx)
-                        lv = energy_loss(out[:, 0], gvals, ecfg)
+                        lv = energy_loss(out[:, 0], gvals, grid, 10.0)
                         return lv.value, backprop(m, cache, lv.grad.reshape(-1, 1))
                 elif loss_name == "mse":
                     net = init_mlp(widths + [3], hidden_act, "identity",
-                                   InitSpec(std=0.4, seed=int(rng.integers(1 << 30))))
+                                   std=0.4, seed=int(rng.integers(1 << 30)))
                     target = rng.standard_normal((10, 3))
 
                     def loss_fn(m, xs=xs, target=target):
@@ -169,7 +167,7 @@ def test_criterion_05_backprop_correctness():
                         return lv.value, backprop(m, cache, lv.grad)
                 else:
                     net = init_mlp(widths + [3], hidden_act, "softmax",
-                                   InitSpec(std=0.4, seed=int(rng.integers(1 << 30))))
+                                   std=0.4, seed=int(rng.integers(1 << 30)))
                     onehot = np.zeros((10, 3))
                     onehot[np.arange(10), rng.integers(0, 3, 10)] = 1.0
 
@@ -193,7 +191,7 @@ def test_criterion_06_energy_method_consistency():
     g = g_rhs(grid.points)
     dists = []
     for beta in (10.0, 100.0, 1000.0):
-        u = discrete_energy_minimizer(g, EnergyLossConfig(beta=beta, grid=grid))
+        u = discrete_energy_minimizer(g, grid, beta)
         dists.append(float(np.max(np.abs(u - ref.full))))
     assert dists[0] > dists[1] > dists[2], f"distances not strictly decreasing: {dists}"
     assert dists[2] <= dists[0] / 5.0, f"beta=1000 not below beta=10 by 5x: {dists}"

@@ -14,6 +14,9 @@ from freqlab.config import (
     validate,
 )
 from freqlab.errors import ConfigError
+from freqlab.nn import HIDDEN_ACTIVATIONS
+from freqlab.poisson import STEPPERS
+from freqlab.spectral import DF_DENOMINATORS
 
 
 class TestParsing:
@@ -121,6 +124,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate(cfg)
 
+    @pytest.mark.parametrize("key,value", [("activation", a) for a in HIDDEN_ACTIVATIONS]
+                             + [("hybrid_method", m) for m in STEPPERS]
+                             + [("df_denominator", d) for d in DF_DENOMINATORS])
+    def test_choices_are_the_implementing_modules(self, key, value):
+        validate(dataclasses.replace(preset_config("desk-d-jacobi"), **{key: value}))
+
+    @pytest.mark.parametrize("experiment", ["poisson_direct", "poisson_jacobi"])
+    def test_grid_n_2_allowed_without_a_network(self, experiment):
+        validate(dataclasses.replace(default_config(experiment), grid_n=2))
+
     def test_bad_denominator_rejected(self):
         cfg = dataclasses.replace(preset_config("desk-toy-ce"), df_denominator="both")
         with pytest.raises(ConfigError):
@@ -183,7 +196,9 @@ class TestCli:
         ["toy-ce", "--preset", "desk-toy-ce", "--set", "init_mean=inf"],
         ["toy-ce", "--preset", "desk-toy-ce", "--set", "first_passage_tau=nan"],
         ["toy-ce", "--preset", "desk-toy-ce", "--seed", "-1"],
-    ], ids=["lr-inf", "init-mean-inf", "tau-nan", "seed-negative"])
+        ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "grid_n=2"],
+        ["d-jacobi", "--preset", "desk-d-jacobi", "--set", "grid_n=2"],
+    ], ids=["lr-inf", "init-mean-inf", "tau-nan", "seed-negative", "poisson-dnn-grid-2", "d-jacobi-grid-2"])
     def test_bad_numbers_exit_2_before_the_run_directory(self, tmp_path, capsys, args):
         out = tmp_path / "run"
         assert main([*args, "--out", str(out)]) == 2
@@ -249,3 +264,15 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "seed7" / "solution.csv").exists()
         assert (tmp_path / "seed8" / "solution.csv").exists()
+
+    def test_seed_snapshot_reruns_into_its_own_directory(self, tmp_path):
+        parent = tmp_path / "g"
+        assert main(["diagnose-grad", "--out", str(parent), "--set", "hidden_widths=4",
+                     "--set", "samples=8", "--seeds", "2"]) == 0
+        seed_dir = parent / "seed1"
+        written = {p.name: p.read_bytes() for p in seed_dir.iterdir()}
+        (seed_dir / "decomposition.csv").unlink()
+        # no --out: the snapshot alone says where the run goes
+        assert main(["diagnose-grad", "--config", str(seed_dir / "config.txt")]) == 0
+        assert {p.name: p.read_bytes() for p in seed_dir.iterdir()} == written
+        assert sorted(p.name for p in parent.iterdir()) == ["seed0", "seed1"]

@@ -95,6 +95,17 @@ class TestMnistPca:
         a = run_single(cfg, 1, tmp_path / "again")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "again" / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("samples", [2, 3])
+    @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+    def test_flat_target_spectrum_exits_2_before_training(self, tmp_path, capsys, samples, svg):
+        out = tmp_path / "run"
+        args = ["mnist-pca", "--synthetic", "--set", "hidden_widths=4", "--set", f"samples={samples}",
+                "--set", "epochs=1", "--out", str(out)]
+        assert main(args + (["--svg"] if svg else [])) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "no peak" in err and "samples" in err and "nufft_freqs" in err
+        assert list(out.iterdir()) == []
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         cfg = tiny("desk-mnist-pca", synthetic=False)
         with pytest.raises(ConfigError):

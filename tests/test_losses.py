@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqlab.losses import (
-    EnergyLossConfig,
     cross_entropy_loss,
     discrete_energy_minimizer,
     energy_loss,
@@ -138,71 +137,72 @@ class TestCrossEntropy:
 class TestEnergyLoss:
     def setup_method(self):
         self.grid = Grid1D(n=16)
-        self.cfg = EnergyLossConfig(beta=10.0, grid=self.grid)
+        self.beta = 10.0
         self.g = g_rhs(self.grid.points)
 
     def test_zero_function_value_and_gradient(self):
         u = np.zeros(17)
-        lv = energy_loss(u, self.g, self.cfg)
+        lv = energy_loss(u, self.g, self.grid, self.beta)
         assert lv.value == 0.0
         assert np.allclose(lv.grad, -self.grid.dx * self.g)
 
     def test_zero_source_zero_function_is_global_minimum(self):
         zeros = np.zeros(17)
-        lv = energy_loss(zeros, zeros, self.cfg)
+        lv = energy_loss(zeros, zeros, self.grid, self.beta)
         assert lv.value == 0.0
         assert np.array_equal(lv.grad, zeros)
         rng = np.random.default_rng(1)
         for _ in range(10):
             u = rng.standard_normal(17)
-            assert energy_loss(u, zeros, self.cfg).value > 0.0
+            assert energy_loss(u, zeros, self.grid, self.beta).value > 0.0
 
     def test_orientation_reversal_invariance(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal(17)
-        a = energy_loss(u, self.g, self.cfg).value
-        b = energy_loss(u[::-1].copy(), self.g[::-1].copy(), self.cfg).value
+        a = energy_loss(u, self.g, self.grid, self.beta).value
+        b = energy_loss(u[::-1].copy(), self.g[::-1].copy(), self.grid, self.beta).value
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            energy_loss(np.zeros(3), np.zeros(3), self.cfg)
+            energy_loss(np.zeros(3), np.zeros(3), self.grid, self.beta)
+
+    def test_negative_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            energy_loss(np.zeros(17), self.g, self.grid, -1.0)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_gradient_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(17)
-        lv = energy_loss(u, self.g, self.cfg)
+        lv = energy_loss(u, self.g, self.grid, self.beta)
         dx = self.grid.dx
         slopes = np.diff(u) / dx
         scale = (0.5 * dx * np.sum(slopes * slopes) + dx * np.sum(np.abs(self.g * u))
-                 + self.cfg.beta * (u[0] ** 2 + u[-1] ** 2))
+                 + self.beta * (u[0] ** 2 + u[-1] ** 2))
         # the energy is quadratic, so a wide step has no truncation error
-        assert_matches_fd(lv.grad, lambda q: energy_loss(q, self.g, self.cfg).value, u, 1e-4,
+        assert_matches_fd(lv.grad, lambda q: energy_loss(q, self.g, self.grid, self.beta).value, u, 1e-4,
                           scale=scale)
 
 
 class TestEnergyMinimizer:
     def test_zero_source_zero_minimizer(self):
         grid = Grid1D(n=16)
-        cfg = EnergyLossConfig(beta=10.0, grid=grid)
-        u = discrete_energy_minimizer(np.zeros(17), cfg)
+        u = discrete_energy_minimizer(np.zeros(17), grid, 10.0)
         assert np.max(np.abs(u)) < 1e-15
 
     def test_returned_point_is_stationary(self):
         grid = Grid1D(n=64)
-        cfg = EnergyLossConfig(beta=10.0, grid=grid)
         g = g_rhs(grid.points)
-        u = discrete_energy_minimizer(g, cfg)
-        lv = energy_loss(u, g, cfg)
+        u = discrete_energy_minimizer(g, grid, 10.0)
+        lv = energy_loss(u, g, grid, 10.0)
         assert np.max(np.abs(lv.grad)) < 1e-10
 
     def test_beta_zero_rejected(self):
         grid = Grid1D(n=16)
-        cfg = EnergyLossConfig(beta=0.0, grid=grid)
         with pytest.raises(ValueError):
-            discrete_energy_minimizer(np.zeros(17), cfg)
+            discrete_energy_minimizer(np.zeros(17), grid, 0.0)
 
     def test_distance_to_direct_solution_decreases_in_beta(self):
         grid = Grid1D(n=64)
@@ -210,7 +210,7 @@ class TestEnergyMinimizer:
         g = g_rhs(grid.points)
         dists = []
         for beta in (10.0, 100.0, 1000.0):
-            u = discrete_energy_minimizer(g, EnergyLossConfig(beta=beta, grid=grid))
+            u = discrete_energy_minimizer(g, grid, beta)
             dists.append(np.max(np.abs(u - ref.full)))
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] <= dists[0] / 5.0
@@ -220,5 +220,5 @@ class TestEnergyMinimizer:
         grid = Grid1D(n=32)
         ref = thomas_solve(assemble_poisson(grid, g_rhs))
         g = g_rhs(grid.points)
-        u = discrete_energy_minimizer(g, EnergyLossConfig(beta=1e8, grid=grid))
+        u = discrete_energy_minimizer(g, grid, 1e8)
         assert np.max(np.abs(u - ref.full)) < 1e-5

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from freqlab.losses import cross_entropy_loss, mse_loss
 from freqlab.nn import (
-    InitSpec,
-    LrSchedule,
     ParamGrad,
     backprop,
     forward,
@@ -22,45 +20,45 @@ from freqlab.nn import (
 
 class TestInit:
     def test_paper_shape_toy(self):
-        net = init_mlp([1, 400, 400, 200, 100, 2], init=InitSpec(std=0.1, seed=0))
+        net = init_mlp([1, 400, 400, 200, 100, 2], std=0.1, seed=0)
         assert [w.shape for w in net.weights] == [(1, 400), (400, 400), (400, 200), (200, 100), (100, 2)]
         assert [b.shape for b in net.biases] == [(400,), (400,), (200,), (100,), (2,)]
 
     def test_paper_shape_poisson(self):
-        net = init_mlp([1, 4000, 800, 1], init=InitSpec(std=0.05, seed=0))
+        net = init_mlp([1, 4000, 800, 1], std=0.05, seed=0)
         assert net.widths == (1, 4000, 800, 1)
         assert net.num_params == 1 * 4000 + 4000 + 4000 * 800 + 800 + 800 * 1 + 1
 
     def test_same_seed_bit_identical(self):
-        a = init_mlp([2, 16, 3], init=InitSpec(std=0.2, seed=99))
-        b = init_mlp([2, 16, 3], init=InitSpec(std=0.2, seed=99))
+        a = init_mlp([2, 16, 3], std=0.2, seed=99)
+        b = init_mlp([2, 16, 3], std=0.2, seed=99)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
     def test_different_seed_differs(self):
-        a = init_mlp([2, 16, 3], init=InitSpec(std=0.2, seed=1))
-        b = init_mlp([2, 16, 3], init=InitSpec(std=0.2, seed=2))
+        a = init_mlp([2, 16, 3], std=0.2, seed=1)
+        b = init_mlp([2, 16, 3], std=0.2, seed=2)
         assert not np.array_equal(a.weights[0], b.weights[0])
 
     def test_sample_moments_match_spec(self):
-        net = init_mlp([50, 400, 50], init=InitSpec(std=0.3, mean=0.1, seed=5))
+        net = init_mlp([50, 400, 50], std=0.3, mean=0.1, seed=5)
         w = net.weights[0].ravel()
         assert w.mean() == pytest.approx(0.1, abs=0.01)
         assert w.std() == pytest.approx(0.3, abs=0.01)
 
     def test_invalid_widths_rejected(self):
         with pytest.raises(ValueError):
-            init_mlp([4], init=InitSpec(std=0.1))
+            init_mlp([4], std=0.1)
         with pytest.raises(ValueError):
-            init_mlp([4, 0, 2], init=InitSpec(std=0.1))
+            init_mlp([4, 0, 2], std=0.1)
 
     def test_nonpositive_std_rejected(self):
         with pytest.raises(ValueError):
-            InitSpec(std=0.0)
+            init_mlp([2, 3], std=0.0)
         with pytest.raises(ValueError):
-            InitSpec(std=-1.0)
+            init_mlp([2, 3], std=-1.0)
 
 
 class TestSoftmax:
@@ -93,7 +91,7 @@ class TestSoftmax:
 
 class TestForward:
     def test_zero_parameters_identity_output(self):
-        net = init_mlp([3, 4, 2], init=InitSpec(std=0.1, seed=0))
+        net = init_mlp([3, 4, 2], std=0.1, seed=0)
         for w in net.weights:
             w[...] = 0.0
         for b in net.biases:
@@ -102,7 +100,7 @@ class TestForward:
         assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_zero_parameters_softmax_uniform(self):
-        net = init_mlp([3, 4, 2], output_activation="softmax", init=InitSpec(std=0.1, seed=0))
+        net = init_mlp([3, 4, 2], output_activation="softmax", std=0.1, seed=0)
         for w in net.weights:
             w[...] = 0.0
         for b in net.biases:
@@ -111,19 +109,19 @@ class TestForward:
         assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
-        net = init_mlp([2, 8, 5], output_activation="softmax", init=InitSpec(std=0.4, seed=3))
+        net = init_mlp([2, 8, 5], output_activation="softmax", std=0.4, seed=3)
         out, _ = forward(net, np.random.default_rng(0).standard_normal((7, 2)))
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        net = init_mlp([3, 4, 2], init=InitSpec(std=0.1, seed=0))
+        net = init_mlp([3, 4, 2], std=0.1, seed=0)
         with pytest.raises(ValueError):
             forward(net, np.ones((5, 2)))
 
 
 class TestBackprop:
     def test_zero_seed_gives_zero_grad(self):
-        net = init_mlp([2, 6, 3], init=InitSpec(std=0.3, seed=1))
+        net = init_mlp([2, 6, 3], std=0.3, seed=1)
         out, cache = forward(net, np.ones((4, 2)))
         grad = backprop(net, cache, np.zeros_like(out))
         assert all(np.array_equal(g, 0 * g) for g in grad.weights)
@@ -131,7 +129,7 @@ class TestBackprop:
 
     def test_single_linear_layer_analytic(self):
         # one sample, identity head: d/dW sum((xW + b - y)^2) = x^T * 2(out - y)
-        net = init_mlp([2, 1], init=InitSpec(std=0.5, seed=2))
+        net = init_mlp([2, 1], std=0.5, seed=2)
         x = np.array([[1.5, -0.5]])
         y = np.array([[2.0]])
         out, cache = forward(net, x)
@@ -142,9 +140,9 @@ class TestBackprop:
         assert grad.biases[0] == pytest.approx(resid[0])
 
     def test_mismatched_cache_rejected(self):
-        net = init_mlp([2, 6, 3], init=InitSpec(std=0.3, seed=1))
+        net = init_mlp([2, 6, 3], std=0.3, seed=1)
         out, cache = forward(net, np.ones((4, 2)))
-        other = init_mlp([2, 5, 5, 3], init=InitSpec(std=0.3, seed=1))
+        other = init_mlp([2, 5, 5, 3], std=0.3, seed=1)
         with pytest.raises(ValueError):
             backprop(other, cache, np.zeros_like(out))
 
@@ -154,11 +152,11 @@ class TestBackprop:
         rng = np.random.default_rng(11)
         xs = rng.uniform(-1, 1, size=(12, 2))
         if head == "mse":
-            net = init_mlp([2, 10, 7, 3], hidden_act, "identity", InitSpec(std=0.4, seed=4))
+            net = init_mlp([2, 10, 7, 3], hidden_act, "identity", std=0.4, seed=4)
             target = rng.standard_normal((12, 3))
             make_loss = lambda out: mse_loss(out, target)
         else:
-            net = init_mlp([2, 10, 7, 3], hidden_act, "softmax", InitSpec(std=0.4, seed=4))
+            net = init_mlp([2, 10, 7, 3], hidden_act, "softmax", std=0.4, seed=4)
             labels = rng.integers(0, 3, size=12)
             target = np.zeros((12, 3))
             target[np.arange(12), labels] = 1.0
@@ -172,7 +170,7 @@ class TestBackprop:
         assert grad_check(net, loss_fn, fd_step=1e-6, num_checks=60, seed=0) < 1e-5
 
     def test_corrupted_gradient_detected(self):
-        net = init_mlp([2, 8, 1], init=InitSpec(std=0.4, seed=6))
+        net = init_mlp([2, 8, 1], std=0.4, seed=6)
         xs = np.random.default_rng(1).uniform(-1, 1, (10, 2))
         target = np.random.default_rng(2).standard_normal((10, 1))
 
@@ -186,7 +184,7 @@ class TestBackprop:
         assert grad_check(net, bad_loss_fn, fd_step=1e-6, num_checks=80, seed=0) > 1e-2
 
     def test_linear_net_quadratic_loss_near_exact(self):
-        net = init_mlp([3, 2], init=InitSpec(std=0.5, seed=7))
+        net = init_mlp([3, 2], std=0.5, seed=7)
         xs = np.random.default_rng(3).standard_normal((6, 3))
         target = np.random.default_rng(4).standard_normal((6, 2))
 
@@ -201,13 +199,13 @@ class TestBackprop:
 
 class TestSgdAndSchedule:
     def test_zero_gradient_is_fixed_point(self):
-        net = init_mlp([2, 4, 1], init=InitSpec(std=0.3, seed=8))
+        net = init_mlp([2, 4, 1], std=0.3, seed=8)
         before = params_to_vector(net).copy()
         sgd_step(net, ParamGrad.zeros_like(net), lr=0.5)
         assert np.array_equal(params_to_vector(net), before)
 
     def test_scalar_update_definition(self):
-        net = init_mlp([1, 1], init=InitSpec(std=0.1, seed=0))
+        net = init_mlp([1, 1], std=0.1, seed=0)
         net.weights[0][...] = 2.0
         net.biases[0][...] = 0.0
         grad = ParamGrad.zeros_like(net)
@@ -216,8 +214,8 @@ class TestSgdAndSchedule:
         assert net.weights[0][0, 0] == 1.5
 
     def test_two_half_steps_equal_one_step(self):
-        a = init_mlp([2, 3, 1], init=InitSpec(std=0.3, seed=9))
-        b = init_mlp([2, 3, 1], init=InitSpec(std=0.3, seed=9))
+        a = init_mlp([2, 3, 1], std=0.3, seed=9)
+        b = init_mlp([2, 3, 1], std=0.3, seed=9)
         grad = ParamGrad.zeros_like(a)
         rng = np.random.default_rng(5)
         for g in grad.weights + grad.biases:
@@ -228,24 +226,22 @@ class TestSgdAndSchedule:
         assert params_to_vector(a) == pytest.approx(params_to_vector(b), abs=1e-15)
 
     def test_lr_schedule_values(self):
-        sched = LrSchedule(base_lr=5e-6, halve_every=10_000)
-        assert lr_at(sched, 0) == 5e-6
-        assert lr_at(sched, 9_999) == 5e-6
-        assert lr_at(sched, 10_000) == 2.5e-6
-        assert lr_at(sched, 25_000) == 1.25e-6
+        assert lr_at(5e-6, 10_000, 0) == 5e-6
+        assert lr_at(5e-6, 10_000, 9_999) == 5e-6
+        assert lr_at(5e-6, 10_000, 10_000) == 2.5e-6
+        assert lr_at(5e-6, 10_000, 25_000) == 1.25e-6
 
     def test_constant_schedule(self):
-        sched = LrSchedule(base_lr=0.1, halve_every=0)
-        assert lr_at(sched, 10**9) == 0.1
+        assert lr_at(0.1, 0, 10**9) == 0.1
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
-            LrSchedule(base_lr=0.0)
+            lr_at(0.0, 0, 0)
 
 
 class TestParamVector:
     def test_roundtrip(self):
-        net = init_mlp([3, 5, 2], init=InitSpec(std=0.2, seed=10))
+        net = init_mlp([3, 5, 2], std=0.2, seed=10)
         vec = params_to_vector(net).copy()
         set_params_from_vector(net, vec * 2.0)
         assert params_to_vector(net) == pytest.approx(vec * 2.0)
@@ -256,7 +252,7 @@ class TestParamVector:
         target = np.sin(3 * xs)
 
         def train():
-            net = init_mlp([1, 8, 1], init=InitSpec(std=0.3, seed=12))
+            net = init_mlp([1, 8, 1], std=0.3, seed=12)
             for _ in range(20):
                 out, cache = forward(net, xs)
                 lv = mse_loss(out, target)

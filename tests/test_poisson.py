@@ -35,6 +35,11 @@ def make_system(n=32, seed=0, g=None):
     return assemble_poisson(grid, g)
 
 
+def poisson_matrix(m):
+    """The dense (m x m) central-difference matrix: 2 on the diagonal, -1 off it."""
+    return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+
+
 class TestGrid:
     def test_points_span_interval(self):
         grid = Grid1D(n=8)
@@ -60,9 +65,12 @@ class TestAssembly:
     def test_n4_matrix_shape_and_entries(self):
         system = assemble_poisson(Grid1D(n=4), g_rhs)
         assert system.size == 3
-        assert np.array_equal(system.diag, [2.0, 2.0, 2.0])
-        assert np.array_equal(system.sub, [-1.0, -1.0])
-        assert np.array_equal(system.sup, [-1.0, -1.0])
+        A = poisson_matrix(3)
+        assert np.array_equal(A, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        # the Jacobi sweep and the direct solve both act as this matrix
+        u = np.array([0.5, -1.0, 2.0])
+        assert np.allclose(jacobi_step(system, u), (system.rhs + (2.0 * np.eye(3) - A) @ u) / 2.0)
+        assert np.allclose(A @ thomas_solve(system).u_star, system.rhs)
 
     def test_zero_source_gives_zero_rhs(self):
         system = assemble_poisson(Grid1D(n=8), lambda x: np.zeros_like(x))
@@ -90,8 +98,7 @@ class TestThomas:
     def test_matches_dense_solve_random_rhs(self):
         system = make_system(n=32, seed=1)
         ref = thomas_solve(system)
-        A = np.diag(system.diag) + np.diag(system.sub, -1) + np.diag(system.sup, 1)
-        dense = np.linalg.solve(A, system.rhs)
+        dense = np.linalg.solve(poisson_matrix(system.size), system.rhs)
         assert np.max(np.abs(ref.u_star - dense)) < 1e-12
 
     def test_full_has_zero_boundaries(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqlab.losses import mse_loss
-from freqlab.nn import InitSpec, backprop, forward, init_mlp, params_to_vector
+from freqlab.nn import backprop, forward, init_mlp, params_to_vector
 from freqlab.spectral import (
     FreqTrace,
     Spectrum,
@@ -232,7 +232,7 @@ class TestGradDecomposition:
         n = 32
         xs = (np.arange(n) / n * 2 - 1).reshape(-1, 1)
         target = np.sin(2 * math.pi * 3 * np.arange(n) / n).reshape(-1, 1)
-        net = init_mlp([1, 16, 1], init=InitSpec(std=0.5, seed=3))
+        net = init_mlp([1, 16, 1], std=0.5, seed=3)
         dec = grad_decomposition(net, xs, self._mse_pointwise(target))
         assert dec.real_residual < 1e-8
         assert dec.imag_residual < 1e-8
@@ -241,7 +241,7 @@ class TestGradDecomposition:
         n = 16
         xs = (np.arange(n) / n).reshape(-1, 1)
         target = np.cos(2 * math.pi * np.arange(n) / n).reshape(-1, 1)
-        net = init_mlp([1, 8, 1], init=InitSpec(std=0.4, seed=5))
+        net = init_mlp([1, 8, 1], std=0.4, seed=5)
         dec = grad_decomposition(net, xs, self._mse_pointwise(target))
         out, cache = forward(net, xs)
         lv = mse_loss(out, target)
@@ -251,7 +251,7 @@ class TestGradDecomposition:
     def test_perfect_fit_has_zero_coefficients(self):
         n = 16
         xs = (np.arange(n) / n).reshape(-1, 1)
-        net = init_mlp([1, 8, 1], init=InitSpec(std=0.4, seed=6))
+        net = init_mlp([1, 8, 1], std=0.4, seed=6)
         out, _ = forward(net, xs)
         dec = grad_decomposition(net, xs, self._mse_pointwise(out.copy()))
         assert np.max(np.abs(dec.d_k)) < 1e-14
@@ -259,7 +259,7 @@ class TestGradDecomposition:
 
     def test_nonuniform_samples_rejected(self):
         xs = np.array([0.0, 0.1, 0.5, 0.6]).reshape(-1, 1)
-        net = init_mlp([1, 4, 1], init=InitSpec(std=0.3, seed=0))
+        net = init_mlp([1, 4, 1], std=0.3, seed=0)
         with pytest.raises(ValueError):
             grad_decomposition(net, xs, self._mse_pointwise(np.zeros((4, 1))))
 
@@ -269,7 +269,7 @@ class TestGradDecomposition:
         rng = np.random.default_rng(seed)
         n = 16
         widths = [1, int(rng.integers(3, 12)), int(rng.integers(1, 4))]
-        net = init_mlp(widths, "tanh", "identity", InitSpec(std=0.4, seed=seed & 0xFFFF))
+        net = init_mlp(widths, "tanh", "identity", std=0.4, seed=seed & 0xFFFF)
         xs = (np.arange(n) / n).reshape(-1, 1)
         target = rng.standard_normal((n, widths[-1]))
         dec = grad_decomposition(net, xs, self._mse_pointwise(target),
