@@ -39,7 +39,7 @@ from . import data as datamod
 from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, DivergenceError
 from .losses import LossValueGrad, cross_entropy_loss, energy_loss, mse_loss
-from .nn import ForwardCache, Mlp, backprop, forward, init_mlp, lr_at, params_to_vector, sgd_step
+from .nn import Mlp, backprop, forward, init_mlp, lr_at, sgd_step
 from .poisson import (
     Grid1D,
     IterativeRun,
@@ -134,7 +134,7 @@ def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: s
 def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
     """Report err as a divergence if the parameters have gone non-finite
     (softmax rejects the NaN logits they produce); re-raise it otherwise."""
-    if np.all(np.isfinite(params_to_vector(net))):
+    if np.all(np.isfinite(net.params)):
         raise err
     raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {err}") from err
 
@@ -145,7 +145,7 @@ def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
 
 
 def _evaluate(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
-              epoch: int) -> tuple[np.ndarray, ForwardCache, LossValueGrad]:
+              epoch: int) -> tuple[np.ndarray, list[np.ndarray], LossValueGrad]:
     """(outputs, cache, loss) of net on xs. A non-finite loss raises DivergenceError
     for epoch, and so does a ValueError once the parameters are non-finite."""
     try:

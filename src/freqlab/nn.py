@@ -1,5 +1,10 @@
 """Dense feed-forward network with exact hand-rolled backpropagation.
 
+A network's parameters are one fp64 vector, Mlp.params, and backprop returns
+its gradient as a vector in the same layout, so an update is one vector
+operation and a gradient is a row of a Jacobian as it stands. layer_views is
+the only code that knows the layout; weights and biases are views from it.
+
 Everything is fp64 and deterministic: parameters come from a seeded PCG64
 stream through an explicit Box-Muller transform, so a (seed, config, data)
 triple reproduces a training trajectory bit for bit.
@@ -16,8 +21,7 @@ import numpy as np
 __all__ = [
     "HIDDEN_ACTIVATIONS",
     "Mlp",
-    "ParamGrad",
-    "ForwardCache",
+    "layer_views",
     "init_mlp",
     "softmax",
     "forward",
@@ -25,8 +29,6 @@ __all__ = [
     "sgd_step",
     "lr_at",
     "grad_check",
-    "params_to_vector",
-    "set_params_from_vector",
 ]
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
@@ -36,41 +38,48 @@ OUTPUT_ACTIVATIONS = ("identity", "softmax")
 @dataclass
 class Mlp:
     widths: tuple[int, ...]
-    weights: list[np.ndarray]          # weights[l]: (widths[l], widths[l+1])
-    biases: list[np.ndarray]           # biases[l]: (widths[l+1],)
+    params: np.ndarray                 # every weight and bias, in layer_views order
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.widths) - 1
+
+    # Derived on access, not stored: a copied Mlp would keep views of the old buffer.
+    @property
+    def weights(self) -> list[np.ndarray]:
+        """weights[l]: (widths[l], widths[l+1]) view into params."""
+        return [w for w, _ in layer_views(self.widths, self.params)]
 
     @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+    def biases(self) -> list[np.ndarray]:
+        """biases[l]: (widths[l+1],) view into params."""
+        return [b for _, b in layer_views(self.widths, self.params)]
 
 
-@dataclass
-class ParamGrad:
-    """Gradient arrays shape-congruent with an Mlp's weights and biases."""
+def layer_views(widths: Sequence[int], vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, biases) views of a parameter-layout vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The layout, shared by Mlp.params and every gradient backprop returns, is
+    layer by layer: the (widths[l], widths[l+1]) weights row-major, then the
+    widths[l+1] biases. Writing through a view writes into vec.
+    """
+    size = _param_count(widths)
+    if vec.shape != (size,):
+        raise ValueError(f"expected a vector of {size} parameters for widths {tuple(widths)}, "
+                         f"got shape {vec.shape}")
+    views, pos = [], 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        w = vec[pos:pos + n_in * n_out].reshape(n_in, n_out)
+        pos += n_in * n_out
+        views.append((w, vec[pos:pos + n_out]))
+        pos += n_out
+    return views
 
-    @staticmethod
-    def zeros_like(mlp: Mlp) -> "ParamGrad":
-        return ParamGrad(
-            weights=[np.zeros_like(w) for w in mlp.weights],
-            biases=[np.zeros_like(b) for b in mlp.biases],
-        )
 
-
-@dataclass
-class ForwardCache:
-    """Activations recorded by forward, consumed by backprop."""
-
-    inputs: np.ndarray
-    activations: list[np.ndarray]      # post-activation per layer; last = outputs
+def _param_count(widths: Sequence[int]) -> int:
+    return sum(n_in * n_out + n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
 
 
 def _box_muller(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -111,13 +120,11 @@ def init_mlp(
     if not std > 0:
         raise ValueError(f"init std must be positive, got {std}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights, biases = [], []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        w = mean + std * _box_muller(rng, n_in * n_out).reshape(n_in, n_out)
-        b = mean + std * _box_muller(rng, n_out)
-        weights.append(w)
-        biases.append(b)
-    return Mlp(widths=widths, weights=weights, biases=biases,
+    params = np.empty(_param_count(widths))
+    for w, b in layer_views(widths, params):
+        w[...] = mean + std * _box_muller(rng, w.size).reshape(w.shape)
+        b[...] = mean + std * _box_muller(rng, b.size)
+    return Mlp(widths=widths, params=params,
                hidden_activation=hidden_activation, output_activation=output_activation)
 
 
@@ -131,73 +138,72 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def forward(mlp: Mlp, xs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on a batch, keeping what backprop needs."""
+def forward(mlp: Mlp, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Evaluate the network on a batch. The cache backprop reads is the input
+    to each layer, then the outputs: cache[l] feeds layer l, cache[-1] is returned."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != mlp.widths[0]:
         raise ValueError(f"expected inputs of shape (batch, {mlp.widths[0]}), got {xs.shape}")
-    post = []
-    a = xs
+    cache = [xs]
     last = mlp.num_layers - 1
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ w + b
+    for l, (w, b) in enumerate(layer_views(mlp.widths, mlp.params)):
+        z = cache[l] @ w + b
         if l < last:
             a = np.tanh(z) if mlp.hidden_activation == "tanh" else np.maximum(z, 0.0)
         else:
             a = softmax(z) if mlp.output_activation == "softmax" else z
-        post.append(a)
-    return a, ForwardCache(inputs=xs, activations=post)
+        cache.append(a)
+    return cache[-1], cache
 
 
-def backprop(mlp: Mlp, cache: ForwardCache, dloss_doutputs: np.ndarray) -> ParamGrad:
-    """Exact reverse-mode gradient given d(loss)/d(outputs).
+def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray) -> np.ndarray:
+    """Exact reverse-mode gradient given d(loss)/d(outputs), as a fresh vector
+    in the layout of mlp.params.
 
     The derivative is taken with respect to the post-activation outputs; for a
     softmax head the Jacobian of the normalization is applied here.
     """
     g = np.asarray(dloss_doutputs, dtype=float)
-    out = cache.activations[-1]
+    out = cache[-1]
     if g.shape != out.shape:
         raise ValueError(f"gradient shape {g.shape} does not match outputs {out.shape}")
-    if len(cache.activations) != mlp.num_layers:
+    if len(cache) != mlp.num_layers + 1:
         raise ValueError("cache does not match this network")
     if mlp.output_activation == "softmax":
         delta = out * (g - np.sum(g * out, axis=1, keepdims=True))
     else:
         delta = g
-    grad = ParamGrad(weights=[None] * mlp.num_layers, biases=[None] * mlp.num_layers)
+    grad = np.empty(mlp.params.size)
+    layers = layer_views(mlp.widths, mlp.params)
+    grads = layer_views(mlp.widths, grad)
     for l in range(mlp.num_layers - 1, -1, -1):
-        a_prev = cache.inputs if l == 0 else cache.activations[l - 1]
-        grad.weights[l] = a_prev.T @ delta
-        grad.biases[l] = delta.sum(axis=0)
+        gw, gb = grads[l]
+        np.matmul(cache[l].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if l > 0:
-            delta = delta @ mlp.weights[l].T
+            delta = delta @ layers[l][0].T
             if mlp.hidden_activation == "tanh":
-                delta = delta * (1.0 - cache.activations[l - 1] ** 2)
+                delta = delta * (1.0 - cache[l] ** 2)
             else:
-                delta = delta * (cache.activations[l - 1] > 0.0)  # max(z, 0) > 0 exactly where z > 0
+                delta = delta * (cache[l] > 0.0)  # max(z, 0) > 0 exactly where z > 0
     return grad
 
 
-def sgd_step(mlp: Mlp, grad: ParamGrad, lr: float) -> Mlp:
+def sgd_step(mlp: Mlp, grad: np.ndarray, lr: float) -> Mlp:
     """Plain gradient-descent update, in place; returns the same Mlp."""
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    if len(grad.weights) != mlp.num_layers:
-        raise ValueError("gradient does not match network layout")
-    for w, b, gw, gb in zip(mlp.weights, mlp.biases, grad.weights, grad.biases):
-        if gw.shape != w.shape or gb.shape != b.shape:
-            raise ValueError("gradient shapes do not match parameters")
-        w -= lr * gw
-        b -= lr * gb
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+    if grad.shape != mlp.params.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameters {mlp.params.shape}")
+    mlp.params -= lr * grad
     return mlp
 
 
 def lr_at(base_lr: float, halve_every: int, epoch: int) -> float:
     """Learning rate at this epoch: base_lr halved every halve_every epochs
     (0 = constant)."""
-    if not base_lr > 0:
-        raise ValueError(f"base_lr must be positive, got {base_lr}")
+    if not 0.0 < base_lr < math.inf:
+        raise ValueError(f"base_lr must be finite and positive, got {base_lr}")
     if halve_every < 0:
         raise ValueError("halve_every must be >= 0")
     if epoch < 0:
@@ -207,29 +213,9 @@ def lr_at(base_lr: float, halve_every: int, epoch: int) -> float:
     return base_lr * 0.5 ** (epoch // halve_every)
 
 
-def params_to_vector(params: Mlp | ParamGrad) -> np.ndarray:
-    """Flatten the weights and biases of a network or of its gradient, layer by layer."""
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def set_params_from_vector(mlp: Mlp, vec: np.ndarray) -> None:
-    pos = 0
-    for w, b in zip(mlp.weights, mlp.biases):
-        w[...] = vec[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-        b[...] = vec[pos:pos + b.size]
-        pos += b.size
-    if pos != len(vec):
-        raise ValueError("vector length does not match parameter count")
-
-
 def grad_check(
     mlp: Mlp,
-    loss_fn: Callable[[Mlp], tuple[float, ParamGrad]],
+    loss_fn: Callable[[Mlp], tuple[float, np.ndarray]],
     fd_step: float = 1e-6,
     num_checks: int = 50,
     seed: int = 0,
@@ -238,28 +224,24 @@ def grad_check(
 
     loss_fn evaluates the current parameters and returns (value, gradient);
     it must be deterministic. Checks a random subset of parameters and
-    returns the worst |analytic - fd| / (|analytic| + |fd| + 1e-12).
+    returns the worst |analytic - fd| / (|analytic| + |fd| + 1e-12). Each
+    perturbed parameter is restored, also when loss_fn raises.
     """
     _, grad = loss_fn(mlp)
-    gvec = params_to_vector(grad)
-    theta = params_to_vector(mlp)
     rng = np.random.Generator(np.random.PCG64(seed))
-    count = min(num_checks, len(theta))
-    idx = rng.choice(len(theta), size=count, replace=False)
+    count = min(num_checks, mlp.params.size)
+    idx = rng.choice(mlp.params.size, size=count, replace=False)
     worst = 0.0
-    try:
-        for i in idx:
-            saved = theta[i]
-            theta[i] = saved + fd_step
-            set_params_from_vector(mlp, theta)
+    for i in idx:
+        saved = mlp.params[i]
+        try:
+            mlp.params[i] = saved + fd_step
             f_plus, _ = loss_fn(mlp)
-            theta[i] = saved - fd_step
-            set_params_from_vector(mlp, theta)
+            mlp.params[i] = saved - fd_step
             f_minus, _ = loss_fn(mlp)
-            theta[i] = saved
-            fd = (f_plus - f_minus) / (2.0 * fd_step)
-            rel = abs(gvec[i] - fd) / (abs(gvec[i]) + abs(fd) + 1e-12)
-            worst = max(worst, rel)
-    finally:
-        set_params_from_vector(mlp, theta)
+        finally:
+            mlp.params[i] = saved
+        fd = (f_plus - f_minus) / (2.0 * fd_step)
+        rel = abs(grad[i] - fd) / (abs(grad[i]) + abs(fd) + 1e-12)
+        worst = max(worst, rel)
     return worst

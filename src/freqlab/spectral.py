@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import Mlp, backprop, forward, params_to_vector
+from .nn import Mlp, backprop, forward
 
 __all__ = [
     "DF_DENOMINATORS",
@@ -186,8 +186,8 @@ def step_to_threshold(trace: FreqTrace, freq_index: int, threshold: float) -> in
 class GradDecomposition:
     """Per-mode split of a training gradient over the unitary Fourier basis.
 
-    All parameter-indexed arrays are flattened to a single vector in the
-    network's canonical parameter order. mode_terms[k] summed over k must
+    Every parameter-indexed axis is in Mlp.params order, the layout of the
+    gradients backprop returns. mode_terms[k] summed over k must
     reproduce direct_grad (real part) with a vanishing imaginary remainder.
     """
 
@@ -234,7 +234,9 @@ def grad_decomposition(
     (N, out) with respect to them; the loss must act sample by sample
     (couplings across samples break the identity). The expansion uses
     the orthonormal basis p_k(j) = exp(2*pi*i*k*j/N)/sqrt(N) over the sample
-    index, which requires uniformly spaced scalar samples.
+    index, which requires uniformly spaced scalar samples. Row j of the
+    (N, P) Jacobian is backprop's gradient of sample j's output_dim output,
+    in Mlp.params order.
     """
     xs = np.asarray(xs, dtype=float)
     flat = xs.reshape(len(xs), -1)
@@ -255,7 +257,7 @@ def grad_decomposition(
     for j in range(n):
         seed = np.zeros_like(outputs)
         seed[j, output_dim] = 1.0
-        rows.append(params_to_vector(backprop(mlp, cache, seed)))
+        rows.append(backprop(mlp, cache, seed))
     jac = np.stack(rows)  # (N, P)
 
     k = np.arange(n)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,12 @@ from hypothesis import strategies as st
 
 from freqlab.losses import cross_entropy_loss, mse_loss
 from freqlab.nn import (
-    ParamGrad,
     backprop,
     forward,
     grad_check,
     init_mlp,
+    layer_views,
     lr_at,
-    params_to_vector,
-    set_params_from_vector,
     sgd_step,
     softmax,
 )
@@ -27,7 +27,7 @@ class TestInit:
     def test_paper_shape_poisson(self):
         net = init_mlp([1, 4000, 800, 1], std=0.05, seed=0)
         assert net.widths == (1, 4000, 800, 1)
-        assert net.num_params == 1 * 4000 + 4000 + 4000 * 800 + 800 + 800 * 1 + 1
+        assert net.params.size == 1 * 4000 + 4000 + 4000 * 800 + 800 + 800 * 1 + 1
 
     def test_same_seed_bit_identical(self):
         a = init_mlp([2, 16, 3], std=0.2, seed=99)
@@ -124,8 +124,7 @@ class TestBackprop:
         net = init_mlp([2, 6, 3], std=0.3, seed=1)
         out, cache = forward(net, np.ones((4, 2)))
         grad = backprop(net, cache, np.zeros_like(out))
-        assert all(np.array_equal(g, 0 * g) for g in grad.weights)
-        assert all(np.array_equal(g, 0 * g) for g in grad.biases)
+        assert np.array_equal(grad, 0 * grad)
 
     def test_single_linear_layer_analytic(self):
         # one sample, identity head: d/dW sum((xW + b - y)^2) = x^T * 2(out - y)
@@ -134,10 +133,10 @@ class TestBackprop:
         y = np.array([[2.0]])
         out, cache = forward(net, x)
         lv = mse_loss(out, y)
-        grad = backprop(net, cache, lv.grad)
+        (gw, gb), = layer_views(net.widths, backprop(net, cache, lv.grad))
         resid = 2.0 * (out - y)
-        assert grad.weights[0] == pytest.approx(x.T @ resid)
-        assert grad.biases[0] == pytest.approx(resid[0])
+        assert gw == pytest.approx(x.T @ resid)
+        assert gb == pytest.approx(resid[0])
 
     def test_mismatched_cache_rejected(self):
         net = init_mlp([2, 6, 3], std=0.3, seed=1)
@@ -145,6 +144,20 @@ class TestBackprop:
         other = init_mlp([2, 5, 5, 3], std=0.3, seed=1)
         with pytest.raises(ValueError):
             backprop(other, cache, np.zeros_like(out))
+
+    def test_gradient_has_the_parameter_layout(self):
+        net = init_mlp([2, 6, 3], std=0.3, seed=1)
+        out, cache = forward(net, np.ones((4, 2)))
+        assert backprop(net, cache, np.ones_like(out)).shape == net.params.shape
+
+    def test_gradients_from_one_cache_are_separate_arrays(self):
+        # grad_decomposition stacks one backprop per sample from a single cache
+        net = init_mlp([1, 6, 1], std=0.3, seed=1)
+        out, cache = forward(net, np.linspace(0, 1, 4).reshape(-1, 1))
+        first = backprop(net, cache, np.eye(4)[:, :1])
+        second = backprop(net, cache, np.eye(4)[:, 1:2])
+        assert not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
 
     @pytest.mark.parametrize("hidden_act", ["tanh", "relu"])
     @pytest.mark.parametrize("head", ["mse", "cross_entropy"])
@@ -178,7 +191,7 @@ class TestBackprop:
             out, cache = forward(m, xs)
             lv = mse_loss(out, target)
             grad = backprop(m, cache, lv.grad)
-            grad.weights[0] = grad.weights[0] * 1.5  # injected fault
+            layer_views(m.widths, grad)[0][0][...] *= 1.5  # injected fault
             return lv.value, grad
 
         assert grad_check(net, bad_loss_fn, fd_step=1e-6, num_checks=80, seed=0) > 1e-2
@@ -196,34 +209,51 @@ class TestBackprop:
         # FD of a quadratic has no truncation error; a wide step leaves only rounding
         assert grad_check(net, loss_fn, fd_step=1e-4, num_checks=8, seed=1) < 1e-9
 
+    @pytest.mark.parametrize("failing_call", [2, 3])
+    def test_raising_loss_leaves_parameters_unperturbed(self, failing_call):
+        net = init_mlp([2, 4, 1], std=0.3, seed=0)
+        before = [a.copy() for a in net.weights + net.biases]
+        xs = np.ones((3, 2))
+        calls = []
+
+        def loss_fn(m):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise RuntimeError("loss failed")
+            out, cache = forward(m, xs)
+            lv = mse_loss(out, np.zeros_like(out))
+            return lv.value, backprop(m, cache, lv.grad)
+
+        with pytest.raises(RuntimeError):
+            grad_check(net, loss_fn, fd_step=1e-3, num_checks=5, seed=0)
+        for a, b in zip(net.weights + net.biases, before):
+            assert np.array_equal(a, b)
+
 
 class TestSgdAndSchedule:
     def test_zero_gradient_is_fixed_point(self):
         net = init_mlp([2, 4, 1], std=0.3, seed=8)
-        before = params_to_vector(net).copy()
-        sgd_step(net, ParamGrad.zeros_like(net), lr=0.5)
-        assert np.array_equal(params_to_vector(net), before)
+        before = net.params.copy()
+        sgd_step(net, np.zeros_like(net.params), lr=0.5)
+        assert np.array_equal(net.params, before)
 
     def test_scalar_update_definition(self):
         net = init_mlp([1, 1], std=0.1, seed=0)
         net.weights[0][...] = 2.0
         net.biases[0][...] = 0.0
-        grad = ParamGrad.zeros_like(net)
-        grad.weights[0][...] = 0.5
+        grad = np.zeros_like(net.params)
+        layer_views(net.widths, grad)[0][0][...] = 0.5
         sgd_step(net, grad, lr=1.0)
         assert net.weights[0][0, 0] == 1.5
 
     def test_two_half_steps_equal_one_step(self):
         a = init_mlp([2, 3, 1], std=0.3, seed=9)
         b = init_mlp([2, 3, 1], std=0.3, seed=9)
-        grad = ParamGrad.zeros_like(a)
-        rng = np.random.default_rng(5)
-        for g in grad.weights + grad.biases:
-            g[...] = rng.standard_normal(g.shape)
+        grad = np.random.default_rng(5).standard_normal(a.params.size)
         sgd_step(a, grad, lr=0.2)
         sgd_step(b, grad, lr=0.1)
         sgd_step(b, grad, lr=0.1)
-        assert params_to_vector(a) == pytest.approx(params_to_vector(b), abs=1e-15)
+        assert a.params == pytest.approx(b.params, abs=1e-15)
 
     def test_lr_schedule_values(self):
         assert lr_at(5e-6, 10_000, 0) == 5e-6
@@ -238,14 +268,44 @@ class TestSgdAndSchedule:
         with pytest.raises(ValueError):
             lr_at(0.0, 0, 0)
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_sgd_step_rejects_bad_rate(self, lr):
+        net = init_mlp([2, 4, 1], std=0.3, seed=8)
+        before = net.params.copy()
+        with pytest.raises(ValueError):
+            sgd_step(net, np.ones_like(net.params), lr)
+        assert np.array_equal(net.params, before)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_lr_at_rejects_bad_rate(self, lr):
+        with pytest.raises(ValueError):
+            lr_at(lr, 0, 0)
+
 
 class TestParamVector:
     def test_roundtrip(self):
         net = init_mlp([3, 5, 2], std=0.2, seed=10)
-        vec = params_to_vector(net).copy()
-        set_params_from_vector(net, vec * 2.0)
-        assert params_to_vector(net) == pytest.approx(vec * 2.0)
-        assert net.num_params == len(vec)
+        vec = net.params.copy()
+        net.params[...] = vec * 2.0
+        layers = np.concatenate([np.append(w.ravel(), b) for w, b in zip(net.weights, net.biases)])
+        assert layers == pytest.approx(vec * 2.0)
+        assert net.params.size == len(vec)
+
+    def test_views_write_through_both_ways(self):
+        net = init_mlp([3, 5, 2], std=0.2, seed=10)
+        net.weights[1][4, 1] = 7.0
+        net.biases[0][2] = -3.0
+        assert net.params[15 + 5 + 4 * 2 + 1] == 7.0
+        assert net.params[15 + 2] == -3.0
+        net.params[-1] = 11.0
+        assert net.biases[1][1] == 11.0
+
+    @pytest.mark.parametrize("shape", [(31,), (33,), (32, 1)])
+    def test_layer_views_rejects_wrong_shape(self, shape):
+        # [3, 5, 2] has 3*5 + 5 + 5*2 + 2 = 32 parameters
+        assert len(layer_views((3, 5, 2), np.zeros(32))) == 2
+        with pytest.raises(ValueError):
+            layer_views((3, 5, 2), np.zeros(shape))
 
     def test_deterministic_training_trajectory(self):
         xs = np.linspace(-1, 1, 16).reshape(-1, 1)
@@ -257,6 +317,6 @@ class TestParamVector:
                 out, cache = forward(net, xs)
                 lv = mse_loss(out, target)
                 sgd_step(net, backprop(net, cache, lv.grad), lr=1e-2)
-            return params_to_vector(net)
+            return net.params
 
         assert np.array_equal(train(), train())
