@@ -1,6 +1,7 @@
 """MNIST ingestion and the 1-d reduction used for frequency analysis:
 IDX parsing, mean-centering, leading principal direction by power iteration,
-and projection rescaled to [0, 1].
+and projection rescaled to [0, 1]; pca_project returns the coordinates, one
+scalar per sample.
 
 MNIST files are an external input (optionally gzipped); a seeded synthetic
 two-blob dataset stands in when no files are available.
@@ -20,7 +21,6 @@ from .errors import ConfigError
 
 __all__ = [
     "ImageSet",
-    "PcaProjection",
     "IdxFormatError",
     "PowerIterationError",
     "parse_idx_images",
@@ -70,12 +70,6 @@ class ImageSet:
         out = np.zeros((NUM_CLASSES, self.num_samples))
         out[self.labels, np.arange(self.num_samples)] = 1.0
         return out
-
-
-@dataclass
-class PcaProjection:
-    direction: np.ndarray   # unit vector, n_pixels
-    coords: np.ndarray      # projected, rescaled scalars in [0, 1]
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
@@ -195,12 +189,12 @@ def project_rescale(X: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
 
 def pca_project(images: ImageSet, tol: float = 1e-10, max_iters: int = 10_000,
-                seed: int = 0) -> PcaProjection:
+                seed: int = 0) -> np.ndarray:
     """Full reduction: center, leading direction, projection onto [0, 1].
 
-    The projection is taken against the centered images; the rescale absorbs
-    the constant shift, so the coordinates match projecting the raw images.
+    Returns one coordinate per sample. The projection is taken against the
+    centered images; the rescale absorbs the constant shift, so the
+    coordinates match projecting the raw images.
     """
     Xc = center(images.images)
-    p1 = leading_eigenvector(Xc, tol=tol, max_iters=max_iters, seed=seed)
-    return PcaProjection(direction=p1, coords=project_rescale(Xc, p1))
+    return project_rescale(Xc, leading_eigenvector(Xc, tol=tol, max_iters=max_iters, seed=seed))

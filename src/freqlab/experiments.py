@@ -49,13 +49,13 @@ from .poisson import (
     g_rhs,
     hand_off,
     iterate,
+    residual_inf,
     run_hybrid,  # unused here; see the module docstring
     thomas_solve,
 )
 from .reporting import stopwatch, write_atomic, write_csv, write_svg_lines
 from .spectral import (
     FreqTrace,
-    Spectrum,
     dft_uniform,
     grad_decomposition,
     nufft_direct,
@@ -96,7 +96,7 @@ def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
 
 
 def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float],
-                       transform: Callable[[np.ndarray], Spectrum],
+                       transform: Callable[[np.ndarray], np.ndarray],
                        target_values: np.ndarray) -> tuple[FreqTrace, Callable]:
     """A FreqTrace over the peaks of transform(target_values), and record(epoch,
     loss, values), which appends recording step epoch // cfg.record_every with
@@ -213,7 +213,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     images = _load_images(cfg, seed)
-    coords = datamod.pca_project(images, seed=seed).coords
+    coords = datamod.pca_project(images, seed=seed)
     onehot = images.onehot().T                      # (n, 10)
     X = images.images.T                             # (n, pixels)
 
@@ -250,11 +250,11 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 # Poisson experiments
 
 
-def _poisson_setup(cfg: ExperimentConfig):
+def _poisson_setup(cfg: ExperimentConfig) -> tuple[Grid1D, np.ndarray, np.ndarray]:
+    """The grid, the right-hand side and the direct solution on all n+1 points."""
     grid = Grid1D(n=cfg.grid_n)
-    system = assemble_poisson(grid, g_rhs)
-    ref = thomas_solve(system)
-    return grid, system, ref
+    rhs = assemble_poisson(grid, g_rhs)
+    return grid, rhs, thomas_solve(rhs)
 
 
 def _tracked_modes(peaks, n: int) -> tuple[int, ...]:
@@ -264,23 +264,23 @@ def _tracked_modes(peaks, n: int) -> tuple[int, ...]:
 
 
 def run_poisson_direct(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    grid, system, ref = _poisson_setup(cfg)
-    spec = dft_uniform(ref.full)
+    grid, rhs, ref = _poisson_setup(cfg)
+    spec = dft_uniform(ref)
     peaks = pick_peaks(spec, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
-    write_csv(out_dir / "solution.csv", ["x", "u_star"], [[x, u] for x, u in zip(grid.points, ref.full)])
+    write_csv(out_dir / "solution.csv", ["x", "u_star"], [[x, u] for x, u in zip(grid.points, ref)])
     half = len(spec) // 2
     write_csv(out_dir / "spectrum.csv", ["gamma", "amplitude", "is_peak"],
-              [[g, float(abs(spec.coefficients[g])), int(g in peaks)] for g in range(half + 1)])
-    return {"residual_inf": ref.residual_inf, "peaks": list(peaks),
-            "sup_u_star": float(np.max(np.abs(ref.full)))}
+              [[g, float(abs(spec[g])), int(g in peaks)] for g in range(half + 1)])
+    return {"residual_inf": residual_inf(rhs, ref[1:-1]), "peaks": list(peaks),
+            "sup_u_star": float(np.max(np.abs(ref)))}
 
 
 def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    _, system, ref = _poisson_setup(cfg)
-    peaks = pick_peaks(dft_uniform(ref.full), cfg.peak_max_count, cfg.peak_min_rel_amplitude)
+    _, rhs, ref = _poisson_setup(cfg)
+    peaks = pick_peaks(dft_uniform(ref), cfg.peak_max_count, cfg.peak_min_rel_amplitude)
     modes = _tracked_modes(peaks, cfg.grid_n)
-    tol = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
-    run = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
+    tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
+    run = iterate(rhs, np.zeros(rhs.size), ref[1:-1], method=cfg.hybrid_method,
                   max_iters=cfg.max_iters, track_modes=modes, tol=tol, timing=cfg.timing)
     its = range(run.iterations + 1)
     write_csv(out_dir / "iters.csv", ["iter", "wall_ms", "sup_error"] + [f"alpha_{k}" for k in run.alphas],
@@ -305,8 +305,8 @@ def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
 def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
-    grid, system, ref = _poisson_setup(cfg)
-    trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, ref.full)
+    grid, _, ref = _poisson_setup(cfg)
+    trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, ref)
 
     sup_errors: list[float] = []
     descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
@@ -315,15 +315,15 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         if epoch % cfg.record_every == 0:
             u_pred = out[:, 0]
             record(epoch, loss, u_pred)
-            sup_errors.append(float(np.max(np.abs(u_pred - ref.full))))
+            sup_errors.append(float(np.max(np.abs(u_pred - ref))))
 
     metrics = _emit_trace(cfg, out_dir, trace, "energy-trained network vs direct solution")
     write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"],
               zip(trace.steps, trace.epochs, sup_errors))
     write_csv(out_dir / "solution.csv", ["x", "u_dnn", "u_star"],
-              [[x, up, us] for x, up, us in zip(grid.points, u_pred, ref.full)])
+              [[x, up, us] for x, up, us in zip(grid.points, u_pred, ref)])
     return {**metrics, "final_sup_error": sup_errors[-1],
-            "rel_sup_error": sup_errors[-1] / float(np.max(np.abs(ref.full)))}
+            "rel_sup_error": sup_errors[-1] / float(np.max(np.abs(ref)))}
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +363,12 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     2p + max(1, p // 4) + 2 training steps instead of three replays from step
     0, with the same files. All training finishes before the first hand-off.
     """
-    grid, system, ref = _poisson_setup(cfg)
+    grid, rhs, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
-    tol = cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star)))
+    tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
 
     def train_phase() -> TrainPhase:
-        return TrainPhase(system, _energy_training_stream(cfg, seed, grid, gvals), ref, cfg.record_every,
+        return TrainPhase(_energy_training_stream(cfg, seed, grid, gvals), ref, cfg.record_every,
                           cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
 
     stream = train_phase()
@@ -376,9 +376,9 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     plateau_step = at_plateau.step
     at_late = stream.run(min(2 * plateau_step, cfg.epochs))
     at_early = train_phase().run(max(1, plateau_step // 4))
-    labelled = [(label, at, hand_off(system, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
+    labelled = [(label, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
                 for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
-    cold = iterate(system, np.zeros(system.size), ref.u_star, method=cfg.hybrid_method,
+    cold = iterate(rhs, np.zeros(rhs.size), ref[1:-1], method=cfg.hybrid_method,
                    max_iters=cfg.max_iters, tol=tol, timing=cfg.timing)
 
     for label, at, run in labelled:

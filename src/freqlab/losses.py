@@ -7,6 +7,7 @@ the network outputs, so the network backward pass stays loss-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +76,15 @@ def cross_entropy_loss(probs: np.ndarray, onehot: np.ndarray) -> LossValueGrad:
 
 def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D, beta: float) -> LossValueGrad:
     """Discrete boundary-penalized energy of a grid function on grid, with
-    penalty weight beta >= 0.
+    finite penalty weight beta >= 0.
 
     value = dx * sum_i 0.5*((u_{i+1}-u_i)/dx)^2 - dx * sum_i g_i u_i
             + beta * (u_0^2 + u_n^2)
     using forward differences and rectangle-rule weights; grad is the exact
     derivative with respect to every u_i.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     u = np.asarray(u_grid, dtype=float)
     g = np.asarray(g_grid, dtype=float)
     npts = grid.n + 1
@@ -109,8 +110,8 @@ def discrete_energy_minimizer(g_grid: np.ndarray, grid: Grid1D, beta: float) -> 
     """Exact minimizer of energy_loss(., g_grid, grid, beta) over all grid functions.
 
     The energy is a convex quadratic; its stationarity conditions form a
-    tridiagonal SPD system (for beta > 0) solved directly. beta = 0 leaves
-    the constant mode unpinned and is rejected.
+    tridiagonal SPD system (for finite beta > 0) solved directly. beta = 0
+    leaves the constant mode unpinned and is rejected.
     """
     g = np.asarray(g_grid, dtype=float)
     npts = grid.n + 1
@@ -118,8 +119,9 @@ def discrete_energy_minimizer(g_grid: np.ndarray, grid: Grid1D, beta: float) -> 
         raise ValueError(f"expected grid vector of length {npts}")
     if npts < 3:
         raise ValueError("energy minimizer needs at least 3 grid points")
-    if beta <= 0:
-        raise ValueError("beta must be positive; beta = 0 makes the system singular")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}; "
+                         "beta = 0 makes the system singular")
     dx = grid.dx
     diag = np.full(npts, 2.0 / dx)
     diag[0] = diag[-1] = 1.0 / dx + 2.0 * beta

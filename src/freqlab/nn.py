@@ -117,8 +117,10 @@ def init_mlp(
         raise ValueError(f"unknown hidden activation {hidden_activation!r}")
     if output_activation not in OUTPUT_ACTIVATIONS:
         raise ValueError(f"unknown output activation {output_activation!r}")
-    if not std > 0:
-        raise ValueError(f"init std must be positive, got {std}")
+    if not 0.0 < std < math.inf:
+        raise ValueError(f"init std must be finite and positive, got {std}")
+    if not -math.inf < mean < math.inf:
+        raise ValueError(f"init mean must be finite, got {mean}")
     rng = np.random.Generator(np.random.PCG64(seed))
     params = np.empty(_param_count(widths))
     for w, b in layer_views(widths, params):

@@ -3,7 +3,11 @@
 Central-difference discretization, direct tridiagonal solve, Jacobi and
 Gauss-Seidel iterations, sine-mode error analysis of the Jacobi recursion,
 and a hybrid that warm-starts an iterative method from an externally trained
-grid approximation. The hybrid is two phases: a resumable TrainPhase, which
+grid approximation. The system is its right-hand side: assemble_poisson
+returns rhs at the n-1 interior nodes, and every solver and stepper applies
+the constant 2/-1 stencil itself. thomas_solve returns the direct solution on
+all n+1 grid points, boundary zeros included; the iterations work on the
+interior [1:-1]. The hybrid is two phases: a resumable TrainPhase, which
 takes its stop policy once and returns a SwitchPoint per run, and hand_off,
 which iterates from a SwitchPoint and returns the IterativeRun; run_hybrid
 composes them on one stream. Both histories, IterativeRun and the phase-one
@@ -23,8 +27,6 @@ from .reporting import stopwatch
 
 __all__ = [
     "Grid1D",
-    "TridiagSystem",
-    "ReferenceSolution",
     "IterativeRun",
     "SwitchPoint",
     "TrainPhase",
@@ -32,6 +34,7 @@ __all__ = [
     "g_rhs",
     "assemble_poisson",
     "solve_tridiagonal",
+    "residual_inf",
     "thomas_solve",
     "jacobi_step",
     "gauss_seidel_step",
@@ -65,46 +68,27 @@ class Grid1D:
         return -1.0 + self.dx * np.arange(self.n + 1)
 
 
-@dataclass
-class TridiagSystem:
-    """The (n-1)x(n-1) system A u = rhs from central differencing.
-
-    A is the constant stencil 2 on the diagonal and -1 off it, which the
-    solvers and steppers apply directly; rhs_i = dx^2 * g(x_i) at the
-    interior nodes i = 1..n-1.
-    """
-
-    n: int
-    rhs: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.n - 1
-
-
-@dataclass
-class ReferenceSolution:
-    """Direct solution of a TridiagSystem with boundary zeros appended."""
-
-    u_star: np.ndarray       # interior values, length n-1
-    full: np.ndarray         # length n+1, zeros at both ends
-    residual_inf: float      # ||A u_star - rhs||_inf of the computed solution
-
-
 def g_rhs(x):
     """Source term sin(x) + 4 sin(4x) - 8 sin(8x) + 16 sin(24x)."""
     x = np.asarray(x, dtype=float)
     return np.sin(x) + 4.0 * np.sin(4.0 * x) - 8.0 * np.sin(8.0 * x) + 16.0 * np.sin(24.0 * x)
 
 
-def assemble_poisson(grid: Grid1D, g_fn: Callable[[np.ndarray], np.ndarray] = g_rhs) -> TridiagSystem:
-    """Central-difference system for -u'' = g on the grid, zero boundaries."""
+def assemble_poisson(grid: Grid1D, g_fn: Callable[[np.ndarray], np.ndarray] = g_rhs) -> np.ndarray:
+    """Right-hand side of the central-difference system A u = rhs for -u'' = g
+    on the grid with zero boundaries: rhs_i = dx^2 * g(x_i) at the interior
+    nodes i = 1..n-1, so rhs.size = n - 1.
+
+    A is the constant (n-1)x(n-1) stencil 2 on the diagonal and -1 off it,
+    which the solvers and steppers apply themselves; the right-hand side is
+    the whole system.
+    """
     m = grid.n - 1
     xs = grid.points[1:-1]
     rhs = grid.dx ** 2 * np.asarray(g_fn(xs), dtype=float)
     if rhs.shape != (m,):
         raise ValueError(f"g_fn returned shape {rhs.shape}, expected ({m},)")
-    return TridiagSystem(n=grid.n, rhs=rhs)
+    return rhs
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -138,45 +122,49 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     return u
 
 
-def _residual_inf(system: TridiagSystem, u: np.ndarray) -> float:
-    r = 2.0 * u - system.rhs
+def _check_interior(rhs: np.ndarray, u: np.ndarray) -> None:
+    if u.shape != (rhs.size,):
+        raise ValueError(f"expected interior vector of length {rhs.size}, got shape {u.shape}")
+
+
+def residual_inf(rhs: np.ndarray, u: np.ndarray) -> float:
+    """||A u - rhs||_inf for interior values u."""
+    _check_interior(rhs, u)
+    r = 2.0 * u - rhs
     r[1:] -= u[:-1]
     r[:-1] -= u[1:]
     return float(np.max(np.abs(r)))
 
 
-def thomas_solve(system: TridiagSystem) -> ReferenceSolution:
-    """Direct banded solve of A u = rhs; the reference the iterations chase."""
-    m = system.size
+def thomas_solve(rhs: np.ndarray) -> np.ndarray:
+    """Direct banded solve of A u = rhs, the reference the iterations chase,
+    on all n+1 grid points: zeros at both ends, u at the interior [1:-1]."""
+    m = rhs.size
     off = np.full(m - 1, -1.0)
-    u = solve_tridiagonal(off, np.full(m, 2.0), off, system.rhs)
-    res = _residual_inf(system, u)
+    u = solve_tridiagonal(off, np.full(m, 2.0), off, rhs)
+    res = residual_inf(rhs, u)
     # backward-stable bound: fp64 cannot do better than ~eps * (||A|| ||u|| + ||rhs||)
-    scale = 4.0 * np.max(np.abs(u), initial=0.0) + np.max(np.abs(system.rhs), initial=0.0)
+    scale = 4.0 * np.max(np.abs(u), initial=0.0) + np.max(np.abs(rhs), initial=0.0)
     if not res <= 1e-12 * max(scale, 1e-300):
         raise RuntimeError(f"tridiagonal solve residual {res:g} out of bounds")
-    full = np.zeros(system.n + 1)
+    full = np.zeros(m + 2)
     full[1:-1] = u
-    return ReferenceSolution(u_star=u, full=full, residual_inf=res)
+    return full
 
 
-def jacobi_step(system: TridiagSystem, u: np.ndarray) -> np.ndarray:
+def jacobi_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Jacobi sweep: u_i <- (u_{i-1} + u_{i+1} + rhs_i) / 2, boundaries zero."""
-    m = system.size
-    if u.shape != (m,):
-        raise ValueError(f"expected interior vector of length {m}, got shape {u.shape}")
-    ext = np.zeros(m + 2)
+    _check_interior(rhs, u)
+    ext = np.zeros(rhs.size + 2)
     ext[1:-1] = u
-    return (ext[:-2] + ext[2:] + system.rhs) * 0.5
+    return (ext[:-2] + ext[2:] + rhs) * 0.5
 
 
-def gauss_seidel_step(system: TridiagSystem, u: np.ndarray) -> np.ndarray:
+def gauss_seidel_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One forward Gauss-Seidel sweep; new values used as soon as available."""
-    m = system.size
-    if u.shape != (m,):
-        raise ValueError(f"expected interior vector of length {m}, got shape {u.shape}")
+    _check_interior(rhs, u)
+    m = rhs.size
     w = u.copy()
-    rhs = system.rhs
     left = 0.0
     for i in range(m):
         right = w[i + 1] if i + 1 < m else 0.0
@@ -260,7 +248,7 @@ class IterativeRun:
 
 
 def iterate(
-    system: TridiagSystem,
+    rhs: np.ndarray,
     u0: np.ndarray,
     u_star: np.ndarray,
     method: str = "jacobi",
@@ -278,10 +266,11 @@ def iterate(
         raise ValueError(f"unknown method {method!r}")
     step_fn = STEPPERS[method]
     u = np.array(u0, dtype=float, copy=True)
+    _check_interior(rhs, u)
     if u.shape != u_star.shape:
         raise ValueError("u0 and u_star shapes differ")
     track = tuple(track_modes)
-    n = system.n
+    n = rhs.size + 1
     basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), n - 1)
     run = IterativeRun(alphas={k: [] for k in track})
     elapsed = stopwatch(timing)
@@ -297,7 +286,7 @@ def iterate(
     for _ in range(max_iters):
         if tol is not None and run.sup_errors[-1] <= tol:
             break
-        u = step_fn(system, u)
+        u = step_fn(rhs, u)
         record()
     return run
 
@@ -336,8 +325,10 @@ class TrainPhase:
     """Phase 1 of the hybrid: one training stream, consumed up to switch points.
 
     solver_stream yields (full-grid values, loss) per training step, starting
-    with the untrained state at step 0. The stop policy is fixed here: every
-    record_every-th step is recorded against reference, and without a switch
+    with the untrained state at step 0; each state has reference's shape, the
+    direct solution on all n+1 points that thomas_solve returns. The stop
+    policy is fixed here: every record_every-th step is recorded with its sup
+    error against reference over the interior [1:-1], and without a switch
     step training stops once the windowed-mean loss flattens (relative change
     at most plateau_tol between adjacent windows of plateau_window recorded
     samples), and in any case at max_steps. Each run resumes the stream where
@@ -345,16 +336,15 @@ class TrainPhase:
     points; the recorded columns and the stopwatch carry on across runs.
     """
 
-    def __init__(self, system: TridiagSystem, solver_stream: Iterator[tuple[np.ndarray, float]],
-                 reference: ReferenceSolution, record_every: int = 1, plateau_window: int = 200,
-                 plateau_tol: float = 0.01, max_steps: int = 200_000, timing: bool = False):
+    def __init__(self, solver_stream: Iterator[tuple[np.ndarray, float]], reference: np.ndarray,
+                 record_every: int = 1, plateau_window: int = 200, plateau_tol: float = 0.01,
+                 max_steps: int = 200_000, timing: bool = False):
         if record_every < 1:
             raise ValueError("record_every must be >= 1")
         if plateau_window < 2:
             raise ValueError("plateau_window must be >= 2")
         if not plateau_tol > 0:
             raise ValueError("plateau_tol must be positive")
-        self._system = system
         self._reference = reference
         self._record_every = record_every
         self._plateau_window = plateau_window
@@ -381,11 +371,11 @@ class TrainPhase:
             for step, (grid_values, loss) in self._stream:
                 self._step = step
                 self._grid = np.asarray(grid_values, dtype=float)
-                if self._grid.shape != (self._system.n + 1,):
+                if self._grid.shape != self._reference.shape:
                     raise ValueError(f"stream yielded shape {self._grid.shape}, "
-                                     f"expected ({self._system.n + 1},)")
+                                     f"expected {self._reference.shape}")
                 if step % self._record_every == 0:
-                    sup = float(np.max(np.abs(self._grid[1:-1] - self._reference.u_star)))
+                    sup = float(np.max(np.abs(self._grid[1:-1] - self._reference[1:-1])))
                     self._steps.append(step)
                     self._wall_ms.append(self._elapsed())
                     self._losses.append(float(loss))
@@ -405,7 +395,7 @@ class TrainPhase:
                            self._losses[:], self._sup_errors[:])
 
 
-def hand_off(system: TridiagSystem, reference: ReferenceSolution, at: SwitchPoint, method: str,
+def hand_off(rhs: np.ndarray, reference: np.ndarray, at: SwitchPoint, method: str,
              max_iters: int, tol: float, timing: bool = False) -> IterativeRun:
     """Phase 2 of the hybrid: iterate method from the grid values at a switch
     point until the sup error reaches tol or for max_iters sweeps.
@@ -417,23 +407,23 @@ def hand_off(system: TridiagSystem, reference: ReferenceSolution, at: SwitchPoin
     _require_positive_tol(tol)
     if not np.all(np.isfinite(at.grid_values)):
         raise DivergenceError(at.step, f"non-finite grid values at switch step {at.step}")
-    return iterate(system, at.grid_values[1:-1], reference.u_star, method=method,
+    return iterate(rhs, at.grid_values[1:-1], reference[1:-1], method=method,
                    max_iters=max_iters, tol=tol, timing=timing)
 
 
-def run_hybrid(system: TridiagSystem, solver_stream: Iterator[tuple[np.ndarray, float]], tol: float,
+def run_hybrid(rhs: np.ndarray, solver_stream: Iterator[tuple[np.ndarray, float]], tol: float,
                switch_step: int | None = None, method: str = "jacobi", max_iters: int = 200_000,
                timing: bool = False, **policy) -> tuple[SwitchPoint, IterativeRun]:
     """Train until the switch point, then hand the grid values to an iterative method.
 
-    The two phases on one fresh stream against the system's own direct solve:
-    TrainPhase(system, solver_stream, reference, **policy, timing=timing)
+    The two phases on one fresh stream against reference = thomas_solve(rhs):
+    TrainPhase(solver_stream, reference, **policy, timing=timing)
     .run(switch_step), then hand_off. policy takes TrainPhase's record_every,
     plateau_window, plateau_tol and max_steps. Callers that hand one stream
     off at several switch points, or already hold the reference, use the
     phases directly.
     """
     _require_positive_tol(tol)
-    reference = thomas_solve(system)
-    at = TrainPhase(system, solver_stream, reference, **policy, timing=timing).run(switch_step)
-    return at, hand_off(system, reference, at, method, max_iters, tol, timing)
+    reference = thomas_solve(rhs)
+    at = TrainPhase(solver_stream, reference, **policy, timing=timing).run(switch_step)
+    return at, hand_off(rhs, reference, at, method, max_iters, tol, timing)

@@ -2,9 +2,12 @@
 per-recording-step trace of relative frequency differences (FreqTrace, one
 list per column), and the per-mode decomposition of a training gradient.
 
-All transforms are exact direct summations (O(N^2) / O(nK)); at the sample
-sizes used here that is cheap and keeps every value independently checkable
-against a second summation.
+A spectrum is its complex coefficient vector, indexed by integer frequency:
+dft_uniform and nufft_direct return it and reject non-finite coefficients,
+and pick_peaks and rel_freq_diff read it as it stands. All transforms are
+exact direct summations (O(N^2) / O(nK)); at the sample sizes used here that
+is cheap and keeps every value independently checkable against a second
+summation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .nn import Mlp, backprop, forward
 
 __all__ = [
     "DF_DENOMINATORS",
-    "Spectrum",
     "FreqTrace",
     "GradDecomposition",
     "dft_uniform",
@@ -37,46 +39,35 @@ _DENOM_FLOOR = 1e-14
 DF_DENOMINATORS = ("target", "model")
 
 
-@dataclass
-class Spectrum:
-    """Complex Fourier coefficients indexed by integer frequency.
+def _finite(coefficients: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("spectrum coefficients must be finite")
+    return coefficients
 
-    Convention: coefficients[gamma] = sum_j values_j * exp(-2*pi*i * x_j * gamma)
-    with nodes x_j in [0, 1]; uniform sampling uses x_j = j/N.
+
+def dft_uniform(values) -> np.ndarray:
+    """Unnormalized forward DFT of uniformly sampled values (direct summation).
+
+    Returns the complex coefficients c[gamma] = sum_j values_j *
+    exp(-2*pi*i * x_j * gamma) at the nodes x_j = j/N, gamma = 0..N-1; a
+    non-finite coefficient raises ValueError.
     """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=complex)
-        if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
-            raise ValueError("spectrum needs a nonempty 1-d coefficient vector")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("spectrum coefficients must be finite")
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.coefficients)
-
-
-def dft_uniform(values) -> Spectrum:
-    """Unnormalized forward DFT of uniformly sampled values (direct summation)."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("dft_uniform needs a nonempty 1-d vector")
     n = v.size
     j = np.arange(n)
     phase = np.exp((-2j * math.pi / n) * np.outer(j, j))
-    return Spectrum(phase @ v)
+    return _finite(phase @ v)
 
 
-def nufft_direct(points, values, num_freqs: int) -> Spectrum:
+def nufft_direct(points, values, num_freqs: int) -> np.ndarray:
     """Direct-sum transform of values at nonuniform nodes in [0, 1].
 
-    coefficients[k] = sum_j values_j * exp(-2*pi*i * points_j * k) for
-    k = 0..num_freqs-1. Exact summation, no gridding approximation.
+    Returns the complex coefficients c[k] = sum_j values_j *
+    exp(-2*pi*i * points_j * k) for k = 0..num_freqs-1, the sign and node
+    convention of dft_uniform. Exact summation, no gridding approximation; a
+    non-finite coefficient raises ValueError.
     """
     x = np.asarray(points, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -88,18 +79,18 @@ def nufft_direct(points, values, num_freqs: int) -> Spectrum:
         raise ValueError("nodes must lie in [0, 1]")
     k = np.arange(num_freqs)
     phase = np.exp(-2j * math.pi * np.outer(k, x))
-    return Spectrum(phase @ v)
+    return _finite(phase @ v)
 
 
-def pick_peaks(spectrum: Spectrum, max_count: int = 4, min_rel_amplitude: float = 0.05) -> list[int]:
+def pick_peaks(spectrum: np.ndarray, max_count: int = 4, min_rel_amplitude: float = 0.05) -> list[int]:
     """Dominant local maxima of the amplitude over the first half-spectrum.
 
-    Candidates are local maxima of |coefficients| on 0..len//2 (the window
+    Candidates are local maxima of |spectrum| on 0..len//2 (the window
     boundaries compare against their single inside neighbor), filtered to at
     least min_rel_amplitude of the window maximum; the max_count largest
     survive, returned in ascending frequency order.
     """
-    amps = spectrum.amplitudes()
+    amps = np.abs(spectrum)
     half = len(amps) // 2
     window = amps[: half + 1]
     top = float(window.max())
@@ -114,8 +105,8 @@ def pick_peaks(spectrum: Spectrum, max_count: int = 4, min_rel_amplitude: float 
 
 
 def rel_freq_diff(
-    model_spec: Spectrum,
-    target_spec: Spectrum,
+    model_spec: np.ndarray,
+    target_spec: np.ndarray,
     freq_index: int,
     denominator: str = "target",
 ) -> float:
@@ -127,9 +118,9 @@ def rel_freq_diff(
         raise ValueError(f"denominator must be one of {DF_DENOMINATORS}, got {denominator!r}")
     if not 0 <= freq_index < min(len(model_spec), len(target_spec)):
         raise IndexError(f"frequency index {freq_index} out of range")
-    num = abs(model_spec.coefficients[freq_index] - target_spec.coefficients[freq_index])
+    num = abs(model_spec[freq_index] - target_spec[freq_index])
     den_spec = target_spec if denominator == "target" else model_spec
-    den = abs(den_spec.coefficients[freq_index])
+    den = abs(den_spec[freq_index])
     if den < _DENOM_FLOOR:
         return math.inf
     return float(num / den)

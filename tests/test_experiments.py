@@ -151,17 +151,17 @@ class TestPoissonRunners:
         rows = read_csv(tmp_path / "iters.csv")
         assert len(rows) == report.metrics["iterations"] + 1 == 41
         # replay the sweeps: every column of row i describes the state after i sweeps
-        system = assemble_poisson(Grid1D(n=n), g_rhs)
-        ref = thomas_solve(system)
+        rhs = assemble_poisson(Grid1D(n=n), g_rhs)
+        ref = thomas_solve(rhs)
         u = np.zeros(n - 1)
         for i, row in enumerate(rows):
             assert int(row["iter"]) == i
-            err = u - ref.u_star
+            err = u - ref[1:-1]
             assert float(row["sup_error"]) == np.max(np.abs(err))
             amps = mode_amplitudes(err, n)
             for k in report.metrics["tracked_modes"]:
                 assert float(row[f"alpha_{k}"]) == pytest.approx(amps[k - 1], rel=1e-12, abs=1e-15)
-            u = jacobi_step(system, u)
+            u = jacobi_step(rhs, u)
 
     def test_poisson_dnn_short_run(self, tmp_path):
         cfg = tiny("desk-poisson-dnn", hidden_widths=(32, 16), epochs=40, record_every=20)
@@ -208,12 +208,12 @@ class TestDJacobi:
         from freqlab.experiments import _energy_training_stream, _poisson_setup
 
         cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16)
-        grid, system, ref = _poisson_setup(cfg)
+        grid, rhs, ref = _poisson_setup(cfg)
         gvals = g_rhs(grid.points)
         stream = _energy_training_stream(cfg, 3, grid, gvals)
-        _, run = run_hybrid(system, stream, 1e-4, switch_step=0, max_iters=50_000)
+        _, run = run_hybrid(rhs, stream, 1e-4, switch_step=0, max_iters=50_000)
         u0_full = next(_energy_training_stream(cfg, 3, grid, gvals))[0]
-        direct = iterate(system, u0_full[1:-1], ref.u_star, max_iters=50_000, tol=1e-4)
+        direct = iterate(rhs, u0_full[1:-1], ref[1:-1], max_iters=50_000, tol=1e-4)
         assert run.iterations == direct.iterations
 
 
@@ -222,12 +222,12 @@ def _replayed_hybrids(cfg, seed):
     fresh stream from step 0: (SwitchPoint, IterativeRun) pairs."""
     from freqlab.poisson import g_rhs, run_hybrid
 
-    grid, system, ref = ex._poisson_setup(cfg)
+    grid, rhs, ref = ex._poisson_setup(cfg)
     gvals = g_rhs(grid.points)
 
     def hybrid(switch_step):
-        return run_hybrid(system, ex._energy_training_stream(cfg, seed, grid, gvals),
-                          cfg.iter_tol_rel * float(np.max(np.abs(ref.u_star))), switch_step,
+        return run_hybrid(rhs, ex._energy_training_stream(cfg, seed, grid, gvals),
+                          cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1]))), switch_step,
                           cfg.hybrid_method, cfg.max_iters, record_every=cfg.record_every,
                           plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
                           max_steps=cfg.epochs)
@@ -260,8 +260,8 @@ class TestDJacobiOneStream:
             forwards.append(1)
             return real_forward(*args)
 
-        def captured(system, reference, at, *args, **kwargs):
-            run = real_hand_off(system, reference, at, *args, **kwargs)
+        def captured(rhs, reference, at, *args, **kwargs):
+            run = real_hand_off(rhs, reference, at, *args, **kwargs)
             hand_offs.append(_hand_off_fields(at, run))
             return run
 

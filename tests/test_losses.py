@@ -171,6 +171,11 @@ class TestEnergyLoss:
         with pytest.raises(ValueError, match="beta"):
             energy_loss(np.zeros(17), self.g, self.grid, -1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            energy_loss(np.zeros(17), self.g, self.grid, beta)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_gradient_matches_fd(self, seed):
@@ -204,6 +209,11 @@ class TestEnergyMinimizer:
         with pytest.raises(ValueError):
             discrete_energy_minimizer(np.zeros(17), grid, 0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_non_finite_or_negative_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            discrete_energy_minimizer(np.zeros(17), Grid1D(n=16), beta)
+
     def test_distance_to_direct_solution_decreases_in_beta(self):
         grid = Grid1D(n=64)
         ref = thomas_solve(assemble_poisson(grid, g_rhs))
@@ -211,7 +221,7 @@ class TestEnergyMinimizer:
         dists = []
         for beta in (10.0, 100.0, 1000.0):
             u = discrete_energy_minimizer(g, grid, beta)
-            dists.append(np.max(np.abs(u - ref.full)))
+            dists.append(np.max(np.abs(u - ref)))
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] <= dists[0] / 5.0
 
@@ -221,4 +231,4 @@ class TestEnergyMinimizer:
         ref = thomas_solve(assemble_poisson(grid, g_rhs))
         g = g_rhs(grid.points)
         u = discrete_energy_minimizer(g, grid, 1e8)
-        assert np.max(np.abs(u - ref.full)) < 1e-5
+        assert np.max(np.abs(u - ref)) < 1e-5

@@ -60,6 +60,16 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp([2, 3], std=-1.0)
 
+    @pytest.mark.parametrize("std", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_std_rejected(self, std):
+        with pytest.raises(ValueError, match="std"):
+            init_mlp([1, 2, 1], std=std)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            init_mlp([1, 2, 1], mean=mean)
+
 
 class TestSoftmax:
     def test_symmetric_pair(self):

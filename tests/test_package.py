@@ -1,6 +1,10 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import freqlab
 
 MODULES = ["config", "data", "errors", "experiments", "losses", "nn", "poisson", "reporting", "spectral"]
 
@@ -9,3 +13,12 @@ MODULES = ["config", "data", "errors", "experiments", "losses", "nn", "poisson",
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"freqlab.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements; a check the package relies on must raise instead
+    found = []
+    for path in sorted(Path(freqlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -26,7 +26,7 @@ from freqlab.poisson import (
 )
 
 
-def make_system(n=32, seed=0, g=None):
+def make_rhs(n=32, seed=0, g=None):
     grid = Grid1D(n=n)
     if g is None:
         rng = np.random.default_rng(seed)
@@ -63,48 +63,49 @@ class TestSource:
 
 class TestAssembly:
     def test_n4_matrix_shape_and_entries(self):
-        system = assemble_poisson(Grid1D(n=4), g_rhs)
-        assert system.size == 3
+        rhs = assemble_poisson(Grid1D(n=4), g_rhs)
+        assert rhs.size == 3
         A = poisson_matrix(3)
         assert np.array_equal(A, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         # the Jacobi sweep and the direct solve both act as this matrix
         u = np.array([0.5, -1.0, 2.0])
-        assert np.allclose(jacobi_step(system, u), (system.rhs + (2.0 * np.eye(3) - A) @ u) / 2.0)
-        assert np.allclose(A @ thomas_solve(system).u_star, system.rhs)
+        assert np.allclose(jacobi_step(rhs, u), (rhs + (2.0 * np.eye(3) - A) @ u) / 2.0)
+        assert np.allclose(A @ thomas_solve(rhs)[1:-1], rhs)
 
     def test_zero_source_gives_zero_rhs(self):
-        system = assemble_poisson(Grid1D(n=8), lambda x: np.zeros_like(x))
-        assert np.array_equal(system.rhs, np.zeros(7))
+        rhs = assemble_poisson(Grid1D(n=8), lambda x: np.zeros_like(x))
+        assert np.array_equal(rhs, np.zeros(7))
 
     def test_rhs_scales_with_dx_squared(self):
         g = lambda x: np.ones_like(x)
         s8 = assemble_poisson(Grid1D(n=8), g)
         s16 = assemble_poisson(Grid1D(n=16), g)
-        assert s8.rhs[0] == pytest.approx(4.0 * s16.rhs[0], rel=1e-14)
+        assert s8[0] == pytest.approx(4.0 * s16[0], rel=1e-14)
 
 
 class TestThomas:
     def test_hand_case_n4_unit_source(self):
-        system = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
-        assert np.allclose(system.rhs, 0.25)
-        ref = thomas_solve(system)
-        assert ref.u_star == pytest.approx([0.375, 0.5, 0.375], abs=1e-14)
+        rhs = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
+        assert np.allclose(rhs, 0.25)
+        ref = thomas_solve(rhs)
+        assert ref[1:-1] == pytest.approx([0.375, 0.5, 0.375], abs=1e-14)
 
     def test_zero_source_gives_zero_solution(self):
         ref = thomas_solve(assemble_poisson(Grid1D(n=16), lambda x: np.zeros_like(x)))
-        assert np.array_equal(ref.u_star, np.zeros(15))
-        assert np.array_equal(ref.full, np.zeros(17))
+        assert np.array_equal(ref[1:-1], np.zeros(15))
+        assert np.array_equal(ref, np.zeros(17))
 
     def test_matches_dense_solve_random_rhs(self):
-        system = make_system(n=32, seed=1)
-        ref = thomas_solve(system)
-        dense = np.linalg.solve(poisson_matrix(system.size), system.rhs)
-        assert np.max(np.abs(ref.u_star - dense)) < 1e-12
+        rhs = make_rhs(n=32, seed=1)
+        ref = thomas_solve(rhs)
+        dense = np.linalg.solve(poisson_matrix(rhs.size), rhs)
+        assert np.max(np.abs(ref[1:-1] - dense)) < 1e-12
 
     def test_full_has_zero_boundaries(self):
-        ref = thomas_solve(make_system())
-        assert ref.full[0] == 0.0 and ref.full[-1] == 0.0
-        assert np.array_equal(ref.full[1:-1], ref.u_star)
+        rhs = make_rhs()
+        ref = thomas_solve(rhs)
+        assert ref[0] == 0.0 and ref[-1] == 0.0
+        assert ref.shape == (rhs.size + 2,)
 
     def test_inaccurate_solve_raises_runtime_error(self, monkeypatch):
         # a real exception, so the residual check survives python -O
@@ -113,7 +114,7 @@ class TestThomas:
         real = poisson.solve_tridiagonal
         monkeypatch.setattr(poisson, "solve_tridiagonal", lambda *bands: real(*bands) * (1.0 + 1e-6))
         with pytest.raises(RuntimeError, match="residual"):
-            thomas_solve(make_system())
+            thomas_solve(make_rhs())
 
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -130,38 +131,38 @@ class TestThomas:
 
 class TestSweeps:
     def test_jacobi_hand_sweep_from_zero(self):
-        system = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
-        out = jacobi_step(system, np.zeros(3))
+        rhs = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
+        out = jacobi_step(rhs, np.zeros(3))
         assert out == pytest.approx([0.125, 0.125, 0.125])
 
     def test_jacobi_fixed_point(self):
-        system = make_system(seed=2)
-        ref = thomas_solve(system)
-        assert np.max(np.abs(jacobi_step(system, ref.u_star) - ref.u_star)) < 1e-12
+        rhs = make_rhs(seed=2)
+        ref = thomas_solve(rhs)
+        assert np.max(np.abs(jacobi_step(rhs, ref[1:-1]) - ref[1:-1])) < 1e-12
 
     def test_jacobi_does_not_modify_input(self):
-        system = make_system()
-        u = np.ones(system.size)
+        rhs = make_rhs()
+        u = np.ones(rhs.size)
         before = u.copy()
-        jacobi_step(system, u)
+        jacobi_step(rhs, u)
         assert np.array_equal(u, before)
 
     def test_gauss_seidel_hand_sweep(self):
-        system = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
-        out = gauss_seidel_step(system, np.zeros(3))
+        rhs = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
+        out = gauss_seidel_step(rhs, np.zeros(3))
         assert out == pytest.approx([0.125, 0.1875, 0.21875])
 
     def test_gauss_seidel_fixed_point(self):
-        system = make_system(seed=3)
-        ref = thomas_solve(system)
-        assert np.max(np.abs(gauss_seidel_step(system, ref.u_star) - ref.u_star)) < 1e-12
+        rhs = make_rhs(seed=3)
+        ref = thomas_solve(rhs)
+        assert np.max(np.abs(gauss_seidel_step(rhs, ref[1:-1]) - ref[1:-1])) < 1e-12
 
     def test_gauss_seidel_needs_fewer_iterations(self):
-        system = make_system(n=32, seed=4)
-        ref = thomas_solve(system)
-        u0 = np.zeros(system.size)
-        jac = iterate(system, u0, ref.u_star, method="jacobi", max_iters=50_000, tol=1e-10)
-        gs = iterate(system, u0, ref.u_star, method="gauss_seidel", max_iters=50_000, tol=1e-10)
+        rhs = make_rhs(n=32, seed=4)
+        ref = thomas_solve(rhs)
+        u0 = np.zeros(rhs.size)
+        jac = iterate(rhs, u0, ref[1:-1], method="jacobi", max_iters=50_000, tol=1e-10)
+        gs = iterate(rhs, u0, ref[1:-1], method="gauss_seidel", max_iters=50_000, tol=1e-10)
         assert gs.sup_errors[-1] <= 1e-10
         assert gs.iterations < jac.iterations
 
@@ -169,13 +170,13 @@ class TestSweeps:
     @settings(max_examples=25, deadline=None)
     def test_jacobi_error_recursion_is_eigen_diagonal(self, seed):
         n = 16
-        system = make_system(n=n, seed=5)
-        ref = thomas_solve(system)
+        rhs = make_rhs(n=n, seed=5)
+        ref = thomas_solve(rhs)
         rng = np.random.default_rng(seed)
-        u = ref.u_star + rng.standard_normal(n - 1)
-        a_before = mode_amplitudes(u - ref.u_star, n)
-        u_next = jacobi_step(system, u)
-        a_after = mode_amplitudes(u_next - ref.u_star, n)
+        u = ref[1:-1] + rng.standard_normal(n - 1)
+        a_before = mode_amplitudes(u - ref[1:-1], n)
+        u_next = jacobi_step(rhs, u)
+        a_after = mode_amplitudes(u_next - ref[1:-1], n)
         lam = np.array([jacobi_eigen(n, k) for k in range(1, n)])
         assert np.max(np.abs(a_after - lam * a_before)) < 1e-10
 
@@ -250,44 +251,44 @@ class TestHalving:
 
     def test_empirical_halving_matches_closed_form(self):
         n = 16
-        system = assemble_poisson(Grid1D(n=n), g_rhs)
-        ref = thomas_solve(system)
+        rhs = assemble_poisson(Grid1D(n=n), g_rhs)
+        ref = thomas_solve(rhs)
         e0 = sum(sine_mode(n, k) for k in range(1, n))
-        run = iterate(system, ref.u_star + e0, ref.u_star, max_iters=200,
+        run = iterate(rhs, ref[1:-1] + e0, ref[1:-1], max_iters=200,
                       track_modes=range(1, n // 2 + 1))
         for k in range(1, n // 2 + 1):
             assert run.halving_iteration(k) == halving_count(n, k), f"mode {k}"
 
     def test_empirical_n8_slowest_mode_halves_in_nine(self):
         n = 8
-        system = assemble_poisson(Grid1D(n=n), lambda x: np.zeros_like(x))
-        run = iterate(system, sine_mode(n, 1), np.zeros(n - 1), max_iters=20,
+        rhs = assemble_poisson(Grid1D(n=n), lambda x: np.zeros_like(x))
+        run = iterate(rhs, sine_mode(n, 1), np.zeros(n - 1), max_iters=20,
                       track_modes=[1])
         assert run.halving_iteration(1) == 9
 
 
 class TestIterate:
     def test_fixed_point_terminates_immediately(self):
-        system = make_system(seed=6)
-        ref = thomas_solve(system)
-        run = iterate(system, ref.u_star.copy(), ref.u_star, max_iters=100, tol=1e-12)
+        rhs = make_rhs(seed=6)
+        ref = thomas_solve(rhs)
+        run = iterate(rhs, ref[1:-1].copy(), ref[1:-1], max_iters=100, tol=1e-12)
         assert run.iterations == 0
         assert run.sup_errors[0] <= 1e-12
 
     def test_records_initial_state(self):
-        system = make_system(seed=7)
-        ref = thomas_solve(system)
-        run = iterate(system, np.zeros(system.size), ref.u_star, max_iters=3)
+        rhs = make_rhs(seed=7)
+        ref = thomas_solve(rhs)
+        run = iterate(rhs, np.zeros(rhs.size), ref[1:-1], max_iters=3)
         assert run.iterations == 3
         assert len(run.wall_ms) == len(run.sup_errors) == 4
-        assert run.sup_errors[0] == pytest.approx(np.max(np.abs(ref.u_star)))
+        assert run.sup_errors[0] == pytest.approx(np.max(np.abs(ref[1:-1])))
 
     def test_tracked_amplitudes_follow_power_law(self):
         n = 32
-        system = assemble_poisson(Grid1D(n=n), g_rhs)
-        ref = thomas_solve(system)
+        rhs = assemble_poisson(Grid1D(n=n), g_rhs)
+        ref = thomas_solve(rhs)
         rng = np.random.default_rng(8)
-        run = iterate(system, ref.u_star + rng.standard_normal(n - 1), ref.u_star,
+        run = iterate(rhs, ref[1:-1] + rng.standard_normal(n - 1), ref[1:-1],
                       max_iters=100, track_modes=range(1, n))
         for k in range(1, n):
             lam = abs(jacobi_eigen(n, k))
@@ -297,71 +298,76 @@ class TestIterate:
                 assert abs(abs(alpha) - pred) <= 1e-8 * pred + 1e-13
 
     def test_unknown_method_rejected(self):
-        system = make_system()
+        rhs = make_rhs()
         with pytest.raises(ValueError):
-            iterate(system, np.zeros(system.size), np.zeros(system.size), method="sor")
+            iterate(rhs, np.zeros(rhs.size), np.zeros(rhs.size), method="sor")
+
+    def test_wrong_length_start_rejected_up_front(self):
+        # both vectors agree with each other but not with the 7 interior nodes
+        with pytest.raises(ValueError, match="interior vector of length 7"):
+            iterate(assemble_poisson(Grid1D(8)), np.zeros(3), np.ones(3))
 
 
 class TestHybrid:
-    def _system_and_ref(self, n=32):
-        system = assemble_poisson(Grid1D(n=n), g_rhs)
-        return system, thomas_solve(system)
+    def _rhs_and_ref(self, n=32):
+        rhs = assemble_poisson(Grid1D(n=n), g_rhs)
+        return rhs, thomas_solve(rhs)
 
     def test_warm_start_within_target_does_zero_iterations(self):
-        system, ref = self._system_and_ref()
-        stream = iter([(ref.full, 0.5)])
-        at, run = run_hybrid(system, stream, 1e-6, switch_step=0)
+        rhs, ref = self._rhs_and_ref()
+        stream = iter([(ref, 0.5)])
+        at, run = run_hybrid(rhs, stream, 1e-6, switch_step=0)
         assert run.iterations == 0
         assert at.step == 0
 
     def test_switch_at_zero_is_plain_iteration_from_initial_state(self):
-        system, ref = self._system_and_ref()
-        u0_full = np.full(system.n + 1, 0.05)
+        rhs, ref = self._rhs_and_ref()
+        u0_full = np.full(rhs.size + 2, 0.05)
 
         def stream():
             yield u0_full, 1.0
             raise AssertionError("must not train past the switch step")
 
-        _, run = run_hybrid(system, stream(), 1e-8, switch_step=0, max_iters=100_000)
-        direct = iterate(system, u0_full[1:-1], ref.u_star, max_iters=100_000, tol=1e-8)
+        _, run = run_hybrid(rhs, stream(), 1e-8, switch_step=0, max_iters=100_000)
+        direct = iterate(rhs, u0_full[1:-1], ref[1:-1], max_iters=100_000, tol=1e-8)
         assert run.iterations == direct.iterations
         assert run.sup_errors[-1] == pytest.approx(direct.sup_errors[-1])
 
     def test_plateau_rule_triggers_on_flat_loss(self):
-        system, ref = self._system_and_ref()
+        rhs, ref = self._rhs_and_ref()
 
         def stream():
             step = 0
             while True:
                 loss = 1.0 / (1 + step) if step < 40 else 1.0 / 41
-                yield np.zeros(system.n + 1), loss
+                yield np.zeros(rhs.size + 2), loss
                 step += 1
 
-        at, _ = run_hybrid(system, stream(), 1e-3, plateau_window=10, plateau_tol=0.05,
+        at, _ = run_hybrid(rhs, stream(), 1e-3, plateau_window=10, plateau_tol=0.05,
                            max_steps=10_000)
         assert at.plateau_detected
         assert at.step < 200
 
     def test_divergent_stream_raises(self):
-        system, _ = self._system_and_ref()
-        bad = np.full(system.n + 1, np.nan)
+        rhs, _ = self._rhs_and_ref()
+        bad = np.full(rhs.size + 2, np.nan)
         with pytest.raises(DivergenceError):
-            run_hybrid(system, iter([(bad, 1.0)]), 1e-3, switch_step=0)
+            run_hybrid(rhs, iter([(bad, 1.0)]), 1e-3, switch_step=0)
 
     def test_max_steps_cap(self):
-        system, _ = self._system_and_ref()
+        rhs, _ = self._rhs_and_ref()
 
         def stream():
             while True:
-                yield np.zeros(system.n + 1), 1.0
+                yield np.zeros(rhs.size + 2), 1.0
 
-        at, _ = run_hybrid(system, stream(), 1e-12, plateau_window=10_000, plateau_tol=1e-9,
+        at, _ = run_hybrid(rhs, stream(), 1e-12, plateau_window=10_000, plateau_tol=1e-9,
                            max_steps=25, max_iters=1)
         assert at.step == 25
         assert not at.plateau_detected
 
     def test_plateau_rule_runs_only_on_recorded_steps(self, monkeypatch):
-        system, _ = self._system_and_ref()
+        rhs, _ = self._rhs_and_ref()
         calls = []
         real = poisson_mod._plateau_reached
 
@@ -373,38 +379,38 @@ class TestHybrid:
 
         def stream():
             while True:
-                yield np.zeros(system.n + 1), 1.0
+                yield np.zeros(rhs.size + 2), 1.0
 
-        at, _ = run_hybrid(system, stream(), 1e-12, plateau_window=10_000, record_every=4,
+        at, _ = run_hybrid(rhs, stream(), 1e-12, plateau_window=10_000, record_every=4,
                            max_steps=40, max_iters=1)
         assert at.step == 40
         assert len(calls) == len(at.steps) == 11
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
     def test_non_positive_tol_rejected_before_training(self, tol):
-        system, ref = self._system_and_ref()
+        rhs, ref = self._rhs_and_ref()
 
         def stream():
             raise AssertionError("must not train with a bad tol")
             yield
 
         with pytest.raises(ValueError, match="tol"):
-            run_hybrid(system, stream(), tol)
-        at = TrainPhase(system, iter([(ref.full, 1.0)]), ref).run(0)
+            run_hybrid(rhs, stream(), tol)
+        at = TrainPhase(iter([(ref, 1.0)]), ref).run(0)
         with pytest.raises(ValueError, match="tol"):
-            hand_off(system, ref, at, "jacobi", 10, tol)
+            hand_off(rhs, ref, at, "jacobi", 10, tol)
 
 
 class TestTrainPhase:
     def _phase(self, consumed, **policy):
-        system = assemble_poisson(Grid1D(n=8), g_rhs)
+        rhs = assemble_poisson(Grid1D(n=8), g_rhs)
 
         def stream():
             for step in range(100):
                 consumed.append(step)
-                yield np.full(system.n + 1, 0.01 * step), 1.0 / (1 + step)
+                yield np.full(rhs.size + 2, 0.01 * step), 1.0 / (1 + step)
 
-        return system, TrainPhase(system, stream(), thomas_solve(system), **policy)
+        return rhs, TrainPhase(stream(), thomas_solve(rhs), **policy)
 
     @staticmethod
     def _columns(at):
@@ -438,15 +444,15 @@ class TestTrainPhase:
 
     def test_exhausted_stream_switches_at_its_last_state(self):
         # 7 states, recorded at steps 0 and 5: the hand-off starts from step 6
-        system = assemble_poisson(Grid1D(n=8), g_rhs)
-        reference = thomas_solve(system)
-        states = [np.full(system.n + 1, 0.1 * step) for step in range(7)]
-        at = TrainPhase(system, ((u, 1.0) for u in states), reference, record_every=5).run()
+        rhs = assemble_poisson(Grid1D(n=8), g_rhs)
+        reference = thomas_solve(rhs)
+        states = [np.full(rhs.size + 2, 0.1 * step) for step in range(7)]
+        at = TrainPhase(((u, 1.0) for u in states), reference, record_every=5).run()
         assert at.steps == [0, 5]
         assert at.step == 6 and not at.plateau_detected
         assert np.array_equal(at.grid_values, states[6])
-        run = hand_off(system, reference, at, "jacobi", 200_000, 1e-3)
-        assert run.sup_errors[0] == float(np.max(np.abs(states[6][1:-1] - reference.u_star)))
+        run = hand_off(rhs, reference, at, "jacobi", 200_000, 1e-3)
+        assert run.sup_errors[0] == float(np.max(np.abs(states[6][1:-1] - reference[1:-1])))
 
     @pytest.mark.parametrize("policy", [dict(plateau_window=1), dict(plateau_window=0),
                                         dict(plateau_tol=0.0), dict(plateau_tol=-0.01),
@@ -454,6 +460,11 @@ class TestTrainPhase:
     def test_bad_plateau_policy_rejected(self, policy):
         with pytest.raises(ValueError, match="plateau"):
             self._phase([], **policy)
+
+    def test_state_of_the_wrong_shape_rejected(self):
+        reference = thomas_solve(assemble_poisson(Grid1D(n=8), g_rhs))
+        with pytest.raises(ValueError, match=r"expected \(9,\)"):
+            TrainPhase(iter([(np.zeros(8), 1.0)]), reference).run()
 
     @pytest.mark.parametrize("record_every", [0, -1])
     def test_record_every_below_one_rejected(self, record_every):
