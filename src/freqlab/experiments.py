@@ -12,13 +12,17 @@ the runner and, once the runner has returned, writes the resolved-config
 snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
 snapshot. Every training step is one _evaluate (forward, loss, divergence
 rule); the full-batch runners share one descent loop, _descent, and record
-from the outputs it has already computed. toy_ce, mnist_pca and poisson_dnn
-take the F-Principle measurement through one recorder, _spectral_recorder, and
-_emit_trace writes it. Histories are columns: a FreqTrace, an IterativeRun and
-a SwitchPoint's phase-one record each hold one list per column, and the CSV
-rows are zipped from them. Wall-clock columns come from
-reporting.stopwatch and are all zero unless timing is enabled, so that
-identical (config, seed) pairs produce byte-identical files.
+from the outputs it has already computed. _descent owns the network's
+activation cache and gradient vector and passes them back to nn as into, so a
+step allocates no batch-sized array; the outputs it yields are overwritten by
+the next step, and every consumer reads or copies them before resuming it.
+toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
+recorder, _spectral_recorder, and _emit_trace writes it. Histories are
+columns: a FreqTrace, an IterativeRun and a SwitchPoint's phase-one record
+each hold one list per column, and the CSV rows are zipped from them.
+Wall-clock columns come from reporting.stopwatch and are all zero unless
+timing is enabled, so that identical (config, seed) pairs produce
+byte-identical files.
 
 The runners reach the other modules' functions (forward, iterate, write_csv,
 ...) through this module's globals, imported by name, and run_hybrid stays
@@ -145,11 +149,13 @@ def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
 
 
 def _evaluate(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
-              epoch: int) -> tuple[np.ndarray, list[np.ndarray], LossValueGrad]:
-    """(outputs, cache, loss) of net on xs. A non-finite loss raises DivergenceError
-    for epoch, and so does a ValueError once the parameters are non-finite."""
+              epoch: int, into: list[np.ndarray] | None = None
+              ) -> tuple[np.ndarray, list[np.ndarray], LossValueGrad]:
+    """(outputs, cache, loss) of net on xs, the cache written into into if
+    given (see nn.forward). A non-finite loss raises DivergenceError for epoch,
+    and so does a ValueError once the parameters are non-finite."""
     try:
-        out, cache = forward(net, xs)
+        out, cache = forward(net, xs, into)
         lv = loss_of(out)
     except ValueError as e:
         _raise_divergence(net, epoch, e)
@@ -165,12 +171,17 @@ def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValue
     Yields (epoch, outputs, loss) before each epoch's update, starting with the
     untrained network at epoch 0, for as long as the caller keeps iterating,
     at cfg's learning rate and halving cadence. Each step is one _evaluate, so
-    a divergence is raised instead of yielded.
+    a divergence is raised instead of yielded. The loop owns one activation
+    cache and one gradient vector, written over at every step: a yielded
+    outputs array is overwritten once the caller resumes the loop, so read or
+    copy it before that.
     """
+    cache = grad = None
     for epoch in itertools.count():
-        out, cache, lv = _evaluate(net, xs, loss_of, epoch)
+        # the buffers pass by position: wrappers in the tests and in perfbench/tracer.py read *args
+        out, cache, lv = _evaluate(net, xs, loss_of, epoch, cache)
         yield epoch, out, lv.value
-        grad = backprop(net, cache, lv.grad.reshape(out.shape))
+        grad = backprop(net, cache, lv.grad.reshape(out.shape), grad)
         sgd_step(net, grad, lr_at(cfg.lr, cfg.lr_halve_every, epoch))
 
 
@@ -214,8 +225,10 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
     images = _load_images(cfg, seed)
     coords = datamod.pca_project(images, seed=seed)
-    onehot = images.onehot().T                      # (n, 10)
-    X = images.images.T                             # (n, pixels)
+    # row-major copies, so a minibatch is a gather of contiguous rows; made
+    # after pca_project has freed its centred copy, so peak memory does not rise
+    onehot = np.ascontiguousarray(images.onehot().T)   # (n, 10)
+    X = np.ascontiguousarray(images.images.T)          # (n, pixels)
 
     trace, record = _spectral_recorder(cfg, elapsed, lambda v: nufft_direct(coords, v, cfg.nufft_freqs),
                                        onehot[:, 0])
@@ -231,13 +244,15 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     n = X.shape[0]
     batch = cfg.batch_size if cfg.batch_size > 0 else n
     record_full_batch(0)
+    grad = None
     for epoch in range(_last_recorded_epoch(cfg)):
         order = shuffle_rng.permutation(n)
         lr = lr_at(cfg.lr, cfg.lr_halve_every, epoch)
         for lo in range(0, n, batch):
             sel = order[lo:lo + batch]
             _, cache, lv = _evaluate(net, X[sel], lambda out: cross_entropy_loss(out, onehot[sel]), epoch)
-            sgd_step(net, backprop(net, cache, lv.grad), lr)
+            grad = backprop(net, cache, lv.grad, grad)
+            sgd_step(net, grad, lr)
         if (epoch + 1) % cfg.record_every == 0:
             record_full_batch(epoch + 1)
 

@@ -8,11 +8,21 @@ the only code that knows the layout; weights and biases are views from it.
 Everything is fp64 and deterministic: parameters come from a seeded PCG64
 stream through an explicit Box-Muller transform, so a (seed, config, data)
 triple reproduces a training trajectory bit for bit.
+
+A training loop can run without allocating a batch-sized array per step.
+forward and backprop take an optional into: an earlier forward's cache for the
+same widths and batch shape, or an earlier gradient vector, written over and
+returned in place of fresh arrays. Their other temporaries, and sgd_step's
+lr * grad, live in per-thread work arrays private to this module. The rule:
+nothing this module returns is overwritten unless the caller passes it back as
+into. Buffered or fresh, the operations and their order are the same, so are
+the bits.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -130,37 +140,82 @@ def init_mlp(
                hidden_activation=hidden_activation, output_activation=output_activation)
 
 
+class _Scratch(threading.local):
+    """Work arrays for the temporaries inside one call, one per slot and
+    thread, replaced when a call asks for another shape. A call writes a slot
+    before it reads it and never returns it, so calls share memory, not values."""
+
+    def __init__(self) -> None:
+        self.arrays: dict[tuple, np.ndarray] = {}
+
+    def get(self, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        a = self.arrays.get(slot)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self.arrays[slot] = np.empty(shape, dtype)
+        return a
+
+
+_scratch = _Scratch()
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, in place, with max subtraction."""
+    row_max = np.max(z, axis=-1, keepdims=True)
+    if np.any(np.isnan(row_max)):  # a row's max is NaN exactly when the row holds a NaN
+        raise ValueError("softmax received NaN logits")
+    z -= row_max
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=-1, keepdims=True)
+    return z
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; safe for large logits."""
-    z = np.asarray(logits, dtype=float)
-    if np.any(np.isnan(z)):
-        raise ValueError("softmax received NaN logits")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return _softmax_rows(np.array(logits, dtype=float))
 
 
-def forward(mlp: Mlp, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def forward(mlp: Mlp, xs: np.ndarray,
+            into: list[np.ndarray] | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the network on a batch. The cache backprop reads is the input
-    to each layer, then the outputs: cache[l] feeds layer l, cache[-1] is returned."""
+    to each layer, then the outputs: cache[l] feeds layer l, cache[-1] is returned.
+
+    into, a cache that forward returned for a network of the same widths and a
+    batch of the same shape, is written over and returned as the cache.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != mlp.widths[0]:
         raise ValueError(f"expected inputs of shape (batch, {mlp.widths[0]}), got {xs.shape}")
-    cache = [xs]
+    shapes = [(len(xs), width) for width in mlp.widths[1:]]
+    if into is None:
+        cache = [xs] + [np.empty(shape) for shape in shapes]
+    elif len(into) != len(mlp.widths) or [a.shape for a in into[1:]] != shapes:
+        raise ValueError(f"into is not a cache for widths {mlp.widths} and a batch of {len(xs)}")
+    else:
+        cache = into
+        cache[0] = xs
     last = mlp.num_layers - 1
     for l, (w, b) in enumerate(layer_views(mlp.widths, mlp.params)):
-        z = cache[l] @ w + b
-        if l < last:
-            a = np.tanh(z) if mlp.hidden_activation == "tanh" else np.maximum(z, 0.0)
+        z = cache[l + 1]
+        if w.shape[0] == 1:  # one input: each entry is one product, as in the matmul
+            np.copyto(z, w)
+            z *= cache[l]
         else:
-            a = softmax(z) if mlp.output_activation == "softmax" else z
-        cache.append(a)
+            np.matmul(cache[l], w, out=z)
+        z += b
+        if l < last:
+            if mlp.hidden_activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        elif mlp.output_activation == "softmax":
+            _softmax_rows(z)
     return cache[-1], cache
 
 
-def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray) -> np.ndarray:
-    """Exact reverse-mode gradient given d(loss)/d(outputs), as a fresh vector
-    in the layout of mlp.params.
+def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
+             into: np.ndarray | None = None) -> np.ndarray:
+    """Exact reverse-mode gradient given d(loss)/d(outputs), as a vector in the
+    layout of mlp.params: into, written over, or else a fresh vector.
 
     The derivative is taken with respect to the post-activation outputs; for a
     softmax head the Jacobian of the normalization is applied here.
@@ -171,11 +226,16 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray) -> n
         raise ValueError(f"gradient shape {g.shape} does not match outputs {out.shape}")
     if len(cache) != mlp.num_layers + 1:
         raise ValueError("cache does not match this network")
+    if into is not None and into.shape != mlp.params.shape:
+        raise ValueError(f"into has shape {into.shape}, the parameters {mlp.params.shape}")
     if mlp.output_activation == "softmax":
-        delta = out * (g - np.sum(g * out, axis=1, keepdims=True))
+        delta = _scratch.get(("softmax",), out.shape)
+        np.multiply(g, out, out=delta)
+        np.subtract(g, np.sum(delta, axis=1, keepdims=True), out=delta)
+        delta *= out
     else:
         delta = g
-    grad = np.empty(mlp.params.size)
+    grad = np.empty(mlp.params.size) if into is None else into
     layers = layer_views(mlp.widths, mlp.params)
     grads = layer_views(mlp.widths, grad)
     for l in range(mlp.num_layers - 1, -1, -1):
@@ -183,11 +243,17 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray) -> n
         np.matmul(cache[l].T, delta, out=gw)
         np.sum(delta, axis=0, out=gb)
         if l > 0:
-            delta = delta @ layers[l][0].T
+            below = _scratch.get(("delta", l), cache[l].shape)
+            np.matmul(delta, layers[l][0].T, out=below)
             if mlp.hidden_activation == "tanh":
-                delta = delta * (1.0 - cache[l] ** 2)
+                slope = _scratch.get(("slope", l), cache[l].shape)
+                np.multiply(cache[l], cache[l], out=slope)
+                np.subtract(1.0, slope, out=slope)
             else:
-                delta = delta * (cache[l] > 0.0)  # max(z, 0) > 0 exactly where z > 0
+                slope = _scratch.get(("slope", l), cache[l].shape, np.bool_)
+                np.greater(cache[l], 0.0, out=slope)  # max(z, 0) > 0 exactly where z > 0
+            below *= slope
+            delta = below
     return grad
 
 
@@ -197,7 +263,9 @@ def sgd_step(mlp: Mlp, grad: np.ndarray, lr: float) -> Mlp:
         raise ValueError(f"lr must be finite and positive, got {lr}")
     if grad.shape != mlp.params.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameters {mlp.params.shape}")
-    mlp.params -= lr * grad
+    step = _scratch.get(("sgd_step",), grad.shape)
+    np.multiply(lr, grad, out=step)
+    mlp.params -= step
     return mlp
 
 

@@ -244,12 +244,11 @@ def grad_decomposition(
     s = dl_dout[:, output_dim]
 
     # per-sample parameter gradients of the selected output dimension
-    rows = []
+    jac = np.empty((n, mlp.params.size))
     for j in range(n):
         seed = np.zeros_like(outputs)
         seed[j, output_dim] = 1.0
-        rows.append(backprop(mlp, cache, seed))
-    jac = np.stack(rows)  # (N, P)
+        backprop(mlp, cache, seed, jac[j])
 
     k = np.arange(n)
     basis = np.exp((2j * math.pi / n) * np.outer(k, k)) / math.sqrt(n)  # basis[k, j]

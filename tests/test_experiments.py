@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,15 @@ from freqlab.cli import main
 from freqlab.config import default_config, preset_config
 from freqlab.errors import ConfigError, DivergenceError
 from freqlab.experiments import run_experiment, run_single, target_toy
-from freqlab.poisson import Grid1D, assemble_poisson, g_rhs, jacobi_step, mode_amplitudes, thomas_solve
+from freqlab.poisson import (
+    Grid1D,
+    TrainPhase,
+    assemble_poisson,
+    g_rhs,
+    jacobi_step,
+    mode_amplitudes,
+    thomas_solve,
+)
 
 
 def tiny(preset, **kw):
@@ -387,6 +397,55 @@ class TestTrainingLoop:
         monkeypatch.setattr(ex, "init_mlp", poisoned)
         with pytest.raises(DivergenceError):
             run_single(tiny(preset, **shrink), 0, tmp_path)
+
+
+class TestLoopBuffers:
+    """_descent writes every step into one cache and one gradient vector."""
+
+    def test_a_step_allocates_less_than_one_activation(self):
+        # desk-poisson-dnn's 256-64 network on its 65 grid points; one 65x256
+        # fp64 activation is 133,120 bytes, past glibc's 128 KiB mmap threshold
+        cfg = preset_config("desk-poisson-dnn")
+        grid = Grid1D(n=cfg.grid_n)
+        descent = ex._energy_descent(cfg, 0, grid, g_rhs(grid.points))
+        for _ in range(3):
+            next(descent)
+        tracemalloc.start()
+        try:
+            next(descent)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (cfg.grid_n + 1) * cfg.hidden_widths[0] * 8
+
+    def test_switch_point_keeps_its_grid_when_the_phase_runs_on(self):
+        cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16)
+        grid = Grid1D(n=cfg.grid_n)
+        ref = thomas_solve(assemble_poisson(grid, g_rhs))
+
+        def phase():
+            return TrainPhase(ex._energy_training_stream(cfg, 0, grid, g_rhs(grid.points)), ref,
+                              cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs)
+
+        k = 30
+        stream = phase()
+        at_k = stream.run(k)
+        kept = at_k.grid_values.copy()
+        at_2k = stream.run(2 * k)
+        assert (at_k.step, at_2k.step) == (k, 2 * k)
+        assert np.array_equal(at_k.grid_values, kept)
+        assert not np.array_equal(at_2k.grid_values, kept)
+        assert np.array_equal(phase().run(k).grid_values, kept)
+
+    def test_poisson_dnn_solution_is_the_last_recorded_state(self, tmp_path):
+        cfg = tiny("desk-poisson-dnn", hidden_widths=(16, 8), epochs=43, record_every=10)
+        run_single(cfg, 0, tmp_path)
+        grid = Grid1D(n=cfg.grid_n)
+        descent = ex._energy_descent(cfg, 0, grid, g_rhs(grid.points))
+        states = {epoch: out[:, 0].copy() for epoch, out, _ in itertools.islice(descent, 42)}
+        u_dnn = [float(row["u_dnn"]) for row in read_csv(tmp_path / "solution.csv")]
+        assert np.array_equal(u_dnn, states[40])
+        assert not np.array_equal(u_dnn, states[41])
 
 
 class TestRunDirectory:

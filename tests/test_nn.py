@@ -240,6 +240,111 @@ class TestBackprop:
             assert np.array_equal(a, b)
 
 
+def _reference_step(mlp, xs, loss_of, lr):
+    """One descent step with the allocating expressions nn used before it
+    wrote into buffers; returns the outputs."""
+    layers = layer_views(mlp.widths, mlp.params)
+    cache = [xs]
+    for l, (w, b) in enumerate(layers):
+        z = cache[l] @ w + b
+        if l < mlp.num_layers - 1:
+            a = np.tanh(z) if mlp.hidden_activation == "tanh" else np.maximum(z, 0.0)
+        elif mlp.output_activation == "softmax":
+            e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+            a = e / np.sum(e, axis=-1, keepdims=True)
+        else:
+            a = z
+        cache.append(a)
+    out = cache[-1]
+    g = loss_of(out).grad
+    delta = out * (g - np.sum(g * out, axis=1, keepdims=True)) if mlp.output_activation == "softmax" else g
+    grad = np.empty(mlp.params.size)
+    grads = layer_views(mlp.widths, grad)
+    for l in range(mlp.num_layers - 1, -1, -1):
+        gw, gb = grads[l]
+        np.matmul(cache[l].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
+        if l > 0:
+            delta = delta @ layers[l][0].T
+            if mlp.hidden_activation == "tanh":
+                delta = delta * (1.0 - cache[l] ** 2)
+            else:
+                delta = delta * (cache[l] > 0.0)
+    mlp.params -= lr * grad
+    return out
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("n_in", [1, 3])
+    @pytest.mark.parametrize("head", ["identity", "softmax"])
+    @pytest.mark.parametrize("hidden_act", ["tanh", "relu"])
+    def test_buffered_fresh_and_reference_steps_are_bit_identical(self, hidden_act, head, n_in):
+        rng = np.random.default_rng(5)
+        # one input: a symmetric grid through x = 0, where a product's zero sign could show
+        xs = np.linspace(-1, 1, 9).reshape(-1, 1) if n_in == 1 else rng.uniform(-1, 1, (9, n_in))
+        if head == "identity":
+            target = rng.standard_normal((9, 2))
+            loss_of = lambda out: mse_loss(out, target)
+        else:
+            target = np.eye(2)[rng.integers(0, 2, size=9)]
+            loss_of = lambda out: cross_entropy_loss(out, target)
+        nets = [init_mlp([n_in, 16, 8, 2], hidden_act, head, std=0.5, seed=3) for _ in range(3)]
+        reference, fresh, buffered = nets
+        cache = grad = None
+        for _ in range(6):
+            want = _reference_step(reference, xs, loss_of, 0.05).tobytes()
+            out, c = forward(fresh, xs)
+            assert out.tobytes() == want
+            sgd_step(fresh, backprop(fresh, c, loss_of(out).grad), 0.05)
+            out, cache = forward(buffered, xs, cache)
+            assert out.tobytes() == want
+            grad = backprop(buffered, cache, loss_of(out).grad, grad)
+            sgd_step(buffered, grad, 0.05)
+        assert fresh.params.tobytes() == reference.params.tobytes()
+        assert buffered.params.tobytes() == reference.params.tobytes()
+
+    def test_buffers_are_returned_as_they_were_passed(self):
+        net = init_mlp([3, 6, 2], "tanh", "softmax", std=0.4, seed=1)
+        xs = np.ones((4, 3))
+        out, cache = forward(net, xs)
+        grad = backprop(net, cache, np.ones_like(out))
+        out2, cache2 = forward(net, 2 * xs, cache)
+        assert cache2 is cache and out2 is cache[-1] is out
+        assert backprop(net, cache, np.ones_like(out), grad) is grad
+
+    def test_arrays_not_passed_back_are_never_overwritten(self):
+        net = init_mlp([3, 6, 5, 2], "tanh", "softmax", std=0.4, seed=1)
+        xs = np.random.default_rng(0).standard_normal((4, 3))
+        out, cache = forward(net, xs)
+        grad = backprop(net, cache, np.ones_like(out))
+        kept = [a.copy() for a in (out, *cache, grad)]
+        for _ in range(2):
+            out2, cache2 = forward(net, 2 * xs)
+            sgd_step(net, backprop(net, cache2, np.ones_like(out2)), 0.1)
+        assert all(np.array_equal(a, b) for a, b in zip((out, *cache, grad), kept))
+
+    def test_forward_rejects_a_cache_for_another_batch_shape(self):
+        net = init_mlp([3, 6, 2], std=0.4, seed=1)
+        _, cache = forward(net, np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            forward(net, np.ones((5, 3)), cache)
+
+    def test_forward_rejects_a_cache_from_another_network(self):
+        net = init_mlp([3, 6, 2], std=0.4, seed=1)
+        _, cache = forward(net, np.ones((4, 3)))
+        for other in (init_mlp([3, 7, 2], std=0.4, seed=1), init_mlp([3, 6, 6, 2], std=0.4, seed=1)):
+            with pytest.raises(ValueError):
+                forward(other, np.ones((4, 3)), cache)
+
+    def test_backprop_rejects_a_gradient_of_another_shape(self):
+        net = init_mlp([3, 6, 2], std=0.4, seed=1)
+        other = init_mlp([3, 7, 2], std=0.4, seed=1)
+        out, cache = forward(net, np.ones((4, 3)))
+        for into in (np.empty(net.params.size + 1), np.empty((1, net.params.size)), np.empty_like(other.params)):
+            with pytest.raises(ValueError):
+                backprop(net, cache, np.ones_like(out), into)
+
+
 class TestSgdAndSchedule:
     def test_zero_gradient_is_fixed_point(self):
         net = init_mlp([2, 4, 1], std=0.3, seed=8)
