@@ -12,11 +12,43 @@ Subpackages:
 
 import os
 
-# One BLAS thread, set before the submodules load numpy: threaded BLAS sums in
-# a thread-dependent order, which changes the bytes a (config, seed) writes. A
-# process that loaded numpy before freqlab keeps numpy's own thread count.
+# One BLAS thread: threaded BLAS sums in a thread-dependent order, which
+# changes the bytes a (config, seed) writes. The variables pin it when they are
+# set before numpy loads; _pin_bundled_openblas pins it in a process that
+# loaded numpy before freqlab.
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from . import config, data, errors, experiments, losses, nn, poisson, reporting, spectral  # noqa: E402
 
 __version__ = "0.1.0"
+
+
+def _bundled_openblas():
+    """numpy's own OpenBLAS, found in the numpy.libs directory beside the numpy
+    package (loaded already, with numpy), or None where numpy bundles none."""
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+
+    found = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("lib*openblas*"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+def _pin_bundled_openblas() -> None:
+    """Set numpy's bundled OpenBLAS to one thread. Without the library or
+    either setter, the environment variables are the only pin."""
+    import ctypes
+
+    lib = _bundled_openblas()
+    if lib is None:
+        return
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+_pin_bundled_openblas()

@@ -12,6 +12,12 @@ takes its stop policy once and returns a SwitchPoint per run, and hand_off,
 which iterates from a SwitchPoint and returns the IterativeRun; run_hybrid
 composes them on one stream. Both histories, IterativeRun and the phase-one
 columns of a SwitchPoint, are held as one list per column.
+
+iterate sweeps in blocks: each sweep writes the next zero-padded row of a
+fixed block, and the block's sup errors and mode amplitudes are recorded at
+once, in the same operations as one sweep at a time, so the bits are the
+same. The sweeps after the stop in the last block are computed but not
+recorded; wall_ms is read after each sweep.
 """
 
 from __future__ import annotations
@@ -152,29 +158,50 @@ def thomas_solve(rhs: np.ndarray) -> np.ndarray:
     return full
 
 
+def _jacobi_sweep(rhs: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """One Jacobi sweep from the zero-padded row src into dst's interior:
+    dst_i <- (src_{i-1} + src_{i+1} + rhs_i) / 2, computed as
+    ((left + right) + rhs) * 0.5. Both rows hold n+1 values with zero ends."""
+    out = dst[1:-1]
+    np.add(src[:-2], src[2:], out=out)
+    out += rhs
+    out *= 0.5
+
+
+def _gauss_seidel_sweep(rhs: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """One forward Gauss-Seidel sweep from the zero-padded row src into dst's
+    interior; each new value is used as soon as it is available."""
+    w = src.tolist()  # python floats: the same fp64 operations, without per-element numpy scalars
+    for i, r in enumerate(rhs.tolist()):
+        w[i + 1] = (w[i] + w[i + 2] + r) * 0.5
+    dst[1:-1] = w[1:-1]
+
+
+def _step(sweep, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One sweep of the interior values u, into a new array."""
+    _check_interior(rhs, u)
+    rows = np.zeros((2, rhs.size + 2))
+    rows[0, 1:-1] = u
+    sweep(rhs, rows[0], rows[1])
+    return rows[1, 1:-1]
+
+
 def jacobi_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Jacobi sweep: u_i <- (u_{i-1} + u_{i+1} + rhs_i) / 2, boundaries zero."""
-    _check_interior(rhs, u)
-    ext = np.zeros(rhs.size + 2)
-    ext[1:-1] = u
-    return (ext[:-2] + ext[2:] + rhs) * 0.5
+    return _step(_jacobi_sweep, rhs, u)
 
 
 def gauss_seidel_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One forward Gauss-Seidel sweep; new values used as soon as available."""
-    _check_interior(rhs, u)
-    m = rhs.size
-    w = u.copy()
-    left = 0.0
-    for i in range(m):
-        right = w[i + 1] if i + 1 < m else 0.0
-        w[i] = (left + right + rhs[i]) * 0.5
-        left = w[i]
-    return w
+    return _step(_gauss_seidel_sweep, rhs, u)
 
 
 #: the iterative methods by name; config.validate reads the names from here
 STEPPERS = {"jacobi": jacobi_step, "gauss_seidel": gauss_seidel_step}
+_SWEEPS = {"jacobi": _jacobi_sweep, "gauss_seidel": _gauss_seidel_sweep}
+
+#: sweeps that iterate computes before it records them at once
+_BLOCK = 256
 
 
 def jacobi_eigen(n: int, k: int) -> float:
@@ -259,35 +286,61 @@ def iterate(
 ) -> IterativeRun:
     """Run Jacobi or Gauss-Seidel, recording sup error and tracked mode amplitudes.
 
-    Records the initial state as iteration 0. Stops once the sup error against
-    u_star reaches tol (checked before each sweep) or after max_iters sweeps.
+    Records the initial state as iteration 0. Stops at the first iteration
+    whose sup error against u_star reaches tol, or after max_iters sweeps.
+    Sweeps run in blocks of up to _BLOCK rows and each block is recorded at
+    once, so up to _BLOCK - 1 sweeps past the stop are computed and not
+    recorded; wall_ms is read after each sweep.
     """
-    if method not in STEPPERS:
+    sweep = _SWEEPS.get(method)
+    if sweep is None:
         raise ValueError(f"unknown method {method!r}")
-    step_fn = STEPPERS[method]
-    u = np.array(u0, dtype=float, copy=True)
-    _check_interior(rhs, u)
-    if u.shape != u_star.shape:
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    u0 = np.asarray(u0, dtype=float)
+    _check_interior(rhs, u0)
+    if u0.shape != u_star.shape:
         raise ValueError("u0 and u_star shapes differ")
     track = tuple(track_modes)
-    n = rhs.size + 1
-    basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), n - 1)
+    m = rhs.size
+    n = m + 1
+    basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), m)
     run = IterativeRun(alphas={k: [] for k in track})
     elapsed = stopwatch(timing)
+    rows = max(1, min(_BLOCK, max_iters))
+    states = np.zeros((rows + 1, m + 2))  # row 0 carries the last recorded state
+    err = np.empty((rows, m))
+    dots = np.empty((rows, len(track)))
 
-    def record():
-        err = u - u_star
-        for k, c in zip(track, (2.0 / n) * (basis @ err)):
-            run.alphas[k].append(float(c))
-        run.wall_ms.append(elapsed())
-        run.sup_errors.append(float(np.max(np.abs(err))))
+    def record(first: int, count: int) -> None:
+        """Record states[first:first + count], up to the first that meets tol."""
+        e = err[:count]
+        np.subtract(states[first:first + count, 1:-1], u_star, out=e)
+        if track:
+            for r in range(count):  # one product per row: a block matmul rounds differently
+                np.matmul(basis, e[r], out=dots[r])
+        sups = np.abs(e, out=e).max(axis=1)
+        if tol is not None:
+            hits = np.flatnonzero(sups <= tol)
+            if hits.size:
+                count = int(hits[0]) + 1
+        run.sup_errors.extend(sups[:count].tolist())
+        for k, column in zip(track, ((2.0 / n) * dots[:count]).T.tolist()):
+            run.alphas[k].extend(column)
 
-    record()
-    for _ in range(max_iters):
-        if tol is not None and run.sup_errors[-1] <= tol:
-            break
-        u = step_fn(rhs, u)
-        record()
+    states[0, 1:-1] = u0
+    run.wall_ms.append(elapsed())
+    record(0, 1)
+    done = 0
+    while done < max_iters and not (tol is not None and run.sup_errors[-1] <= tol):
+        count = min(rows, max_iters - done)
+        for r in range(count):
+            sweep(rhs, states[r], states[r + 1])
+            run.wall_ms.append(elapsed())
+        record(1, count)
+        del run.wall_ms[len(run.sup_errors):]
+        states[0] = states[count]
+        done += count
     return run
 
 

@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import importlib
 from pathlib import Path
 
@@ -22,3 +23,14 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_bundled_openblas_runs_one_thread_although_numpy_loaded_first():
+    # pytest's process imports numpy before freqlab, so the environment pin came too late
+    lib = freqlab._bundled_openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+    getter = next(getattr(lib, n) for n in names if hasattr(lib, n))
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    assert getter() == 1

@@ -308,6 +308,113 @@ class TestIterate:
             iterate(assemble_poisson(Grid1D(8)), np.zeros(3), np.ones(3))
 
 
+def _reference_jacobi_step(rhs, u):
+    ext = np.zeros(rhs.size + 2)
+    ext[1:-1] = u
+    return (ext[:-2] + ext[2:] + rhs) * 0.5
+
+
+def _reference_gauss_seidel_step(rhs, u):
+    m = rhs.size
+    w = u.copy()
+    left = 0.0
+    for i in range(m):
+        right = w[i + 1] if i + 1 < m else 0.0
+        w[i] = (left + right + rhs[i]) * 0.5
+        left = w[i]
+    return w
+
+
+_REFERENCE_STEPS = {"jacobi": _reference_jacobi_step, "gauss_seidel": _reference_gauss_seidel_step}
+
+
+def _reference_iterate(rhs, u0, u_star, method, max_iters, track_modes=(), tol=None):
+    """iterate as a per-sweep loop: one sweep, then its record, checking tol before each sweep."""
+    step = _REFERENCE_STEPS[method]
+    u = np.array(u0, dtype=float, copy=True)
+    n = rhs.size + 1
+    basis = np.array([sine_mode(n, k) for k in track_modes]).reshape(len(track_modes), n - 1)
+    sups, alphas = [], {k: [] for k in track_modes}
+
+    def record():
+        err = u - u_star
+        for k, c in zip(track_modes, (2.0 / n) * (basis @ err)):
+            alphas[k].append(float(c))
+        sups.append(float(np.max(np.abs(err))))
+
+    record()
+    for _ in range(max_iters):
+        if tol is not None and sups[-1] <= tol:
+            break
+        u = step(rhs, u)
+        record()
+    return sups, alphas
+
+
+class TestBlocks:
+    """iterate sweeps in blocks of poisson._BLOCK rows and records each block at
+    once; it must record the bits of the per-sweep loop, and stop where it stops."""
+
+    B = poisson_mod._BLOCK
+
+    def _problem(self, n=16):
+        rhs = assemble_poisson(Grid1D(n=n), g_rhs)
+        ref = thomas_solve(rhs)
+        u0 = ref[1:-1] + np.random.default_rng(11).standard_normal(n - 1)
+        return rhs, ref[1:-1], u0
+
+    def _assert_same(self, run, want):
+        sups, alphas = want
+        assert np.array(run.sup_errors).tobytes() == np.array(sups).tobytes()
+        assert run.alphas.keys() == alphas.keys()
+        for k in alphas:
+            assert np.array(run.alphas[k]).tobytes() == np.array(alphas[k]).tobytes()
+        assert len(run.wall_ms) == len(sups)
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+    @pytest.mark.parametrize("track", [(), (1, 5, 15)])
+    @pytest.mark.parametrize("extra", ["0", "1", "B-1", "B", "B+1", "2B+3"])
+    def test_blocks_record_the_bits_of_the_per_sweep_loop(self, method, track, extra):
+        max_iters = {"0": 0, "1": 1, "B-1": self.B - 1, "B": self.B, "B+1": self.B + 1,
+                     "2B+3": 2 * self.B + 3}[extra]
+        rhs, u_star, u0 = self._problem()
+        run = iterate(rhs, u0, u_star, method=method, max_iters=max_iters, track_modes=track)
+        self._assert_same(run, _reference_iterate(rhs, u0, u_star, method, max_iters, track))
+        assert run.iterations == max_iters
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+    def test_tol_met_by_the_initial_state_does_no_sweep(self, method):
+        rhs, u_star, u0 = self._problem()
+        tol = float(np.max(np.abs(u0 - u_star)))
+        run = iterate(rhs, u0, u_star, method=method, max_iters=50, track_modes=(2,), tol=tol)
+        assert run.iterations == 0
+        self._assert_same(run, _reference_iterate(rhs, u0, u_star, method, 50, (2,), tol))
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+    @pytest.mark.parametrize("stop", ["B", "2B", "B+7"])
+    def test_tol_stops_at_the_first_state_that_meets_it(self, method, stop):
+        # B and 2B are the last rows of the first and second block
+        at = {"B": self.B, "2B": 2 * self.B, "B+7": self.B + 7}[stop]
+        rhs, u_star, u0 = self._problem(n=64)
+        sups, _ = _reference_iterate(rhs, u0, u_star, method, at)
+        tol = sups[at]
+        assert min(sups[:at]) > tol  # so iteration `at` is the first to meet tol
+        run = iterate(rhs, u0, u_star, method=method, max_iters=10 * self.B, track_modes=(1, 3), tol=tol)
+        assert run.iterations == at
+        self._assert_same(run, _reference_iterate(rhs, u0, u_star, method, 10 * self.B, (1, 3), tol))
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+    def test_steppers_match_the_reference_sweeps(self, method):
+        rhs, _, u0 = self._problem(n=33)
+        step = {"jacobi": jacobi_step, "gauss_seidel": gauss_seidel_step}[method]
+        assert step(rhs, u0).tobytes() == _REFERENCE_STEPS[method](rhs, u0).tobytes()
+
+    def test_negative_max_iters_rejected(self):
+        rhs, u_star, u0 = self._problem()
+        with pytest.raises(ValueError, match="max_iters"):
+            iterate(rhs, u0, u_star, max_iters=-3)
+
+
 class TestHybrid:
     def _rhs_and_ref(self, n=32):
         rhs = assemble_poisson(Grid1D(n=n), g_rhs)

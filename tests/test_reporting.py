@@ -2,6 +2,7 @@ import csv
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -54,6 +55,121 @@ class TestCsv:
     def test_trace_header_layout(self):
         trace = FreqTrace(selected_peaks=(1, 3, 8))
         assert trace.header() == ["step", "epoch", "wall_ms", "loss", "df_1", "df_3", "df_8"]
+
+
+def _reference_csv(header, rows):
+    """write_csv's text, value by value through format_value."""
+    return "\n".join([",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]) + "\n"
+
+
+class TestCsvBytes:
+    MIXED = [
+        [1, 0.1, np.float64(-2.5e-17), np.int64(-7), True, np.bool_(False), None, "a b"],
+        [2, math.pi, np.float64(1e300), np.int64(2**62), False, np.bool_(True), None, ""],
+        [np.int32(-3), np.float32(0.1), math.nan, -math.inf, math.inf, -0.0, 10**30, np.float16(2.5)],
+    ]
+
+    def test_mixed_types_match_format_value(self, tmp_path):
+        header = [f"c{i}" for i in range(8)]
+        path = write_csv(tmp_path / "t.csv", header, self.MIXED)
+        assert path.read_text() == _reference_csv(header, self.MIXED)
+
+    def test_rows_that_change_types_match_format_value(self, tmp_path):
+        # as first_passage.csv, whose step is None for a frequency that never converged
+        rows = [(0, 12), (2, None), (4, 7), (6, np.int64(9)), (8, 1.5), (10, True), (12, "x"), (14, None)]
+        rows += [tuple(r) for r in self.MIXED[::-1]] + [[]]
+        path = write_csv(tmp_path / "t.csv", ["gamma", "first_step"], iter(rows))
+        assert path.read_text() == _reference_csv(["gamma", "first_step"], rows)
+
+    def test_returns_its_path(self, tmp_path):
+        assert write_csv(tmp_path / "t.csv", ["a"], [[1]]) == tmp_path / "t.csv"
+
+
+def _reference_svg(series, title="", xlabel="", ylabel=""):
+    """write_svg_lines' text, point by point in Python floats."""
+    W, H, ML, MR, MT, MB = reporting._W, reporting._H, reporting._ML, reporting._MR, reporting._MT, reporting._MB
+    all_x = [float(x) for _, xs, _ in series for x in xs]
+    positive = [y for _, _, ys in series for y in map(float, ys) if y > 0 and math.isfinite(y)]
+    floor = (min(positive) / 10) if positive else 1e-16
+
+    def scale(y):
+        y = float(y)
+        return math.log10(max(y if math.isfinite(y) else floor, floor))
+
+    all_y = [y for _, _, ys in series for y in map(scale, ys)]
+    x_lo, x_hi = min(all_x), max(all_x)
+    y_lo, y_hi = min(all_y), max(all_y)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    def px(x):
+        return ML + (x - x_lo) / (x_hi - x_lo) * (W - ML - MR)
+
+    def py(y):
+        return H - MB - (y - y_lo) / (y_hi - y_lo) * (H - MT - MB)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<line x1="{ML}" y1="{H - MB}" x2="{W - MR}" y2="{H - MB}" stroke="black"/>',
+        f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{H - MB}" stroke="black"/>',
+    ]
+    for t in reporting._ticks(x_lo, x_hi, log=False):
+        x = px(t)
+        out.append(f'<line x1="{x:.2f}" y1="{H - MB}" x2="{x:.2f}" y2="{H - MB + 5}" stroke="black"/>')
+        out.append(f'<text x="{x:.2f}" y="{H - MB + 18}" text-anchor="middle">{t:g}</text>')
+    for t in reporting._ticks(y_lo, y_hi, log=True):
+        y = py(t)
+        out.append(f'<line x1="{ML - 5}" y1="{y:.2f}" x2="{ML}" y2="{y:.2f}" stroke="black"/>')
+        out.append(f'<text x="{ML - 8}" y="{y + 4:.2f}" text-anchor="end">1e{t:g}</text>')
+    if title:
+        out.append(f'<text x="{(ML + W - MR) / 2}" y="{MT - 14}" text-anchor="middle" '
+                   f'font-size="15">{escape(title)}</text>')
+    if xlabel:
+        out.append(f'<text x="{(ML + W - MR) / 2}" y="{H - 12}" text-anchor="middle">{escape(xlabel)}</text>')
+    if ylabel:
+        out.append(f'<text x="16" y="{(MT + H - MB) / 2}" text-anchor="middle" '
+                   f'transform="rotate(-90 16 {(MT + H - MB) / 2})">{escape(ylabel)}</text>')
+    for i, (label, xs, ys) in enumerate(series):
+        color = reporting._PALETTE[i % len(reporting._PALETTE)]
+        coords = [f"{px(float(x)):.2f},{py(y):.2f}" for x, y in zip(xs, map(scale, ys))]
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(coords)}"/>')
+        ly = MT + 16 + 18 * i
+        out.append(f'<line x1="{W - MR + 10}" y1="{ly - 4}" x2="{W - MR + 34}" y2="{ly - 4}" '
+                   f'stroke="{color}" stroke-width="2"/>')
+        out.append(f'<text x="{W - MR + 40}" y="{ly}">{escape(str(label))}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+class TestSvgBytes:
+    SERIES = {
+        "zeros, negatives, nan and inf": [
+            ("a", [0, 1, 2, 3, 4, 5, 6], [1.0, 0.0, -2.0, math.nan, math.inf, -math.inf, 3e-5]),
+            ("b", [0.5, 2.5, 7.0], [2.0, -0.0, 1e3]),
+        ],
+        "all nonpositive": [("a", [0, 1, 2], [0.0, -1.0, -math.inf]), ("b", [1, 3], [-0.5, math.nan])],
+        "single point": [("a", [3], [0.25])],
+        # y values whose numpy log10 differs from math.log10 by an ulp that survives "%.2f"
+        "log10 rounding": [("a", [0, 1, 2, 3, 4], [1e-10, 0.30154397074983635, 0.3011834951361687,
+                                                   0.298136799098248, 1.0])],
+        "equal x": [("a", [2.0, 2.0, 2.0], [1.0, 10.0, 100.0])],
+        "range and arrays": [
+            ("a", range(400), np.geomspace(1.0, 1e-12, 400)),
+            ("b", np.arange(400), (np.abs(np.sin(np.arange(400.0))) * np.geomspace(1.0, 1e-9, 400)).tolist()),
+            ("c", np.arange(0, 800, 2, dtype=np.int64), [abs(v) for v in np.cos(np.arange(400.0))]),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(SERIES))
+    def test_bytes_match_the_point_by_point_writer(self, tmp_path, case):
+        series = self.SERIES[case]
+        labels = dict(title="t < 1", xlabel="iteration", ylabel="sup error")
+        path = write_svg_lines(tmp_path / "t.svg", series, **labels)
+        assert path.read_text() == _reference_svg(series, **labels)
 
 
 class TestSvg:
