@@ -3,6 +3,8 @@ IDX parsing, mean-centering, leading principal direction by power iteration,
 and projection rescaled to [0, 1]; pca_project returns the coordinates, one
 scalar per sample.
 
+A dataset is two arrays, (images, labels): images is the pixels-by-samples
+fp64 matrix with values in [0, 1], labels the integer class of each column.
 MNIST files are an external input (optionally gzipped); a seeded synthetic
 two-blob dataset stands in when no files are available.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "ImageSet",
     "IdxFormatError",
     "PowerIterationError",
     "parse_idx_images",
@@ -50,28 +50,6 @@ class PowerIterationError(RuntimeError):
                          f"(achieved residual {residual:.3e})")
 
 
-@dataclass
-class ImageSet:
-    """Images as columns of a pixels-by-samples matrix, values in [0, 1]."""
-
-    images: np.ndarray    # (n_pixels, n_samples) fp64
-    labels: np.ndarray    # (n_samples,) ints in 0..9
-
-    def __post_init__(self):
-        if self.images.ndim != 2 or self.images.shape[1] != len(self.labels):
-            raise ValueError("images/labels sample counts differ")
-
-    @property
-    def num_samples(self) -> int:
-        return self.images.shape[1]
-
-    def onehot(self) -> np.ndarray:
-        """(num_classes, n_samples) one-hot matrix."""
-        out = np.zeros((NUM_CLASSES, self.num_samples))
-        out[self.labels, np.arange(self.num_samples)] = 1.0
-        return out
-
-
 def parse_idx_images(data: bytes) -> np.ndarray:
     """IDX image container -> (rows*cols, count) matrix of byte values / 255."""
     if len(data) < 16:
@@ -79,6 +57,8 @@ def parse_idx_images(data: bytes) -> np.ndarray:
     magic, count, rows, cols = struct.unpack(">IIII", data[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise IdxFormatError(f"bad image magic 0x{magic:08x}")
+    if count == 0 or rows * cols == 0:
+        raise IdxFormatError(f"nothing to project: {count} images of {rows}x{cols} pixels")
     expected = count * rows * cols
     if expected > len(data) - 16:
         raise IdxFormatError(f"payload truncated: expected {expected} bytes, have {len(data) - 16}")
@@ -96,8 +76,8 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
     if count > len(data) - 8:
         raise IdxFormatError(f"payload truncated: expected {count} bytes, have {len(data) - 8}")
     labels = np.frombuffer(data, dtype=np.uint8, count=count, offset=8).astype(int)
-    if labels.size and labels.max() > 9:
-        raise IdxFormatError(f"label {labels.max()} out of range 0..9")
+    if labels.size and labels.max() >= NUM_CLASSES:
+        raise IdxFormatError(f"label {labels.max()} out of range 0..{NUM_CLASSES - 1}")
     return labels
 
 
@@ -112,28 +92,36 @@ def load_idx_bytes(path: str | Path) -> bytes:
     return raw
 
 
-def load_image_set(images_path: str | Path, labels_path: str | Path) -> ImageSet:
+def load_image_set(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) from an IDX image file and an IDX label file; images
+    is F-ordered, one column per image."""
     images = parse_idx_images(load_idx_bytes(images_path))
     labels = parse_idx_labels(load_idx_bytes(labels_path))
     if images.shape[1] != len(labels):
         raise IdxFormatError(f"{images.shape[1]} images but {len(labels)} labels")
-    return ImageSet(images=images, labels=labels)
+    return images, labels
 
 
-def synthetic_image_set(num_samples: int, seed: int = 0, n_pixels: int = 784) -> ImageSet:
-    """Two well-separated Gaussian blobs with step-function labels (0 and 1).
+def synthetic_image_set(num_samples: int, seed: int = 0,
+                        n_pixels: int = 784) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels): two well-separated Gaussian blobs with step-function
+    labels, 0 for the first num_samples // 2 columns and 1 for the rest.
 
     The blob axis dominates the covariance, so the leading principal
-    direction recovers it; pixel values are clipped into [0, 1].
+    direction recovers it; pixel values are clipped into [0, 1]. The matrix is
+    C-ordered and built in place: the noise, then each half's centre column.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     axis = rng.standard_normal(n_pixels)
     axis /= np.linalg.norm(axis)
-    labels = (np.arange(num_samples) >= num_samples // 2).astype(int)
-    centers = 0.5 + 0.35 * np.outer(axis, 2.0 * labels - 1.0)
-    noise = 0.02 * rng.standard_normal((n_pixels, num_samples))
-    images = np.clip(centers + noise, 0.0, 1.0)
-    return ImageSet(images=images, labels=labels)
+    half = num_samples // 2
+    labels = (np.arange(num_samples) >= half).astype(int)
+    images = rng.standard_normal((n_pixels, num_samples))
+    images *= 0.02
+    images[:, :half] += (0.5 - 0.35 * axis)[:, None]
+    images[:, half:] += (0.5 + 0.35 * axis)[:, None]
+    np.clip(images, 0.0, 1.0, out=images)
+    return images, labels
 
 
 def center(X: np.ndarray) -> np.ndarray:
@@ -188,13 +176,14 @@ def project_rescale(X: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return (proj - lo) / (hi - lo)
 
 
-def pca_project(images: ImageSet, tol: float = 1e-10, max_iters: int = 10_000,
+def pca_project(images: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000,
                 seed: int = 0) -> np.ndarray:
-    """Full reduction: center, leading direction, projection onto [0, 1].
+    """Full reduction of the pixels-by-samples images: center, leading
+    direction, projection onto [0, 1].
 
-    Returns one coordinate per sample. The projection is taken against the
-    centered images; the rescale absorbs the constant shift, so the
-    coordinates match projecting the raw images.
+    Returns one coordinate per sample (column). The projection is taken
+    against the centered images; the rescale absorbs the constant shift, so
+    the coordinates match projecting the raw images.
     """
-    Xc = center(images.images)
+    Xc = center(images)
     return project_rescale(Xc, leading_eigenvector(Xc, tol=tol, max_iters=max_iters, seed=seed))

@@ -20,9 +20,10 @@ toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
 recorder, _spectral_recorder, and _emit_trace writes it. Histories are
 columns: a FreqTrace, an IterativeRun and a SwitchPoint's phase-one record
 each hold one list per column, and the CSV rows are zipped from them.
-Wall-clock columns come from reporting.stopwatch and are all zero unless
-timing is enabled, so that identical (config, seed) pairs produce
-byte-identical files.
+mnist_pca builds its row-major images and one-hot matrices once, after PCA,
+from data's (images, labels) pair. Wall-clock columns come from
+reporting.stopwatch and are all zero unless timing is enabled, so that
+identical (config, seed) pairs produce byte-identical files.
 
 The runners reach the other modules' functions (forward, iterate, write_csv,
 ...) through this module's globals, imported by name, and run_hybrid stays
@@ -209,12 +210,15 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 # PCA-reduced image classification experiment
 
 
-def _load_images(cfg: ExperimentConfig, seed: int) -> datamod.ImageSet:
+def _load_images(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels): the first cfg.samples of the dataset files, or the
+    seeded synthetic set. Equal images leave PCA no direction: ConfigError."""
     if cfg.mnist_images and cfg.mnist_labels:
-        images = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
-        if cfg.samples and cfg.samples < images.num_samples:
-            images = datamod.ImageSet(images.images[:, : cfg.samples], images.labels[: cfg.samples])
-        return images
+        images, labels = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
+        images, labels = images[:, :cfg.samples], labels[:cfg.samples]
+        if np.array_equal(images.min(axis=1), images.max(axis=1)):
+            raise ConfigError(f"the first {images.shape[1]} images of {cfg.mnist_images} are all equal")
+        return images, labels
     if cfg.synthetic:
         return datamod.synthetic_image_set(cfg.samples, seed=seed)
     raise ConfigError("no dataset: give mnist_images/mnist_labels or set synthetic")
@@ -223,17 +227,19 @@ def _load_images(cfg: ExperimentConfig, seed: int) -> datamod.ImageSet:
 def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
-    images = _load_images(cfg, seed)
+    images, labels = _load_images(cfg, seed)
     coords = datamod.pca_project(images, seed=seed)
-    # row-major copies, so a minibatch is a gather of contiguous rows; made
-    # after pca_project has freed its centred copy, so peak memory does not rise
-    onehot = np.ascontiguousarray(images.onehot().T)   # (n, 10)
-    X = np.ascontiguousarray(images.images.T)          # (n, pixels)
+    # row-major, so a minibatch is a gather of contiguous rows; made after
+    # pca_project has freed its centred copy, in place of the pixels-by-samples
+    # matrix, so peak memory does not rise
+    X = np.ascontiguousarray(images.T)   # (n, pixels)
+    del images
+    onehot = np.eye(datamod.NUM_CLASSES)[labels]   # (n, classes)
 
     trace, record = _spectral_recorder(cfg, elapsed, lambda v: nufft_direct(coords, v, cfg.nufft_freqs),
                                        onehot[:, 0])
 
-    net = init_mlp([X.shape[1], *cfg.hidden_widths, 10], cfg.activation, "softmax",
+    net = init_mlp([X.shape[1], *cfg.hidden_widths, datamod.NUM_CLASSES], cfg.activation, "softmax",
                    cfg.init_std, cfg.init_mean, seed)
     shuffle_rng = np.random.Generator(np.random.PCG64([seed, 1]))
 
@@ -241,7 +247,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         probs, _, lv = _evaluate(net, X, lambda out: cross_entropy_loss(out, onehot), epoch)
         record(epoch, lv.value, probs[:, 0])
 
-    n = X.shape[0]
+    n = len(labels)
     batch = cfg.batch_size if cfg.batch_size > 0 else n
     record_full_batch(0)
     grad = None
@@ -256,8 +262,8 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         if (epoch + 1) % cfg.record_every == 0:
             record_full_batch(epoch + 1)
 
-    projected_rows = [[coords[i], int(images.labels[i])] + list(onehot[i]) for i in range(n)]
-    write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(10)], projected_rows)
+    write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(datamod.NUM_CLASSES)],
+              zip(coords, labels.tolist(), *onehot.T))
     return _emit_trace(cfg, out_dir, trace, "image-task cross entropy, first output dimension")
 
 

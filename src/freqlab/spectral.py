@@ -183,7 +183,6 @@ class GradDecomposition:
     """
 
     d_k: np.ndarray            # (K,) complex: coefficients of dl/doutput
-    dc_dtheta: np.ndarray      # (K, P) complex: mode-coefficient gradients
     mode_terms: np.ndarray     # (K, P) complex: per-mode gradient contributions
     direct_grad: np.ndarray    # (P,) float: gradient computed without the split
 
@@ -256,4 +255,4 @@ def grad_decomposition(
     dc_dtheta = np.conjugate(basis) @ jac
     mode_terms = dc_dtheta * d_k[:, None]
     direct = s @ jac
-    return GradDecomposition(d_k=d_k, dc_dtheta=dc_dtheta, mode_terms=mode_terms, direct_grad=direct)
+    return GradDecomposition(d_k=d_k, mode_terms=mode_terms, direct_grad=direct)

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ class TestIdxImages:
         with pytest.raises(IdxFormatError):
             parse_idx_images(raw)
 
+    @pytest.mark.parametrize("count,rows,cols", [(0, 28, 28), (3, 0, 0), (3, 4, 0)])
+    def test_nothing_to_project_rejected(self, count, rows, cols):
+        with pytest.raises(IdxFormatError, match="nothing to project"):
+            parse_idx_images(build_idx_images(count=count, rows=rows, cols=cols))
+
     def test_values_normalized_to_unit_interval(self):
         pixels = np.array([0, 128, 255, 7], dtype=np.uint8)
         X = parse_idx_images(build_idx_images(count=1, rows=2, cols=2, pixels=pixels))
@@ -105,7 +111,11 @@ class TestLoading:
         (build_idx_images(count=2), build_idx_labels([1, 12])),
         (build_idx_images(count=2), gzip.compress(build_idx_labels([1, 2]))[:-12]),
         (build_idx_images(count=2), gzip.compress(build_idx_labels([1, 2]))[:-6] + b"\0" * 6),
-    ], ids=["bad-magic", "label-out-of-range", "truncated-gzip", "bad-gzip-crc"])
+        (build_idx_images(count=0), build_idx_labels([])),
+        (build_idx_images(count=4, rows=0, cols=0), build_idx_labels([1, 2, 3, 4])),
+        (build_idx_images(count=4, rows=2, cols=2, pixels=[9, 200, 31, 0] * 4), build_idx_labels([1, 2, 3, 4])),
+    ], ids=["bad-magic", "label-out-of-range", "truncated-gzip", "bad-gzip-crc", "no-images", "no-pixels",
+            "all-images-equal"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, images, labels):
         (tmp_path / "im").write_bytes(images)
         (tmp_path / "lb").write_bytes(labels)
@@ -113,19 +123,17 @@ class TestLoading:
                      "--mnist-labels", str(tmp_path / "lb"), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "config.txt").exists()
 
     def test_load_image_set_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         pixels = rng.integers(0, 256, size=2 * 784, dtype=np.uint8)
         (tmp_path / "im").write_bytes(build_idx_images(count=2, pixels=pixels))
         (tmp_path / "lb").write_bytes(build_idx_labels([4, 7]))
-        images = load_image_set(tmp_path / "im", tmp_path / "lb")
-        assert images.num_samples == 2
-        assert np.array_equal(images.labels, [4, 7])
-        onehot = images.onehot()
-        assert onehot.shape == (10, 2)
-        assert onehot[4, 0] == 1.0 and onehot[7, 1] == 1.0
-        assert onehot.sum() == 2.0
+        images, labels = load_image_set(tmp_path / "im", tmp_path / "lb")
+        assert images.shape == (784, 2) and images.flags.f_contiguous
+        assert np.array_equal(images, pixels.reshape(2, 784).T / 255.0)
+        assert np.array_equal(labels, [4, 7])
 
 
 class TestCenter:
@@ -244,29 +252,38 @@ class TestProjectRescale:
 
 class TestPipeline:
     def test_synthetic_set_properties(self):
-        images = synthetic_image_set(100, seed=3)
-        assert images.images.shape == (784, 100)
-        assert images.images.min() >= 0.0 and images.images.max() <= 1.0
-        assert set(np.unique(images.labels)) == {0, 1}
+        images, labels = synthetic_image_set(101, seed=3)
+        assert images.shape == (784, 101) and images.flags.c_contiguous
+        assert images.min() >= 0.0 and images.max() <= 1.0
+        assert np.array_equal(labels, [0] * 50 + [1] * 51)
 
     def test_synthetic_deterministic(self):
-        a = synthetic_image_set(50, seed=11)
-        b = synthetic_image_set(50, seed=11)
-        assert np.array_equal(a.images, b.images)
-        assert np.array_equal(a.labels, b.labels)
+        a_images, a_labels = synthetic_image_set(50, seed=11)
+        b_images, b_labels = synthetic_image_set(50, seed=11)
+        assert np.array_equal(a_images, b_images)
+        assert np.array_equal(a_labels, b_labels)
+
+    def test_synthetic_set_is_built_in_place(self):
+        tracemalloc.start()
+        try:
+            images, _ = synthetic_image_set(2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * images.nbytes
 
     def test_pca_projection_separates_blobs(self):
-        images = synthetic_image_set(200, seed=4)
+        images, labels = synthetic_image_set(200, seed=4)
         coords = pca_project(images, seed=4)
         assert coords.min() == 0.0 and coords.max() == 1.0
-        left = coords[images.labels == 0]
-        right = coords[images.labels == 1]
+        left = coords[labels == 0]
+        right = coords[labels == 1]
         if left.mean() > right.mean():
             left, right = right, left
         assert left.max() < right.min()  # blobs are linearly separated on the axis
 
     def test_pipeline_deterministic(self):
-        images = synthetic_image_set(80, seed=5)
+        images, _ = synthetic_image_set(80, seed=5)
         a = pca_project(images, seed=5)
         b = pca_project(images, seed=5)
         assert np.array_equal(a, b)

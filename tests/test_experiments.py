@@ -134,6 +134,23 @@ class TestMnistPca:
         report = run_single(cfg, 0, tmp_path / "out")
         assert (tmp_path / "out" / "trace.csv").exists()
 
+    def test_file_dataset_cut_to_samples(self, tmp_path):
+        import struct
+        rng = np.random.default_rng(1)
+        count, samples = 40, 25
+        pixels = rng.integers(0, 256, size=(count, 784), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=count).astype(np.uint8)
+        for name, n in (("all", count), ("head", samples)):
+            (tmp_path / f"{name}.im").write_bytes(struct.pack(">IIII", 0x803, n, 28, 28) + pixels[:n].tobytes())
+            (tmp_path / f"{name}.lb").write_bytes(struct.pack(">II", 0x801, n) + labels[:n].tobytes())
+            cfg = tiny("desk-mnist-pca", synthetic=False, samples=samples, epochs=4, record_every=2,
+                       mnist_images=str(tmp_path / f"{name}.im"), mnist_labels=str(tmp_path / f"{name}.lb"))
+            run_single(cfg, 0, tmp_path / name)
+        rows = read_csv(tmp_path / "all" / "projected.csv")
+        assert [int(r["label"]) for r in rows] == labels[:samples].tolist()
+        for csv_name in ("projected.csv", "trace.csv", "first_passage.csv"):
+            assert (tmp_path / "all" / csv_name).read_bytes() == (tmp_path / "head" / csv_name).read_bytes()
+
 
 class TestPoissonRunners:
     def test_direct_solution_and_spectrum(self, tmp_path):
