@@ -35,20 +35,23 @@ def _bundled_openblas():
     return ctypes.CDLL(str(found[0])) if found else None
 
 
+def _openblas_function(name: str):
+    """scipy_openblas_<name>64_, else openblas_<name>64_, from
+    _bundled_openblas(), or None where there is neither."""
+    lib = _bundled_openblas()
+    found = (getattr(lib, f"{prefix}{name}64_", None) for prefix in ("scipy_openblas_", "openblas_"))
+    return next((fn for fn in found if fn is not None), None)
+
+
 def _pin_bundled_openblas() -> None:
-    """Set numpy's bundled OpenBLAS to one thread. Without the library or
-    either setter, the environment variables are the only pin."""
+    """Set numpy's bundled OpenBLAS to one thread. Without the library or its
+    setter, the environment variables are the only pin."""
     import ctypes
 
-    lib = _bundled_openblas()
-    if lib is None:
-        return
-    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 _pin_bundled_openblas()

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .nn import HIDDEN_ACTIVATIONS
-from .poisson import STEPPERS
+from .poisson import METHODS
 from .spectral import DF_DENOMINATORS
 
 __all__ = [
@@ -294,7 +294,7 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment in ("poisson_jacobi", "d_jacobi"):
         _require(cfg.max_iters >= 1, "max_iters must be >= 1")
         _require(cfg.iter_tol_rel > 0, "iter_tol_rel must be positive")
-        _require_choice("hybrid_method", cfg.hybrid_method, tuple(STEPPERS))
+        _require_choice("hybrid_method", cfg.hybrid_method, tuple(METHODS))
     if cfg.experiment == "d_jacobi":
         _require(cfg.plateau_window >= 2, "plateau_window must be >= 2")
         _require(cfg.plateau_tol > 0, "plateau_tol must be positive")

@@ -10,12 +10,15 @@ write_csv/write_svg_lines, and returns the metrics the CLI prints. run_single
 owns the run directory: it validates the config, creates the directory, calls
 the runner and, once the runner has returned, writes the resolved-config
 snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
-snapshot. Every training step is one _evaluate (forward, loss, divergence
-rule); the full-batch runners share one descent loop, _descent, and record
-from the outputs it has already computed. _descent owns the network's
-activation cache and gradient vector and passes them back to nn as into, so a
-step allocates no batch-sized array; the outputs it yields are overwritten by
-the next step, and every consumer reads or copies them before resuming it.
+snapshot. Every trained runner goes through one descent loop, _descent, over
+epochs of (inputs, loss_of) batches, loss_of returning a (value, gradient)
+pair; each step is one _evaluate (forward, loss, divergence rule). The
+full-batch runners record from the outputs it yields; mnist_pca's epochs are
+shuffled minibatches, and it records a full-batch _evaluate where _descent
+yields. _descent owns one activation cache per batch length and one gradient
+vector and passes them back to nn as into; the outputs it yields are
+overwritten by the next step of their batch length, so every consumer reads
+or copies them before resuming it.
 toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
 recorder, _spectral_recorder, and _emit_trace writes it. Histories are
 columns: a FreqTrace, an IterativeRun and a SwitchPoint's phase-one record
@@ -36,14 +39,14 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import data as datamod
 from .config import ExperimentConfig, config_to_text, validate
 from .errors import ConfigError, DivergenceError
-from .losses import LossValueGrad, cross_entropy_loss, energy_loss, mse_loss
+from .losses import cross_entropy_loss, energy_loss, mse_loss
 from .nn import Mlp, backprop, forward, init_mlp, lr_at, sgd_step
 from .poisson import (
     Grid1D,
@@ -70,6 +73,9 @@ from .spectral import (
 )
 
 __all__ = ["RunReport", "target_toy", "run_experiment", "run_single"]
+
+#: a loss of the network outputs: (value, gradient with respect to the outputs)
+LossOf = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass
@@ -136,54 +142,54 @@ def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: s
             "first_passage": first_passage}
 
 
-def _raise_divergence(net: Mlp, epoch: int, err: ValueError) -> NoReturn:
-    """Report err as a divergence if the parameters have gone non-finite
-    (softmax rejects the NaN logits they produce); re-raise it otherwise."""
-    if np.all(np.isfinite(net.params)):
-        raise err
-    raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {err}") from err
-
-
 def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
     """The last epoch the trace runners record; no output reads the updates after it."""
     return cfg.epochs - cfg.epochs % cfg.record_every
 
 
-def _evaluate(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
-              epoch: int, into: list[np.ndarray] | None = None
-              ) -> tuple[np.ndarray, list[np.ndarray], LossValueGrad]:
-    """(outputs, cache, loss) of net on xs, the cache written into into if
-    given (see nn.forward). A non-finite loss raises DivergenceError for epoch,
-    and so does a ValueError once the parameters are non-finite."""
+def _evaluate(net: Mlp, xs: np.ndarray, loss_of: LossOf, epoch: int,
+              into: list[np.ndarray] | None = None
+              ) -> tuple[np.ndarray, list[np.ndarray], float, np.ndarray]:
+    """(outputs, cache, loss, loss gradient) of net on xs, the cache written
+    into into if given (see nn.forward). A non-finite loss raises
+    DivergenceError for epoch, and so does a ValueError once the parameters
+    are non-finite (softmax rejects the NaN logits they produce)."""
     try:
         out, cache = forward(net, xs, into)
-        lv = loss_of(out)
+        value, grad = loss_of(out)
     except ValueError as e:
-        _raise_divergence(net, epoch, e)
-    if not np.isfinite(lv.value):
+        if np.all(np.isfinite(net.params)):
+            raise
+        raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {e}") from e
+    if not np.isfinite(value):
         raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
-    return out, cache, lv
+    return out, cache, value, grad
 
 
-def _descent(net: Mlp, xs: np.ndarray, loss_of: Callable[[np.ndarray], LossValueGrad],
+def _descent(net: Mlp, epochs: Iterable[Iterable[tuple[np.ndarray, LossOf]]],
              cfg: ExperimentConfig) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Full-batch gradient descent of loss_of(network outputs on xs).
+    """Gradient descent over epochs, each an iterable of (inputs, loss_of)
+    batches, one update per batch at the epoch's rate under cfg's schedule.
 
-    Yields (epoch, outputs, loss) before each epoch's update, starting with the
-    untrained network at epoch 0, for as long as the caller keeps iterating,
-    at cfg's learning rate and halving cadence. Each step is one _evaluate, so
-    a divergence is raised instead of yielded. The loop owns one activation
-    cache and one gradient vector, written over at every step: a yielded
-    outputs array is overwritten once the caller resumes the loop, so read or
-    copy it before that.
+    Yields (epoch, outputs, loss) of each epoch's first batch before its
+    update, from the untrained network at epoch 0 on. Each step is one
+    _evaluate, so a divergence is raised instead of yielded. The loop owns one
+    activation cache per batch length and one gradient vector, written over at
+    every step: a yielded outputs array is overwritten once the caller resumes
+    the loop, so read or copy it before that.
     """
-    cache = grad = None
-    for epoch in itertools.count():
-        # the buffers pass by position: wrappers in the tests and in perfbench/tracer.py read *args
-        out, cache, lv = _evaluate(net, xs, loss_of, epoch, cache)
-        yield epoch, out, lv.value
-        grad = backprop(net, cache, lv.grad.reshape(out.shape), grad)
-        sgd_step(net, grad, lr_at(cfg.lr, cfg.lr_halve_every, epoch))
+    caches: dict[int, list[np.ndarray]] = {}
+    grad = None
+    for epoch, batches in enumerate(epochs):
+        lr = lr_at(cfg.lr, cfg.lr_halve_every, epoch)
+        for i, (xs, loss_of) in enumerate(batches):
+            # the buffers pass by position: wrappers in the tests and in perfbench/tracer.py read *args
+            out, cache, value, dloss = _evaluate(net, xs, loss_of, epoch, caches.get(len(xs)))
+            caches[len(xs)] = cache
+            if i == 0:
+                yield epoch, out, value
+            grad = backprop(net, cache, dloss.reshape(out.shape), grad)
+            sgd_step(net, grad, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, targets[:, 0])
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", cfg.init_std, cfg.init_mean, seed)
-    descent = _descent(net, xs, lambda out: cross_entropy_loss(out, targets), cfg)
+    descent = _descent(net, itertools.repeat(((xs, lambda out: cross_entropy_loss(out, targets)),)), cfg)
     for epoch, probs, loss in itertools.islice(descent, _last_recorded_epoch(cfg) + 1):
         if epoch % cfg.record_every == 0:
             record(epoch, loss, probs[:, 0])
@@ -215,7 +221,8 @@ def _load_images(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarr
     seeded synthetic set. Equal images leave PCA no direction: ConfigError."""
     if cfg.mnist_images and cfg.mnist_labels:
         images, labels = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
-        images, labels = images[:, :cfg.samples], labels[:cfg.samples]
+        # copies, so the rest of the file's matrix is freed; F-ordered, as a file holding only the cut
+        images, labels = images[:, :cfg.samples].copy(order="F"), labels[:cfg.samples].copy()
         if np.array_equal(images.min(axis=1), images.max(axis=1)):
             raise ConfigError(f"the first {images.shape[1]} images of {cfg.mnist_images} are all equal")
         return images, labels
@@ -243,24 +250,23 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                    cfg.init_std, cfg.init_mean, seed)
     shuffle_rng = np.random.Generator(np.random.PCG64([seed, 1]))
 
-    def record_full_batch(epoch: int):
-        probs, _, lv = _evaluate(net, X, lambda out: cross_entropy_loss(out, onehot), epoch)
-        record(epoch, lv.value, probs[:, 0])
-
     n = len(labels)
     batch = cfg.batch_size if cfg.batch_size > 0 else n
-    record_full_batch(0)
-    grad = None
-    for epoch in range(_last_recorded_epoch(cfg)):
-        order = shuffle_rng.permutation(n)
-        lr = lr_at(cfg.lr, cfg.lr_halve_every, epoch)
-        for lo in range(0, n, batch):
-            sel = order[lo:lo + batch]
-            _, cache, lv = _evaluate(net, X[sel], lambda out: cross_entropy_loss(out, onehot[sel]), epoch)
-            grad = backprop(net, cache, lv.grad, grad)
-            sgd_step(net, grad, lr)
-        if (epoch + 1) % cfg.record_every == 0:
-            record_full_batch(epoch + 1)
+
+    def minibatches():
+        for sel in np.split(shuffle_rng.permutation(n), range(batch, n, batch)):
+            yield X[sel], lambda out, sel=sel: cross_entropy_loss(out, onehot[sel])
+
+    def record_full_batch(epoch: int) -> None:
+        probs, _, loss, _ = _evaluate(net, X, lambda out: cross_entropy_loss(out, onehot), epoch)
+        record(epoch, loss, probs[:, 0])
+
+    # a recording's parameters are those before the epoch's first update
+    last = _last_recorded_epoch(cfg)
+    for epoch, _, _ in _descent(net, (minibatches() for _ in range(last)), cfg):
+        if epoch % cfg.record_every == 0:
+            record_full_batch(epoch)
+    record_full_batch(last)
 
     write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(datamod.NUM_CLASSES)],
               zip(coords, labels.tolist(), *onehot.T))
@@ -319,8 +325,8 @@ def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
                     gvals: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
     """_descent of a fresh seeded network on the discrete energy over the grid."""
     net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", cfg.init_std, cfg.init_mean, seed)
-    return _descent(net, grid.points.reshape(-1, 1),
-                    lambda out: energy_loss(out[:, 0], gvals, grid, cfg.beta), cfg)
+    batch = (grid.points.reshape(-1, 1), lambda out: energy_loss(out[:, 0], gvals, grid, cfg.beta))
+    return _descent(net, itertools.repeat((batch,)), cfg)
 
 
 def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
@@ -436,14 +442,14 @@ def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         target = target_toy(xs[:, 0])[:, :1]
 
         def pointwise(outputs):
-            return mse_loss(outputs, target).grad
+            return mse_loss(outputs, target)[1]
     else:
         net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax",
                        cfg.init_std, cfg.init_mean, seed)
         target = target_toy(xs[:, 0])
 
         def pointwise(outputs):
-            return cross_entropy_loss(outputs, target).grad
+            return cross_entropy_loss(outputs, target)[1]
 
     dec = grad_decomposition(net, xs, pointwise, output_dim=0)
     mags = dec.mode_magnitudes()

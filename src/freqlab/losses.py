@@ -1,21 +1,21 @@
 """The three training losses: summed square error, two-term cross entropy,
 and the discretized boundary-penalized Dirichlet energy.
 
-Each returns the scalar value together with its exact gradient with respect to
-the network outputs, so the network backward pass stays loss-agnostic.
+Each returns a (value, grad) pair: the scalar value and its exact gradient with
+respect to the network outputs, so the network backward pass stays
+loss-agnostic. The value is finite for finite inputs; training loops watch it
+for divergence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .poisson import Grid1D, solve_tridiagonal
 
 __all__ = [
-    "LossValueGrad",
     "mse_loss",
     "cross_entropy_loss",
     "energy_loss",
@@ -26,18 +26,7 @@ __all__ = [
 CE_EPS = 1e-12
 
 
-@dataclass
-class LossValueGrad:
-    """Scalar loss plus its gradient with respect to the network outputs.
-
-    Finite for finite inputs; training loops watch the value for divergence.
-    """
-
-    value: float
-    grad: np.ndarray
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> LossValueGrad:
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed square error: value = sum (pred - target)^2, grad = 2(pred - target)."""
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
@@ -47,10 +36,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> LossValueGrad:
     # overflow to inf on diverged outputs is intended: trainers watch for it
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.sum(diff * diff))
-    return LossValueGrad(value=value, grad=2.0 * diff)
+    return value, 2.0 * diff
 
 
-def cross_entropy_loss(probs: np.ndarray, onehot: np.ndarray) -> LossValueGrad:
+def cross_entropy_loss(probs: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
     """Two-term cross entropy summed over every output dimension and sample.
 
     value = -sum y*log(p) + (1-y)*log(1-p), with each log argument floored at
@@ -71,10 +60,11 @@ def cross_entropy_loss(probs: np.ndarray, onehot: np.ndarray) -> LossValueGrad:
     value = -float(np.sum(y * np.log(pc) + (1.0 - y) * np.log(qc)))
     grad = np.where((p > CE_EPS) & (p < 1.0), -y / pc, 0.0)
     grad = grad + np.where((1.0 - p > CE_EPS) & (p > 0.0), (1.0 - y) / qc, 0.0)
-    return LossValueGrad(value=value, grad=grad)
+    return value, grad
 
 
-def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D, beta: float) -> LossValueGrad:
+def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D,
+                beta: float) -> tuple[float, np.ndarray]:
     """Discrete boundary-penalized energy of a grid function on grid, with
     finite penalty weight beta >= 0.
 
@@ -103,7 +93,7 @@ def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D, beta: floa
         grad[1:] += diff
         grad[0] += 2.0 * beta * u[0]
         grad[-1] += 2.0 * beta * u[-1]
-    return LossValueGrad(value=value, grad=grad)
+    return value, grad
 
 
 def discrete_energy_minimizer(g_grid: np.ndarray, grid: Grid1D, beta: float) -> np.ndarray:

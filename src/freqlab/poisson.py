@@ -36,7 +36,7 @@ __all__ = [
     "IterativeRun",
     "SwitchPoint",
     "TrainPhase",
-    "STEPPERS",
+    "METHODS",
     "g_rhs",
     "assemble_poisson",
     "solve_tridiagonal",
@@ -196,9 +196,8 @@ def gauss_seidel_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _step(_gauss_seidel_sweep, rhs, u)
 
 
-#: the iterative methods by name; config.validate reads the names from here
-STEPPERS = {"jacobi": jacobi_step, "gauss_seidel": gauss_seidel_step}
-_SWEEPS = {"jacobi": _jacobi_sweep, "gauss_seidel": _gauss_seidel_sweep}
+#: the iterative methods by name, each to its sweep; config.validate reads the names from here
+METHODS = {"jacobi": _jacobi_sweep, "gauss_seidel": _gauss_seidel_sweep}
 
 #: sweeps that iterate computes before it records them at once
 _BLOCK = 256
@@ -292,7 +291,7 @@ def iterate(
     once, so up to _BLOCK - 1 sweeps past the stop are computed and not
     recorded; wall_ms is read after each sweep.
     """
-    sweep = _SWEEPS.get(method)
+    sweep = METHODS.get(method)
     if sweep is None:
         raise ValueError(f"unknown method {method!r}")
     if max_iters < 0:

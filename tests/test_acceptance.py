@@ -156,8 +156,8 @@ def test_criterion_05_backprop_correctness():
 
                     def loss_fn(m):
                         out, cache = forward(m, gx)
-                        lv = energy_loss(out[:, 0], gvals, grid, 10.0)
-                        return lv.value, backprop(m, cache, lv.grad.reshape(-1, 1))
+                        value, grad_out = energy_loss(out[:, 0], gvals, grid, 10.0)
+                        return value, backprop(m, cache, grad_out.reshape(-1, 1))
                 elif loss_name == "mse":
                     net = init_mlp(widths + [3], hidden_act, "identity",
                                    std=0.4, seed=int(rng.integers(1 << 30)))
@@ -165,8 +165,8 @@ def test_criterion_05_backprop_correctness():
 
                     def loss_fn(m, xs=xs, target=target):
                         out, cache = forward(m, xs)
-                        lv = mse_loss(out, target)
-                        return lv.value, backprop(m, cache, lv.grad)
+                        value, grad_out = mse_loss(out, target)
+                        return value, backprop(m, cache, grad_out)
                 else:
                     net = init_mlp(widths + [3], hidden_act, "softmax",
                                    std=0.4, seed=int(rng.integers(1 << 30)))
@@ -175,8 +175,8 @@ def test_criterion_05_backprop_correctness():
 
                     def loss_fn(m, xs=xs, onehot=onehot):
                         out, cache = forward(m, xs)
-                        lv = cross_entropy_loss(out, onehot)
-                        return lv.value, backprop(m, cache, lv.grad)
+                        value, grad_out = cross_entropy_loss(out, onehot)
+                        return value, backprop(m, cache, grad_out)
 
                 err = grad_check(net, loss_fn, fd_step=1e-6, num_checks=40, seed=depth)
                 assert err < 1e-5, f"{hidden_act}/{loss_name}/depth{depth}: {err:.2e}"

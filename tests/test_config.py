@@ -15,7 +15,7 @@ from freqlab.config import (
 )
 from freqlab.errors import ConfigError
 from freqlab.nn import HIDDEN_ACTIVATIONS
-from freqlab.poisson import STEPPERS
+from freqlab.poisson import METHODS
 from freqlab.spectral import DF_DENOMINATORS
 
 
@@ -125,7 +125,7 @@ class TestValidation:
             validate(cfg)
 
     @pytest.mark.parametrize("key,value", [("activation", a) for a in HIDDEN_ACTIVATIONS]
-                             + [("hybrid_method", m) for m in STEPPERS]
+                             + [("hybrid_method", m) for m in METHODS]
                              + [("df_denominator", d) for d in DF_DENOMINATORS])
     def test_choices_are_the_implementing_modules(self, key, value):
         validate(dataclasses.replace(preset_config("desk-d-jacobi"), **{key: value}))

@@ -151,6 +151,27 @@ class TestMnistPca:
         for csv_name in ("projected.csv", "trace.csv", "first_passage.csv"):
             assert (tmp_path / "all" / csv_name).read_bytes() == (tmp_path / "head" / csv_name).read_bytes()
 
+    def test_file_dataset_cut_frees_the_rest_of_the_file(self, tmp_path):
+        # the cut is a copy: a view would keep the whole file's fp64 matrix alive for the run
+        import struct
+        rng = np.random.default_rng(2)
+        count, samples = 4000, 400
+        pixels = rng.integers(0, 256, size=(count, 64), dtype=np.uint8)
+        (tmp_path / "im.idx").write_bytes(struct.pack(">IIII", 0x803, count, 8, 8) + pixels.tobytes())
+        labels = rng.integers(0, 10, size=count).astype(np.uint8)
+        (tmp_path / "lb.idx").write_bytes(struct.pack(">II", 0x801, count) + labels.tobytes())
+        cfg = tiny("desk-mnist-pca", synthetic=False, samples=samples,
+                   mnist_images=str(tmp_path / "im.idx"), mnist_labels=str(tmp_path / "lb.idx"))
+        tracemalloc.start()
+        try:
+            images, cut_labels = ex._load_images(cfg, 0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (64, samples) and images.flags.f_contiguous
+        assert cut_labels.tolist() == labels[:samples].tolist()
+        assert held < 2 * (images.nbytes + cut_labels.nbytes)
+
 
 class TestPoissonRunners:
     def test_direct_solution_and_spectrum(self, tmp_path):
@@ -190,6 +211,13 @@ class TestPoissonRunners:
                 assert float(row[f"alpha_{k}"]) == pytest.approx(amps[k - 1], rel=1e-12, abs=1e-15)
             u = jacobi_step(rhs, u)
 
+    def test_timing_walls_rise_through_the_iterations(self, tmp_path):
+        cfg = dataclasses.replace(default_config("poisson_jacobi"), grid_n=16, max_iters=300, timing=True)
+        run_single(cfg, 0, tmp_path)
+        walls = [float(r["wall_ms"]) for r in read_csv(tmp_path / "iters.csv")]
+        assert len(walls) > 2 and min(walls[1:]) > 0.0
+        assert walls == sorted(walls)
+
     def test_poisson_dnn_short_run(self, tmp_path):
         cfg = tiny("desk-poisson-dnn", hidden_widths=(32, 16), epochs=40, record_every=20)
         report = run_single(cfg, 0, tmp_path)
@@ -227,6 +255,18 @@ class TestDJacobi:
         assert {r["phase"] for r in rows} == {"dnn", "gauss_seidel"}
         baseline = read_csv(tmp_path / "baseline.csv")
         assert baseline[0]["phase"] == "gauss_seidel"
+
+    def test_timing_iterative_walls_carry_on_from_training(self, tmp_path):
+        cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16, epochs=400, record_every=5,
+                   plateau_window=10, max_iters=20_000, timing=True)
+        run_single(cfg, 0, tmp_path)
+        for label in ("early", "plateau", "late"):
+            rows = read_csv(tmp_path / f"hybrid_{label}.csv")
+            dnn = [float(r["cum_wall_ms"]) for r in rows if r["phase"] == "dnn"]
+            sweeps = [float(r["cum_wall_ms"]) for r in rows if r["phase"] == "jacobi"]
+            assert len(dnn) + len(sweeps) == len(rows) and dnn and len(sweeps) > 1, label
+            assert dnn == sorted(dnn) and dnn[-1] > 0.0, label
+            assert sweeps[0] >= dnn[-1] and sweeps == sorted(sweeps), label
 
     def test_switch_step_zero_equals_cold_from_untrained_net(self, tmp_path):
         # an untrained-but-seeded net is a fixed function; switching immediately
@@ -328,10 +368,10 @@ class TestDJacobiOneStream:
 
         def nan_after_plateau(*args):
             calls.append(1)
-            lv = real(*args)
+            value, grad = real(*args)
             if len(calls) > p + p // 2:  # step p + p // 2 of the plateau stream
-                lv.value = float("nan")
-            return lv
+                value = float("nan")
+            return value, grad
 
         monkeypatch.setattr(ex, "energy_loss", nan_after_plateau)
         with pytest.raises(DivergenceError) as info:
@@ -364,6 +404,23 @@ class TestTrainingLoop:
             assert len(calls) == last * -(-cfg.samples // cfg.batch_size) + last // cfg.record_every + 1
         else:
             assert len(calls) == last + 1
+
+    def test_minibatch_forwards_reuse_one_cache_per_batch_length(self, tmp_path, monkeypatch):
+        # 80 samples in batches of 32 have two batch lengths, 32 and 16; the other
+        # forwards without a cache are the full-batch recordings
+        fresh = []
+        real = ex.forward
+
+        def counted(*args):
+            if len(args) < 3 or args[2] is None:
+                fresh.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(ex, "forward", counted)
+        cfg = tiny("desk-mnist-pca", samples=80, batch_size=32, epochs=7, record_every=3)
+        run_single(cfg, 0, tmp_path)
+        recordings = (cfg.epochs - cfg.epochs % cfg.record_every) // cfg.record_every + 1
+        assert sorted(fresh) == [16, 32] + [80] * recordings
 
     # each tau leaves some peaks crossed and some not
     @pytest.mark.parametrize("preset,shrink", [
@@ -542,6 +599,24 @@ class TestBlasThreads:
                            env=env, check=True, capture_output=True)
             traces.append((out / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
+
+    def test_run_single_after_numpy_writes_the_cli_bytes(self, tmp_path):
+        # numpy loads first with two BLAS threads, so only the pin on the loaded library holds
+        src = str(Path(freqlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+        script = ("import sys, dataclasses, numpy\n"
+                  "from freqlab.config import preset_config\n"
+                  "from freqlab.experiments import run_single\n"
+                  "cfg = dataclasses.replace(preset_config('desk-mnist-pca'), samples=120, epochs=10)\n"
+                  "run_single(cfg, 0, sys.argv[1])\n")
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "library")],
+                       env=env, check=True, capture_output=True)
+        subprocess.run([sys.executable, "-m", "freqlab.cli", "mnist-pca", "--preset", "desk-mnist-pca",
+                        "--set", "samples=120", "--set", "epochs=10", "--out", str(tmp_path / "cli")],
+                       env=env, check=True, capture_output=True)
+        library, cli = ((tmp_path / name / "trace.csv").read_bytes() for name in ("library", "cli"))
+        assert library == cli
 
 
 class TestTracer:

@@ -59,13 +59,11 @@ RUNS = {
 
 def blas_core() -> str:
     """The kernel name numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
-    lib = freqlab._bundled_openblas()
-    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
-        getter = getattr(lib, name, None) if lib is not None else None
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_char_p
-            return getter().decode()
-    return "unknown"
+    getter = freqlab._openblas_function("get_corename")
+    if getter is None:
+        return "unknown"
+    getter.argtypes, getter.restype = [], ctypes.c_char_p
+    return getter().decode()
 
 
 def write_idx_pair(count: int = 30, rows: int = 6, cols: int = 6) -> None:

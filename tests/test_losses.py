@@ -45,14 +45,14 @@ def assert_matches_fd(grad, fn, x, h, scale, truncation=0.0):
 
 class TestMse:
     def test_minimum(self):
-        lv = mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        assert lv.value == 0.0
-        assert np.array_equal(lv.grad, [0.0, 0.0])
+        value, grad_out = mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        assert value == 0.0
+        assert np.array_equal(grad_out, [0.0, 0.0])
 
     def test_definition(self):
-        lv = mse_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        assert lv.value == 1.0
-        assert np.array_equal(lv.grad, [2.0, 0.0])
+        value, grad_out = mse_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        assert value == 1.0
+        assert np.array_equal(grad_out, [2.0, 0.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ class TestMse:
         rng = np.random.default_rng(seed)
         p, t = rng.standard_normal(8), rng.standard_normal(8)
         perm = rng.permutation(8)
-        assert mse_loss(p, t).value == pytest.approx(mse_loss(p[perm], t[perm]).value, rel=1e-14)
+        assert mse_loss(p, t)[0] == pytest.approx(mse_loss(p[perm], t[perm])[0], rel=1e-14)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @example(seed=9484)  # a 2.7e-3 component whose cancellation error beat a 1e-8 relative bound
@@ -72,30 +72,30 @@ class TestMse:
     def test_gradient_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
         p, t = rng.standard_normal(6), rng.standard_normal(6)
-        lv = mse_loss(p, t)
-        assert_matches_fd(lv.grad, lambda q: mse_loss(q, t).value, p, 1e-5, scale=lv.value)
+        value, grad_out = mse_loss(p, t)
+        assert_matches_fd(grad_out, lambda q: mse_loss(q, t)[0], p, 1e-5, scale=value)
 
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_exactly_zero(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        lv = cross_entropy_loss(y.copy(), y)
-        assert lv.value == 0.0
+        value, _ = cross_entropy_loss(y.copy(), y)
+        assert value == 0.0
 
     def test_uniform_two_class_hand_value(self):
-        lv = cross_entropy_loss(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
-        assert lv.value == pytest.approx(2 * math.log(2), rel=1e-12)
+        value, _ = cross_entropy_loss(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
+        assert value == pytest.approx(2 * math.log(2), rel=1e-12)
 
     def test_moving_mass_toward_truth_decreases(self):
         y = np.array([[1.0, 0.0]])
-        values = [cross_entropy_loss(np.array([[p, 1 - p]]), y).value
+        values = [cross_entropy_loss(np.array([[p, 1 - p]]), y)[0]
                   for p in (0.3, 0.5, 0.7, 0.9, 0.99)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_gradient_sign_pushes_toward_truth(self):
-        lv = cross_entropy_loss(np.array([[0.4, 0.6]]), np.array([[1.0, 0.0]]))
-        assert lv.grad[0, 0] < 0  # raising the true-class probability lowers the loss
-        assert lv.grad[0, 1] > 0
+        _, grad_out = cross_entropy_loss(np.array([[0.4, 0.6]]), np.array([[1.0, 0.0]]))
+        assert grad_out[0, 0] < 0  # raising the true-class probability lowers the loss
+        assert grad_out[0, 1] > 0
 
     def test_nonnegative_and_zero_iff_exact(self):
         rng = np.random.default_rng(0)
@@ -103,7 +103,7 @@ class TestCrossEntropy:
             p = rng.dirichlet(np.ones(3))
             y = np.zeros(3)
             y[rng.integers(0, 3)] = 1.0
-            v = cross_entropy_loss(p, y).value
+            v = cross_entropy_loss(p, y)[0]
             assert v >= 0.0
             assert (v == 0.0) == bool(np.array_equal(p, y))
 
@@ -116,9 +116,9 @@ class TestCrossEntropy:
             cross_entropy_loss(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
     def test_extreme_probabilities_finite(self):
-        lv = cross_entropy_loss(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
-        assert np.isfinite(lv.value)
-        assert lv.value == pytest.approx(-2 * math.log(1e-12), rel=1e-6)
+        value, _ = cross_entropy_loss(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        assert np.isfinite(value)
+        assert value == pytest.approx(-2 * math.log(1e-12), rel=1e-6)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20)
@@ -127,11 +127,11 @@ class TestCrossEntropy:
         p = rng.uniform(0.05, 0.95, size=4)
         y = np.zeros(4)
         y[rng.integers(0, 4)] = 1.0
-        lv = cross_entropy_loss(p, y)
+        value, grad_out = cross_entropy_loss(p, y)
         h = 1e-7
         # each component's terms are -log of a value in [0.05, 0.95]: third derivative <= 2/0.05^3
-        assert_matches_fd(lv.grad, lambda q: cross_entropy_loss(np.clip(q, 0, 1), y).value, p, h,
-                          scale=lv.value, truncation=h ** 2 / 3 / 0.05 ** 3)
+        assert_matches_fd(grad_out, lambda q: cross_entropy_loss(np.clip(q, 0, 1), y)[0], p, h,
+                          scale=value, truncation=h ** 2 / 3 / 0.05 ** 3)
 
 
 class TestEnergyLoss:
@@ -142,25 +142,25 @@ class TestEnergyLoss:
 
     def test_zero_function_value_and_gradient(self):
         u = np.zeros(17)
-        lv = energy_loss(u, self.g, self.grid, self.beta)
-        assert lv.value == 0.0
-        assert np.allclose(lv.grad, -self.grid.dx * self.g)
+        value, grad_out = energy_loss(u, self.g, self.grid, self.beta)
+        assert value == 0.0
+        assert np.allclose(grad_out, -self.grid.dx * self.g)
 
     def test_zero_source_zero_function_is_global_minimum(self):
         zeros = np.zeros(17)
-        lv = energy_loss(zeros, zeros, self.grid, self.beta)
-        assert lv.value == 0.0
-        assert np.array_equal(lv.grad, zeros)
+        value, grad_out = energy_loss(zeros, zeros, self.grid, self.beta)
+        assert value == 0.0
+        assert np.array_equal(grad_out, zeros)
         rng = np.random.default_rng(1)
         for _ in range(10):
             u = rng.standard_normal(17)
-            assert energy_loss(u, zeros, self.grid, self.beta).value > 0.0
+            assert energy_loss(u, zeros, self.grid, self.beta)[0] > 0.0
 
     def test_orientation_reversal_invariance(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal(17)
-        a = energy_loss(u, self.g, self.grid, self.beta).value
-        b = energy_loss(u[::-1].copy(), self.g[::-1].copy(), self.grid, self.beta).value
+        a = energy_loss(u, self.g, self.grid, self.beta)[0]
+        b = energy_loss(u[::-1].copy(), self.g[::-1].copy(), self.grid, self.beta)[0]
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_too_few_points_rejected(self):
@@ -181,13 +181,13 @@ class TestEnergyLoss:
     def test_gradient_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(17)
-        lv = energy_loss(u, self.g, self.grid, self.beta)
+        _, grad_out = energy_loss(u, self.g, self.grid, self.beta)
         dx = self.grid.dx
         slopes = np.diff(u) / dx
         scale = (0.5 * dx * np.sum(slopes * slopes) + dx * np.sum(np.abs(self.g * u))
                  + self.beta * (u[0] ** 2 + u[-1] ** 2))
         # the energy is quadratic, so a wide step has no truncation error
-        assert_matches_fd(lv.grad, lambda q: energy_loss(q, self.g, self.grid, self.beta).value, u, 1e-4,
+        assert_matches_fd(grad_out, lambda q: energy_loss(q, self.g, self.grid, self.beta)[0], u, 1e-4,
                           scale=scale)
 
 
@@ -201,8 +201,8 @@ class TestEnergyMinimizer:
         grid = Grid1D(n=64)
         g = g_rhs(grid.points)
         u = discrete_energy_minimizer(g, grid, 10.0)
-        lv = energy_loss(u, g, grid, 10.0)
-        assert np.max(np.abs(lv.grad)) < 1e-10
+        _, grad_out = energy_loss(u, g, grid, 10.0)
+        assert np.max(np.abs(grad_out)) < 1e-10
 
     def test_beta_zero_rejected(self):
         grid = Grid1D(n=16)

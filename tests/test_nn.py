@@ -142,8 +142,8 @@ class TestBackprop:
         x = np.array([[1.5, -0.5]])
         y = np.array([[2.0]])
         out, cache = forward(net, x)
-        lv = mse_loss(out, y)
-        (gw, gb), = layer_views(net.widths, backprop(net, cache, lv.grad))
+        _, grad_out = mse_loss(out, y)
+        (gw, gb), = layer_views(net.widths, backprop(net, cache, grad_out))
         resid = 2.0 * (out - y)
         assert gw == pytest.approx(x.T @ resid)
         assert gb == pytest.approx(resid[0])
@@ -187,8 +187,8 @@ class TestBackprop:
 
         def loss_fn(m):
             out, cache = forward(m, xs)
-            lv = make_loss(out)
-            return lv.value, backprop(m, cache, lv.grad)
+            value, grad_out = make_loss(out)
+            return value, backprop(m, cache, grad_out)
 
         assert grad_check(net, loss_fn, fd_step=1e-6, num_checks=60, seed=0) < 1e-5
 
@@ -199,10 +199,10 @@ class TestBackprop:
 
         def bad_loss_fn(m):
             out, cache = forward(m, xs)
-            lv = mse_loss(out, target)
-            grad = backprop(m, cache, lv.grad)
+            value, grad_out = mse_loss(out, target)
+            grad = backprop(m, cache, grad_out)
             layer_views(m.widths, grad)[0][0][...] *= 1.5  # injected fault
-            return lv.value, grad
+            return value, grad
 
         assert grad_check(net, bad_loss_fn, fd_step=1e-6, num_checks=80, seed=0) > 1e-2
 
@@ -213,8 +213,8 @@ class TestBackprop:
 
         def loss_fn(m):
             out, cache = forward(m, xs)
-            lv = mse_loss(out, target)
-            return lv.value, backprop(m, cache, lv.grad)
+            value, grad_out = mse_loss(out, target)
+            return value, backprop(m, cache, grad_out)
 
         # FD of a quadratic has no truncation error; a wide step leaves only rounding
         assert grad_check(net, loss_fn, fd_step=1e-4, num_checks=8, seed=1) < 1e-9
@@ -231,8 +231,8 @@ class TestBackprop:
             if len(calls) == failing_call:
                 raise RuntimeError("loss failed")
             out, cache = forward(m, xs)
-            lv = mse_loss(out, np.zeros_like(out))
-            return lv.value, backprop(m, cache, lv.grad)
+            value, grad_out = mse_loss(out, np.zeros_like(out))
+            return value, backprop(m, cache, grad_out)
 
         with pytest.raises(RuntimeError):
             grad_check(net, loss_fn, fd_step=1e-3, num_checks=5, seed=0)
@@ -256,7 +256,7 @@ def _reference_step(mlp, xs, loss_of, lr):
             a = z
         cache.append(a)
     out = cache[-1]
-    g = loss_of(out).grad
+    g = loss_of(out)[1]
     delta = out * (g - np.sum(g * out, axis=1, keepdims=True)) if mlp.output_activation == "softmax" else g
     grad = np.empty(mlp.params.size)
     grads = layer_views(mlp.widths, grad)
@@ -295,10 +295,10 @@ class TestBuffers:
             want = _reference_step(reference, xs, loss_of, 0.05).tobytes()
             out, c = forward(fresh, xs)
             assert out.tobytes() == want
-            sgd_step(fresh, backprop(fresh, c, loss_of(out).grad), 0.05)
+            sgd_step(fresh, backprop(fresh, c, loss_of(out)[1]), 0.05)
             out, cache = forward(buffered, xs, cache)
             assert out.tobytes() == want
-            grad = backprop(buffered, cache, loss_of(out).grad, grad)
+            grad = backprop(buffered, cache, loss_of(out)[1], grad)
             sgd_step(buffered, grad, 0.05)
         assert fresh.params.tobytes() == reference.params.tobytes()
         assert buffered.params.tobytes() == reference.params.tobytes()
@@ -430,8 +430,8 @@ class TestParamVector:
             net = init_mlp([1, 8, 1], std=0.3, seed=12)
             for _ in range(20):
                 out, cache = forward(net, xs)
-                lv = mse_loss(out, target)
-                sgd_step(net, backprop(net, cache, lv.grad), lr=1e-2)
+                _, grad_out = mse_loss(out, target)
+                sgd_step(net, backprop(net, cache, grad_out), lr=1e-2)
             return net.params
 
         assert np.array_equal(train(), train())

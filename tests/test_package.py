@@ -27,10 +27,8 @@ def test_no_assert_statements_in_the_package():
 
 def test_bundled_openblas_runs_one_thread_although_numpy_loaded_first():
     # pytest's process imports numpy before freqlab, so the environment pin came too late
-    lib = freqlab._bundled_openblas()
-    if lib is None:
-        pytest.skip("numpy bundles no OpenBLAS here")
-    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
-    getter = next(getattr(lib, n) for n in names if hasattr(lib, n))
+    getter = freqlab._openblas_function("get_num_threads")
+    if getter is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread getter here")
     getter.argtypes, getter.restype = [], ctypes.c_int
     assert getter() == 1

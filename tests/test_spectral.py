@@ -265,8 +265,8 @@ class TestGradDecomposition:
         net = init_mlp([1, 8, 1], std=0.4, seed=5)
         dec = grad_decomposition(net, xs, self._mse_pointwise(target))
         out, cache = forward(net, xs)
-        lv = mse_loss(out, target)
-        direct = backprop(net, cache, lv.grad)
+        _, grad_out = mse_loss(out, target)
+        direct = backprop(net, cache, grad_out)
         assert np.max(np.abs(dec.direct_grad - direct)) < 1e-12
 
     def test_perfect_fit_has_zero_coefficients(self):
