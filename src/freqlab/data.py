@@ -37,6 +37,7 @@ __all__ = [
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 NUM_CLASSES = 10
+SYNTHETIC_PIXELS = 784  # an MNIST image's 28 x 28
 
 
 class IdxFormatError(ConfigError):
@@ -102,8 +103,7 @@ def load_image_set(images_path: str | Path, labels_path: str | Path) -> tuple[np
     return images, labels
 
 
-def synthetic_image_set(num_samples: int, seed: int = 0,
-                        n_pixels: int = 784) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_image_set(num_samples: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(images, labels): two well-separated Gaussian blobs with step-function
     labels, 0 for the first num_samples // 2 columns and 1 for the rest.
 
@@ -112,11 +112,11 @@ def synthetic_image_set(num_samples: int, seed: int = 0,
     C-ordered and built in place: the noise, then each half's centre column.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    axis = rng.standard_normal(n_pixels)
+    axis = rng.standard_normal(SYNTHETIC_PIXELS)
     axis /= np.linalg.norm(axis)
     half = num_samples // 2
     labels = (np.arange(num_samples) >= half).astype(int)
-    images = rng.standard_normal((n_pixels, num_samples))
+    images = rng.standard_normal((SYNTHETIC_PIXELS, num_samples))
     images *= 0.02
     images[:, :half] += (0.5 - 0.35 * axis)[:, None]
     images[:, half:] += (0.5 + 0.35 * axis)[:, None]
@@ -176,8 +176,7 @@ def project_rescale(X: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return (proj - lo) / (hi - lo)
 
 
-def pca_project(images: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000,
-                seed: int = 0) -> np.ndarray:
+def pca_project(images: np.ndarray, seed: int = 0) -> np.ndarray:
     """Full reduction of the pixels-by-samples images: center, leading
     direction, projection onto [0, 1].
 
@@ -186,4 +185,4 @@ def pca_project(images: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000,
     the coordinates match projecting the raw images.
     """
     Xc = center(images)
-    return project_rescale(Xc, leading_eigenvector(Xc, tol=tol, max_iters=max_iters, seed=seed))
+    return project_rescale(Xc, leading_eigenvector(Xc, seed=seed))

@@ -218,9 +218,13 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 def _load_images(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(images, labels): the first cfg.samples of the dataset files, or the
-    seeded synthetic set. Equal images leave PCA no direction: ConfigError."""
+    seeded synthetic set. Files holding fewer than cfg.samples images, and equal
+    images, which leave PCA no direction: ConfigError."""
     if cfg.mnist_images and cfg.mnist_labels:
         images, labels = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
+        if len(labels) < cfg.samples:
+            raise ConfigError(f"{cfg.mnist_images} holds {len(labels)} images, "
+                              f"fewer than samples = {cfg.samples}")
         # copies, so the rest of the file's matrix is freed; F-ordered, as a file holding only the cut
         images, labels = images[:, :cfg.samples].copy(order="F"), labels[:cfg.samples].copy()
         if np.array_equal(images.min(axis=1), images.max(axis=1)):

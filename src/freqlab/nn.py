@@ -13,7 +13,7 @@ A training loop can run without allocating a batch-sized array per step.
 forward and backprop take an optional into: an earlier forward's cache for the
 same widths and batch shape, or an earlier gradient vector, written over and
 returned in place of fresh arrays. Their other temporaries, and sgd_step's
-lr * grad, live in per-thread work arrays private to this module. The rule:
+lr * grad, live in work arrays the network owns, one per shape. The rule:
 nothing this module returns is overwritten unless the caller passes it back as
 into. Buffered or fresh, the operations and their order are the same, so are
 the bits.
@@ -22,8 +22,7 @@ the bits.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +50,7 @@ class Mlp:
     params: np.ndarray                 # every weight and bias, in layer_views order
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
+    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see _work
 
     @property
     def num_layers(self) -> int:
@@ -140,22 +140,15 @@ def init_mlp(
                hidden_activation=hidden_activation, output_activation=output_activation)
 
 
-class _Scratch(threading.local):
-    """Work arrays for the temporaries inside one call, one per slot and
-    thread, replaced when a call asks for another shape. A call writes a slot
-    before it reads it and never returns it, so calls share memory, not values."""
-
-    def __init__(self) -> None:
-        self.arrays: dict[tuple, np.ndarray] = {}
-
-    def get(self, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        a = self.arrays.get(slot)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self.arrays[slot] = np.empty(shape, dtype)
-        return a
-
-
-_scratch = _Scratch()
+def _work(mlp: Mlp, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The network's work array for a temporary inside one call, made on first
+    use of this slot, shape and dtype. A call writes it before it reads it and
+    never returns it, so calls share memory, not values."""
+    key = (slot, shape, dtype)
+    a = mlp.work.get(key)
+    if a is None:
+        a = mlp.work[key] = np.empty(shape, dtype)
+    return a
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -229,7 +222,7 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
     if into is not None and into.shape != mlp.params.shape:
         raise ValueError(f"into has shape {into.shape}, the parameters {mlp.params.shape}")
     if mlp.output_activation == "softmax":
-        delta = _scratch.get(("softmax",), out.shape)
+        delta = _work(mlp, ("softmax",), out.shape)
         np.multiply(g, out, out=delta)
         np.subtract(g, np.sum(delta, axis=1, keepdims=True), out=delta)
         delta *= out
@@ -243,14 +236,14 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
         np.matmul(cache[l].T, delta, out=gw)
         np.sum(delta, axis=0, out=gb)
         if l > 0:
-            below = _scratch.get(("delta", l), cache[l].shape)
+            below = _work(mlp, ("delta", l), cache[l].shape)
             np.matmul(delta, layers[l][0].T, out=below)
             if mlp.hidden_activation == "tanh":
-                slope = _scratch.get(("slope", l), cache[l].shape)
+                slope = _work(mlp, ("slope", l), cache[l].shape)
                 np.multiply(cache[l], cache[l], out=slope)
                 np.subtract(1.0, slope, out=slope)
             else:
-                slope = _scratch.get(("slope", l), cache[l].shape, np.bool_)
+                slope = _work(mlp, ("slope", l), cache[l].shape, np.bool_)
                 np.greater(cache[l], 0.0, out=slope)  # max(z, 0) > 0 exactly where z > 0
             below *= slope
             delta = below
@@ -263,7 +256,7 @@ def sgd_step(mlp: Mlp, grad: np.ndarray, lr: float) -> Mlp:
         raise ValueError(f"lr must be finite and positive, got {lr}")
     if grad.shape != mlp.params.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameters {mlp.params.shape}")
-    step = _scratch.get(("sgd_step",), grad.shape)
+    step = _work(mlp, ("sgd_step",), grad.shape)
     np.multiply(lr, grad, out=step)
     mlp.params -= step
     return mlp

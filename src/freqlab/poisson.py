@@ -301,6 +301,8 @@ def iterate(
     if u0.shape != u_star.shape:
         raise ValueError("u0 and u_star shapes differ")
     track = tuple(track_modes)
+    if len(set(track)) != len(track):
+        raise ValueError(f"track_modes repeats a mode: {track}")
     m = rhs.size
     n = m + 1
     basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), m)

@@ -151,6 +151,21 @@ class TestMnistPca:
         for csv_name in ("projected.csv", "trace.csv", "first_passage.csv"):
             assert (tmp_path / "all" / csv_name).read_bytes() == (tmp_path / "head" / csv_name).read_bytes()
 
+    def test_file_dataset_shorter_than_samples_exits_2(self, tmp_path, capsys):
+        import struct
+        count = 30
+        pixels = np.random.default_rng(3).integers(0, 256, size=(count, 784), dtype=np.uint8)
+        (tmp_path / "im.idx").write_bytes(struct.pack(">IIII", 0x803, count, 28, 28) + pixels.tobytes())
+        (tmp_path / "lb.idx").write_bytes(struct.pack(">II", 0x801, count) + bytes(range(10)) * 3)
+        out = tmp_path / "run"
+        args = ["mnist-pca", "--preset", "desk-mnist-pca", "--set", "synthetic=false", "--set", "samples=100",
+                "--mnist-images", str(tmp_path / "im.idx"), "--mnist-labels", str(tmp_path / "lb.idx"),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "30 images" in err and "samples = 100" in err
+        assert not (out / "config.txt").exists()
+
     def test_file_dataset_cut_frees_the_rest_of_the_file(self, tmp_path):
         # the cut is a copy: a view would keep the whole file's fp64 matrix alive for the run
         import struct

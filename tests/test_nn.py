@@ -323,6 +323,34 @@ class TestBuffers:
             sgd_step(net, backprop(net, cache2, np.ones_like(out2)), 0.1)
         assert all(np.array_equal(a, b) for a, b in zip((out, *cache, grad), kept))
 
+    @pytest.mark.parametrize("hidden_act", ["tanh", "relu"])
+    def test_work_arrays_are_made_once_per_batch_shape(self, hidden_act):
+        net = init_mlp([3, 6, 5, 2], hidden_act, "softmax", std=0.4, seed=1)
+        rng = np.random.default_rng(0)
+        grad = np.empty_like(net.params)
+
+        def step(rows):
+            out, cache = forward(net, rng.standard_normal((rows, 3)))
+            sgd_step(net, backprop(net, cache, np.ones_like(out), grad), 0.1)
+
+        step(32)
+        step(16)
+        made = dict(net.work)
+        for _ in range(3):
+            step(32)
+            step(16)
+        assert net.work.keys() == made.keys()
+        assert all(net.work[key] is a for key, a in made.items())
+
+    def test_networks_share_no_work_array(self):
+        nets = [init_mlp([3, 6, 5, 2], "tanh", "softmax", std=0.4, seed=1) for _ in range(2)]
+        for net in nets:
+            out, cache = forward(net, np.ones((4, 3)))
+            sgd_step(net, backprop(net, cache, np.ones_like(out)), 0.1)
+        a, b = (list(net.work.values()) for net in nets)
+        assert a and len(a) == len(b)
+        assert not any(np.shares_memory(x, y) for x in a for y in b)
+
     def test_forward_rejects_a_cache_for_another_batch_shape(self):
         net = init_mlp([3, 6, 2], std=0.4, seed=1)
         _, cache = forward(net, np.ones((4, 3)))

@@ -307,6 +307,12 @@ class TestIterate:
         with pytest.raises(ValueError, match="interior vector of length 7"):
             iterate(assemble_poisson(Grid1D(8)), np.zeros(3), np.ones(3))
 
+    def test_repeated_tracked_mode_rejected(self):
+        # a repeated mode would be recorded twice per iteration into one list
+        rhs = make_rhs()
+        with pytest.raises(ValueError, match="repeats a mode"):
+            iterate(rhs, np.zeros(rhs.size), np.zeros(rhs.size), max_iters=5, track_modes=[2, 2, 3])
+
 
 def _reference_jacobi_step(rhs, u):
     ext = np.zeros(rhs.size + 2)
