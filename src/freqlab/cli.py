@@ -22,7 +22,7 @@ from .config import (
     preset_config,
 )
 from .errors import ConfigError, DivergenceError
-from .experiments import run_experiment
+from .experiments import RunReport, run_experiment
 
 _SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
@@ -79,12 +79,17 @@ def resolve_config(args: argparse.Namespace):
     return cfg
 
 
+def _print_summary(report: RunReport) -> None:
+    summary = ", ".join(f"{k}={v}" for k, v in sorted(report.metrics.items()))
+    print(f"[seed {report.seed}] {report.config.experiment} -> {report.out_dir}  {summary}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        reports = run_experiment(cfg)
+        run_experiment(cfg, _print_summary)  # each seed's line as it finishes, also if a later seed fails
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -94,9 +99,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
-    for report in reports:
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(report.metrics.items()))
-        print(f"[seed {report.seed}] {report.config.experiment} -> {report.out_dir}  {summary}")
     return 0
 
 

@@ -20,7 +20,8 @@ vector and passes them back to nn as into; the outputs it yields are
 overwritten by the next step of their batch length, so every consumer reads
 or copies them before resuming it.
 toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
-recorder, _spectral_recorder, and _emit_trace writes it. Histories are
+recorder, _spectral_recorder, and _emit_trace writes it; the runner builds the
+recorder's phase matrix once, so it lives and dies with the run. Histories are
 columns: a FreqTrace, an IterativeRun and a SwitchPoint's phase-one record
 each hold one list per column, and the CSV rows are zipped from them.
 mnist_pca builds its row-major images and one-hot matrices once, after PCA,
@@ -29,8 +30,9 @@ reporting.stopwatch and are all zero unless timing is enabled, so that
 identical (config, seed) pairs produce byte-identical files.
 
 The runners reach the other modules' functions (forward, iterate, write_csv,
-...) through this module's globals, imported by name, and run_hybrid stays
-imported: perfbench/tracer.py wraps those names here to time each layer.
+...) through this module's globals, imported by name, and run_hybrid and
+nufft_direct stay imported: perfbench/tracer.py wraps those names here to time
+each layer.
 """
 
 from __future__ import annotations
@@ -64,11 +66,14 @@ from .poisson import (
 from .reporting import stopwatch, write_atomic, write_csv, write_svg_lines
 from .spectral import (
     FreqTrace,
+    dft_matrix,
     dft_uniform,
     grad_decomposition,
-    nufft_direct,
+    nufft_direct,  # unused here; see the module docstring
+    nufft_matrix,
     pick_peaks,
     rel_freq_diff,
+    spectrum,
     step_to_threshold,
 )
 
@@ -106,14 +111,14 @@ def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
                         config_to_text(dataclasses.replace(cfg, seed=seed, seeds=1, out_dir=recorded)))
 
 
-def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float],
-                       transform: Callable[[np.ndarray], np.ndarray],
+def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float], phase: np.ndarray,
                        target_values: np.ndarray) -> tuple[FreqTrace, Callable]:
-    """A FreqTrace over the peaks of transform(target_values), and record(epoch,
-    loss, values), which appends recording step epoch // cfg.record_every with
-    the relative difference of transform(values) from the target at each peak.
-    A target spectrum with no peak leaves nothing to measure: ConfigError."""
-    target = transform(target_values)
+    """A FreqTrace over the peaks of spectrum(phase, target_values), and
+    record(epoch, loss, values), which appends recording step
+    epoch // cfg.record_every with the relative difference of
+    spectrum(phase, values) from the target at each peak. A target spectrum
+    with no peak leaves nothing to measure: ConfigError."""
+    target = spectrum(phase, target_values)
     peaks = tuple(pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude))
     if not peaks:
         raise ConfigError(f"the target spectrum has no peak to track (samples = {cfg.samples}, "
@@ -121,7 +126,7 @@ def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float],
     trace = FreqTrace(peaks)
 
     def record(epoch: int, loss: float, values: np.ndarray) -> None:
-        model = transform(values)
+        model = spectrum(phase, values)
         trace.append(epoch // cfg.record_every, epoch, elapsed(), loss,
                      {g: rel_freq_diff(model, target, g, cfg.df_denominator) for g in trace.selected_peaks})
 
@@ -201,7 +206,7 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
     xs = np.linspace(-1.0, 1.0, cfg.samples).reshape(-1, 1)
     targets = target_toy(xs[:, 0])
-    trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, targets[:, 0])
+    trace, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(xs)), targets[:, 0])
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", cfg.init_std, cfg.init_mean, seed)
     descent = _descent(net, itertools.repeat(((xs, lambda out: cross_entropy_loss(out, targets)),)), cfg)
@@ -247,8 +252,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     del images
     onehot = np.eye(datamod.NUM_CLASSES)[labels]   # (n, classes)
 
-    trace, record = _spectral_recorder(cfg, elapsed, lambda v: nufft_direct(coords, v, cfg.nufft_freqs),
-                                       onehot[:, 0])
+    trace, record = _spectral_recorder(cfg, elapsed, nufft_matrix(coords, cfg.nufft_freqs), onehot[:, 0])
 
     net = init_mlp([X.shape[1], *cfg.hidden_widths, datamod.NUM_CLASSES], cfg.activation, "softmax",
                    cfg.init_std, cfg.init_mean, seed)
@@ -337,7 +341,7 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     grid, _, ref = _poisson_setup(cfg)
-    trace, record = _spectral_recorder(cfg, elapsed, dft_uniform, ref)
+    trace, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(ref)), ref)
 
     sup_errors: list[float] = []
     descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
@@ -488,8 +492,11 @@ def run_single(cfg: ExperimentConfig, seed: int, out_dir: str | Path) -> RunRepo
     return RunReport(cfg, seed, out, metrics)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RunReport]:
-    """Run cfg.seeds instances with seeds seed, seed+1, ...
+def run_experiment(cfg: ExperimentConfig,
+                   on_report: Callable[[RunReport], None] | None = None) -> list[RunReport]:
+    """Run cfg.seeds instances with seeds seed, seed+1, ..., handing each
+    finished run's report to on_report, if given, before the next seed starts;
+    a seed that fails stops the loop, and a divergence names that seed.
 
     A single seed writes directly into out_dir; multiple seeds get their own
     seed<N> subdirectories.
@@ -499,5 +506,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunReport]:
     for i in range(cfg.seeds):
         seed = cfg.seed + i
         out = Path(cfg.out_dir) if cfg.seeds == 1 else Path(cfg.out_dir) / f"seed{seed}"
-        reports.append(run_single(cfg, seed, out))
+        try:
+            report = run_single(cfg, seed, out)
+        except DivergenceError as e:
+            raise DivergenceError(e.step, f"seed {seed}: {e}") from e
+        reports.append(report)
+        if on_report is not None:
+            on_report(report)
     return reports

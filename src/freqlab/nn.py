@@ -4,6 +4,10 @@ A network's parameters are one fp64 vector, Mlp.params, and backprop returns
 its gradient as a vector in the same layout, so an update is one vector
 operation and a gradient is a row of a Jacobian as it stands. layer_views is
 the only code that knows the layout; weights and biases are views from it.
+forward and backprop keep the views of mlp.params, and of the last gradient
+passed back as into, on the network and build them again only when the vector
+is a different object: reassigning mlp.params or passing another gradient is
+seen, writing into the same vector needs no new views.
 
 Everything is fp64 and deterministic: parameters come from a seeded PCG64
 stream through an explicit Box-Muller transform, so a (seed, config, data)
@@ -17,6 +21,11 @@ lr * grad, live in work arrays the network owns, one per shape. The rule:
 nothing this module returns is overwritten unless the caller passes it back as
 into. Buffered or fresh, the operations and their order are the same, so are
 the bits.
+
+A layer with one input is an outer product, and the delta below a layer with
+one output is one too: each entry is the single product the matmul would form,
+so both are one broadcast np.multiply instead of a k = 1 matmul, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -44,6 +53,15 @@ HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
 
 
+class _Views(dict):
+    """slot -> (vector, layer_views of it); see _views. A copy, deep or not, and
+    a pickle start empty: numpy copies a view as an array of its own, so a
+    copied entry would hold views of nothing the copy's vector owns."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+
 @dataclass
 class Mlp:
     widths: tuple[int, ...]
@@ -51,6 +69,7 @@ class Mlp:
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
     work: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see _work
+    views: _Views = field(default_factory=_Views, init=False, repr=False, compare=False)  # see _views
 
     @property
     def num_layers(self) -> int:
@@ -151,6 +170,15 @@ def _work(mlp: Mlp, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np
     return a
 
 
+def _views(mlp: Mlp, slot: str, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """layer_views(mlp.widths, vec), kept in the network's slot and built again
+    only when vec is not the vector they were built for."""
+    held = mlp.views.get(slot)
+    if held is None or held[0] is not vec:
+        held = mlp.views[slot] = (vec, layer_views(mlp.widths, vec))
+    return held[1]
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, in place, with max subtraction."""
     row_max = np.max(z, axis=-1, keepdims=True)
@@ -187,11 +215,10 @@ def forward(mlp: Mlp, xs: np.ndarray,
         cache = into
         cache[0] = xs
     last = mlp.num_layers - 1
-    for l, (w, b) in enumerate(layer_views(mlp.widths, mlp.params)):
+    for l, (w, b) in enumerate(_views(mlp, "params", mlp.params)):
         z = cache[l + 1]
-        if w.shape[0] == 1:  # one input: each entry is one product, as in the matmul
-            np.copyto(z, w)
-            z *= cache[l]
+        if w.shape[0] == 1:  # one input: an outer product, see the module docstring
+            np.multiply(cache[l], w, out=z)
         else:
             np.matmul(cache[l], w, out=z)
         z += b
@@ -229,15 +256,19 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
     else:
         delta = g
     grad = np.empty(mlp.params.size) if into is None else into
-    layers = layer_views(mlp.widths, mlp.params)
-    grads = layer_views(mlp.widths, grad)
+    layers = _views(mlp, "params", mlp.params)
+    grads = layer_views(mlp.widths, grad) if into is None else _views(mlp, "grad", grad)
     for l in range(mlp.num_layers - 1, -1, -1):
         gw, gb = grads[l]
         np.matmul(cache[l].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if l > 0:
             below = _work(mlp, ("delta", l), cache[l].shape)
-            np.matmul(delta, layers[l][0].T, out=below)
+            w = layers[l][0]
+            if w.shape[1] == 1:  # one output: an outer product, see the module docstring
+                np.multiply(delta, w.T, out=below)
+            else:
+                np.matmul(delta, w.T, out=below)
             if mlp.hidden_activation == "tanh":
                 slope = _work(mlp, ("slope", l), cache[l].shape)
                 np.multiply(cache[l], cache[l], out=slope)

@@ -15,7 +15,6 @@ import os
 import time
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -96,6 +95,12 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 160, 40, 55  # margins: left/right/top/bottom
 
 
+def _escape(text: str) -> str:
+    """&, > and < as XML entities, in xml.sax.saxutils.escape's order, without
+    the urllib.request and ssl imports that module brings to start-up."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo_e, hi_e = math.floor(lo), math.ceil(hi)
@@ -171,12 +176,12 @@ def write_svg_lines(
         out.append(f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">1e{t:g}</text>')
     if title:
         out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 14}" text-anchor="middle" '
-                   f'font-size="15">{escape(title)}</text>')
+                   f'font-size="15">{_escape(title)}</text>')
     if xlabel:
-        out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" text-anchor="middle">{escape(xlabel)}</text>')
+        out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
-                   f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{escape(ylabel)}</text>')
+                   f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{_escape(ylabel)}</text>')
     for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, xs_ys)):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
@@ -184,6 +189,6 @@ def write_svg_lines(
         ly = _MT + 16 + 18 * i
         out.append(f'<line x1="{_W - _MR + 10}" y1="{ly - 4}" x2="{_W - _MR + 34}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_W - _MR + 40}" y="{ly}">{escape(str(label))}</text>')
+        out.append(f'<text x="{_W - _MR + 40}" y="{ly}">{_escape(str(label))}</text>')
     out.append("</svg>")
     return write_atomic(path, "\n".join(out) + "\n")

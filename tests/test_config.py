@@ -213,6 +213,17 @@ class TestCli:
         ])
         assert code == 3
 
+    def test_seeds_that_finished_are_summarised_when_a_later_seed_diverges(self, tmp_path, capsys):
+        # seed 25 diverges at epoch 153 at this learning rate; seed 24 runs all 400 epochs
+        code = main(["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "epochs=400",
+                     "--set", "record_every=4", "--seed", "24", "--seeds", "2", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.startswith(f"[seed 24] poisson_dnn -> {tmp_path / 'seed24'}  final_loss=")
+        assert "[seed 25]" not in captured.out
+        assert "seed 25: loss diverged at epoch 153" in captured.err
+        assert (tmp_path / "seed24" / "config.txt").exists()
+
     def test_io_error_exit_code(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")

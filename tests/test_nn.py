@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from freqlab.losses import cross_entropy_loss, mse_loss
 from freqlab.nn import (
+    Mlp,
     backprop,
     forward,
     grad_check,
@@ -371,6 +374,105 @@ class TestBuffers:
         for into in (np.empty(net.params.size + 1), np.empty((1, net.params.size)), np.empty_like(other.params)):
             with pytest.raises(ValueError):
                 backprop(net, cache, np.ones_like(out), into)
+
+
+def _matmul_forward_backprop(mlp, xs, g):
+    """(cache, gradient) with a matmul for every layer product and np.sum for
+    every bias gradient, the plain formulation of forward and backprop."""
+    layers = layer_views(mlp.widths, mlp.params)
+    cache = [xs]
+    for l, (w, b) in enumerate(layers):
+        z = np.matmul(cache[l], w) + b
+        if l < mlp.num_layers - 1:
+            z = np.tanh(z)
+        elif mlp.output_activation == "softmax":
+            e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+            z = e / np.sum(e, axis=-1, keepdims=True)
+        cache.append(z)
+    out = cache[-1]
+    delta = out * (g - np.sum(g * out, axis=1, keepdims=True)) if mlp.output_activation == "softmax" else g
+    grad = np.empty(mlp.params.size)
+    for l in range(mlp.num_layers - 1, -1, -1):
+        gw, gb = layer_views(mlp.widths, grad)[l]
+        gw[...] = np.matmul(cache[l].T, delta)
+        gb[...] = np.sum(delta, axis=0)
+        if l > 0:
+            delta = np.matmul(delta, layers[l][0].T) * (1.0 - cache[l] * cache[l])
+    return cache, grad
+
+
+class TestOuterProductLayers:
+    """A one-input layer and the delta below a one-output layer are one
+    multiply each; their bits are the matmul's."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 65])
+    @pytest.mark.parametrize("widths,head", [
+        ((1, 8, 1), "identity"),
+        ((1, 16, 8, 1), "identity"),
+        ((1, 1, 4, 1), "identity"),
+        ((1, 8, 2), "softmax"),
+        ((1, 16, 8, 2), "identity"),
+    ])
+    def test_forward_and_backprop_equal_the_matmul_formulation(self, widths, head, rows):
+        rng = np.random.default_rng(rows)
+        net = init_mlp(widths, "tanh", head, std=0.7, seed=4)
+        xs = rng.uniform(-1, 1, (rows, 1))
+        g = rng.standard_normal((rows, widths[-1]))
+        want_cache, want_grad = _matmul_forward_backprop(net, xs, g)
+        out, cache = forward(net, xs)
+        assert [a.tobytes() for a in cache] == [a.tobytes() for a in want_cache]
+        assert backprop(net, cache, g).tobytes() == want_grad.tobytes()
+        # and again through the buffers and the views a first call left
+        out, cache = forward(net, xs, cache)
+        assert [a.tobytes() for a in cache] == [a.tobytes() for a in want_cache]
+        grad = np.full_like(net.params, np.nan)
+        assert backprop(net, cache, g, grad).tobytes() == want_grad.tobytes()
+
+
+class TestViewCache:
+    """forward and backprop keep the views of the vectors they were last given,
+    and see a vector that is a different object."""
+
+    @staticmethod
+    def _run(net, xs, g, grad=None):
+        out, cache = forward(net, xs)
+        return out.tobytes(), backprop(net, cache, g, grad).tobytes()
+
+    @staticmethod
+    def _fresh(net):
+        return Mlp(net.widths, net.params.copy(), net.hidden_activation, net.output_activation)
+
+    def _setup(self):
+        rng = np.random.default_rng(2)
+        net = init_mlp([3, 6, 5, 2], "tanh", "softmax", std=0.4, seed=1)
+        return net, rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+
+    def test_reassigned_params_are_seen(self):
+        net, xs, g = self._setup()
+        self._run(net, xs, g, np.empty_like(net.params))
+        net.params = net.params * 0.5 + 0.25
+        assert self._run(net, xs, g) == self._run(self._fresh(net), xs, g)
+
+    def test_another_gradient_vector_is_written(self):
+        net, xs, g = self._setup()
+        first = np.empty_like(net.params)
+        _, want = self._run(net, xs, g, first)
+        kept = first.copy()
+        second = np.full_like(net.params, np.nan)
+        assert self._run(net, xs, g, second)[1] == want
+        assert second.tobytes() == want and first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copied_network_uses_views_of_its_own_vector(self, duplicate):
+        net, xs, g = self._setup()
+        self._run(net, xs, g, np.empty_like(net.params))
+        twin = duplicate(net)
+        if twin.params is net.params:  # a shallow copy shares the vector, so give it its own
+            twin.params = net.params.copy()
+        twin.params *= 2.0
+        assert self._run(twin, xs, g) == self._run(self._fresh(twin), xs, g)
+        assert self._run(net, xs, g) == self._run(self._fresh(net), xs, g)
 
 
 class TestSgdAndSchedule:

@@ -1,6 +1,9 @@
 import ast
 import ctypes
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,15 @@ def test_bundled_openblas_runs_one_thread_although_numpy_loaded_first():
     assert getter is not None, "bundled OpenBLAS exports no known thread getter, so nothing was pinned"
     getter.argtypes, getter.restype = [], ctypes.c_int
     assert getter() == 1
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # urllib.request and ssl, which xml.sax.saxutils pulls in, cost a sixth of the start-up
+    src = str(Path(freqlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import freqlab.cli\n"
+              "print(sorted({'urllib.request', 'ssl'} & (set(sys.modules) - before)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

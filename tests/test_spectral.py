@@ -10,11 +10,14 @@ from freqlab.losses import mse_loss
 from freqlab.nn import backprop, forward, init_mlp
 from freqlab.spectral import (
     FreqTrace,
+    dft_matrix,
     dft_uniform,
     grad_decomposition,
     nufft_direct,
+    nufft_matrix,
     pick_peaks,
     rel_freq_diff,
+    spectrum,
     step_to_threshold,
 )
 
@@ -110,6 +113,7 @@ class TestNufft:
 TRANSFORMS = {
     "dft_uniform": dft_uniform,
     "nufft_direct": lambda values: nufft_direct(np.arange(len(values)) / len(values), values, len(values)),
+    "spectrum": lambda values: spectrum(dft_matrix(len(values)), values),
 }
 
 
@@ -127,6 +131,43 @@ class TestFiniteCoefficients:
         assert np.all(np.isfinite(values))
         with pytest.raises(ValueError, match="finite"):
             TRANSFORMS[name](values)
+
+
+class TestPhaseMatrices:
+    """A matrix built once and applied by spectrum gives the bits of the
+    transform that built its matrix at every call."""
+
+    @pytest.mark.parametrize("n", [1, 16, 65])
+    def test_dft_matrix_applied_equals_the_per_call_transform(self, n):
+        j = np.arange(n)
+        phase = dft_matrix(n)
+        for seed in range(3):
+            v = np.random.default_rng(seed).standard_normal(n)
+            per_call = np.exp((-2j * math.pi / n) * np.outer(j, j)) @ v
+            assert spectrum(phase, v).tobytes() == per_call.tobytes()
+            assert dft_uniform(v).tobytes() == per_call.tobytes()
+
+    @pytest.mark.parametrize("n,num_freqs", [(1, 1), (40, 8), (500, 32)])
+    def test_nufft_matrix_applied_equals_the_per_call_transform(self, n, num_freqs):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, 1, n)
+        phase = nufft_matrix(x, num_freqs)
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            per_call = np.exp(-2j * math.pi * np.outer(np.arange(num_freqs), x)) @ v
+            assert spectrum(phase, v).tobytes() == per_call.tobytes()
+            assert nufft_direct(x, v, num_freqs).tobytes() == per_call.tobytes()
+
+    @pytest.mark.parametrize("values", [np.zeros(5), np.zeros((4, 1)), np.zeros(())])
+    def test_values_that_do_not_fit_the_matrix_rejected(self, values):
+        with pytest.raises(ValueError):
+            spectrum(dft_matrix(4), values)
+
+    def test_bad_matrix_arguments_rejected(self):
+        for build in (lambda: dft_matrix(0), lambda: nufft_matrix([0.5], 0),
+                      lambda: nufft_matrix([1.5], 4), lambda: nufft_matrix(np.zeros((2, 2)), 4)):
+            with pytest.raises(ValueError):
+                build()
 
 
 class TestPeaks:
