@@ -25,10 +25,11 @@ the bits.
 A layer with one input is an outer product, and so is the delta below a layer
 with one output: each entry is the single product a k = 1 matmul would form,
 so neither runs as a matmul, and the bits are the same. The delta is one
-np.multiply of the two broadcast factors; the layer copies its weight row into
-the output and multiplies by the input column in place, because numpy buffers
-both operands of a multiply that broadcasts each, which on a 65 x 256 layer
-costs two 64 KiB buffers and more time than the copy.
+np.multiply of the two broadcast factors, faster than the k = 1 matmul. The
+layer copies its weight row into the output and multiplies by the input column
+in place, which measured faster there than one multiply: numpy buffers both
+operands of a multiply that broadcasts each, two 64 KiB buffers on a 65 x 256
+layer.
 """
 
 from __future__ import annotations

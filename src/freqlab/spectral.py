@@ -99,11 +99,7 @@ def nufft_direct(points, values, num_freqs: int) -> np.ndarray:
     spectrum(nufft_matrix(points, num_freqs), values), the coefficients c[k] =
     sum_j values_j * exp(-2*pi*i * points_j * k) for k = 0..num_freqs-1. Exact
     summation, no gridding approximation."""
-    x = np.asarray(points, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if x.shape != v.shape or x.ndim != 1:
-        raise ValueError("points and values must be matching 1-d vectors")
-    return spectrum(nufft_matrix(x, num_freqs), v)
+    return spectrum(nufft_matrix(points, num_freqs), values)
 
 
 def pick_peaks(spectrum: np.ndarray, max_count: int = 4, min_rel_amplitude: float = 0.05) -> list[int]:

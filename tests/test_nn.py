@@ -402,8 +402,8 @@ def _matmul_forward_backprop(mlp, xs, g):
 
 
 class TestOuterProductLayers:
-    """A one-input layer and the delta below a one-output layer are one
-    multiply each; their bits are the matmul's."""
+    """A one-input layer and the delta below a one-output layer are outer
+    products formed without a matmul; their bits are the matmul's."""
 
     @pytest.mark.parametrize("rows", [1, 7, 65])
     @pytest.mark.parametrize("widths,head", [
