@@ -76,7 +76,7 @@ def spectrum(phase: np.ndarray, values) -> np.ndarray:
     """The complex coefficients phase @ values of a dft_matrix or nufft_matrix
     and one value per column; a non-finite coefficient raises ValueError."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or phase.shape[1:] != v.shape:
+    if phase.shape[1:] != v.shape:
         raise ValueError(f"expected {phase.shape[1]} values in a 1-d vector, got shape {v.shape}")
     coefficients = phase @ v
     if not np.all(np.isfinite(coefficients)):
