@@ -3,7 +3,8 @@
 A network's parameters are one fp64 vector, Mlp.params, and backprop returns
 its gradient as a vector in the same layout, so an update is one vector
 operation and a gradient is a row of a Jacobian as it stands. layer_views is
-the only code that knows the layout; weights and biases are views from it.
+the only code that knows the layout, and gives each layer's (weights, biases)
+views of it.
 forward and backprop keep the views of mlp.params, and of the last gradient
 passed back as into, on the network and build them again only when the vector
 is a different object: reassigning mlp.params or passing another gradient is
@@ -78,17 +79,6 @@ class Mlp:
     @property
     def num_layers(self) -> int:
         return len(self.widths) - 1
-
-    # Derived on access, not stored: a copied Mlp would keep views of the old buffer.
-    @property
-    def weights(self) -> list[np.ndarray]:
-        """weights[l]: (widths[l], widths[l+1]) view into params."""
-        return [w for w, _ in layer_views(self.widths, self.params)]
-
-    @property
-    def biases(self) -> list[np.ndarray]:
-        """biases[l]: (widths[l+1],) view into params."""
-        return [b for _, b in layer_views(self.widths, self.params)]
 
 
 def layer_views(widths: Sequence[int], vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

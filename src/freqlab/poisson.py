@@ -4,10 +4,10 @@ Central-difference discretization, direct tridiagonal solve, Jacobi and
 Gauss-Seidel iterations, sine-mode error analysis of the Jacobi recursion,
 and a hybrid that warm-starts an iterative method from an externally trained
 grid approximation. The system is its right-hand side: assemble_poisson
-returns rhs at the n-1 interior nodes, and every solver and stepper applies
-the constant 2/-1 stencil itself. thomas_solve returns the direct solution on
-all n+1 grid points, boundary zeros included; the iterations work on the
-interior [1:-1]. The hybrid is two phases: a resumable TrainPhase, which
+returns rhs at the n-1 interior nodes, and the direct solve and every sweep
+apply the constant 2/-1 stencil themselves. thomas_solve returns the direct
+solution on all n+1 grid points, boundary zeros included; the iterations work
+on the interior [1:-1]. The hybrid is two phases: a resumable TrainPhase, which
 takes its stop policy once and returns a SwitchPoint per run, and hand_off,
 which iterates from a SwitchPoint and returns the IterativeRun; run_hybrid
 composes them on one stream. Both histories, IterativeRun and the phase-one
@@ -42,8 +42,6 @@ __all__ = [
     "solve_tridiagonal",
     "residual_inf",
     "thomas_solve",
-    "jacobi_step",
-    "gauss_seidel_step",
     "jacobi_eigen",
     "sine_mode",
     "mode_amplitudes",
@@ -86,8 +84,8 @@ def assemble_poisson(grid: Grid1D, g_fn: Callable[[np.ndarray], np.ndarray] = g_
     nodes i = 1..n-1, so rhs.size = n - 1.
 
     A is the constant (n-1)x(n-1) stencil 2 on the diagonal and -1 off it,
-    which the solvers and steppers apply themselves; the right-hand side is
-    the whole system.
+    which the direct solve and the sweeps apply themselves; the right-hand
+    side is the whole system.
     """
     m = grid.n - 1
     xs = grid.points[1:-1]
@@ -106,7 +104,7 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     m = len(diag)
     if len(rhs) != m or len(sub) != m - 1 or len(sup) != m - 1:
         raise ValueError("inconsistent tridiagonal band lengths")
-    c = np.empty(m - 1) if m > 1 else np.empty(0)
+    c = np.empty(m - 1)
     d = np.empty(m)
     piv = diag[0]
     if piv == 0.0:
@@ -177,25 +175,6 @@ def _gauss_seidel_sweep(rhs: np.ndarray, src: np.ndarray, dst: np.ndarray) -> No
     dst[1:-1] = w[1:-1]
 
 
-def _step(sweep, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One sweep of the interior values u, into a new array."""
-    _check_interior(rhs, u)
-    rows = np.zeros((2, rhs.size + 2))
-    rows[0, 1:-1] = u
-    sweep(rhs, rows[0], rows[1])
-    return rows[1, 1:-1]
-
-
-def jacobi_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep: u_i <- (u_{i-1} + u_{i+1} + rhs_i) / 2, boundaries zero."""
-    return _step(_jacobi_sweep, rhs, u)
-
-
-def gauss_seidel_step(rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One forward Gauss-Seidel sweep; new values used as soon as available."""
-    return _step(_gauss_seidel_sweep, rhs, u)
-
-
 #: the iterative methods by name, each to its sweep; config.validate reads the names from here
 METHODS = {"jacobi": _jacobi_sweep, "gauss_seidel": _gauss_seidel_sweep}
 
@@ -260,17 +239,6 @@ class IterativeRun:
     @property
     def iterations(self) -> int:
         return max(len(self.sup_errors) - 1, 0)
-
-    def halving_iteration(self, k: int) -> int | None:
-        """First iteration at which |alpha_k| drops to half its initial value.
-
-        The comparison carries 1e-9 relative slack so that modes whose
-        amplitude hits exactly half (lambda^l = 1/2) count that iteration.
-        """
-        trace = np.abs(self.alphas[k])
-        target = 0.5 * trace[0] * (1.0 + 1e-9)
-        hits = np.nonzero(trace <= target)[0]
-        return int(hits[0]) if hits.size else None
 
 
 def iterate(

@@ -89,8 +89,6 @@ def dft_uniform(values) -> np.ndarray:
     spectrum(dft_matrix(N), values), the coefficients c[gamma] = sum_j values_j
     * exp(-2*pi*i * x_j * gamma) at the nodes x_j = j/N, gamma = 0..N-1."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("dft_uniform needs a nonempty 1-d vector")
     return spectrum(dft_matrix(v.size), v)
 
 

@@ -18,15 +18,17 @@ from freqlab.cli import main
 from freqlab.config import default_config, preset_config
 from freqlab.errors import ConfigError, DivergenceError
 from freqlab.experiments import run_experiment, run_single, target_toy
+from freqlab.nn import layer_views
 from freqlab.poisson import (
     Grid1D,
     TrainPhase,
     assemble_poisson,
     g_rhs,
-    jacobi_step,
     mode_amplitudes,
     thomas_solve,
 )
+
+from test_poisson import sweep_once
 
 
 def tiny(preset, **kw):
@@ -224,7 +226,7 @@ class TestPoissonRunners:
             amps = mode_amplitudes(err, n)
             for k in report.metrics["tracked_modes"]:
                 assert float(row[f"alpha_{k}"]) == pytest.approx(amps[k - 1], rel=1e-12, abs=1e-15)
-            u = jacobi_step(rhs, u)
+            u = sweep_once("jacobi", rhs, u)
 
     def test_timing_walls_rise_through_the_iterations(self, tmp_path):
         cfg = dataclasses.replace(default_config("poisson_jacobi"), grid_n=16, max_iters=300, timing=True)
@@ -480,7 +482,7 @@ class TestTrainingLoop:
 
         def poisoned(*args):
             net = real(*args)
-            net.weights[0][0, 0] = np.nan
+            layer_views(net.widths, net.params)[0][0][0, 0] = np.nan
             return net
 
         monkeypatch.setattr(ex, "init_mlp", poisoned)

@@ -24,8 +24,9 @@ from freqlab.nn import (
 class TestInit:
     def test_paper_shape_toy(self):
         net = init_mlp([1, 400, 400, 200, 100, 2], std=0.1, seed=0)
-        assert [w.shape for w in net.weights] == [(1, 400), (400, 400), (400, 200), (200, 100), (100, 2)]
-        assert [b.shape for b in net.biases] == [(400,), (400,), (200,), (100,), (2,)]
+        views = layer_views(net.widths, net.params)
+        assert [w.shape for w, _ in views] == [(1, 400), (400, 400), (400, 200), (200, 100), (100, 2)]
+        assert [b.shape for _, b in views] == [(400,), (400,), (200,), (100,), (2,)]
 
     def test_paper_shape_poisson(self):
         net = init_mlp([1, 4000, 800, 1], std=0.05, seed=0)
@@ -35,19 +36,19 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_mlp([2, 16, 3], std=0.2, seed=99)
         b = init_mlp([2, 16, 3], std=0.2, seed=99)
-        for wa, wb in zip(a.weights, b.weights):
+        for (wa, ba), (wb, bb) in zip(layer_views(a.widths, a.params), layer_views(b.widths, b.params)):
             assert np.array_equal(wa, wb)
-        for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
     def test_different_seed_differs(self):
         a = init_mlp([2, 16, 3], std=0.2, seed=1)
         b = init_mlp([2, 16, 3], std=0.2, seed=2)
-        assert not np.array_equal(a.weights[0], b.weights[0])
+        assert not np.array_equal(layer_views(a.widths, a.params)[0][0],
+                                  layer_views(b.widths, b.params)[0][0])
 
     def test_sample_moments_match_spec(self):
         net = init_mlp([50, 400, 50], std=0.3, mean=0.1, seed=5)
-        w = net.weights[0].ravel()
+        w = layer_views(net.widths, net.params)[0][0].ravel()
         assert w.mean() == pytest.approx(0.1, abs=0.01)
         assert w.std() == pytest.approx(0.3, abs=0.01)
 
@@ -105,18 +106,16 @@ class TestSoftmax:
 class TestForward:
     def test_zero_parameters_identity_output(self):
         net = init_mlp([3, 4, 2], std=0.1, seed=0)
-        for w in net.weights:
+        for w, b in layer_views(net.widths, net.params):
             w[...] = 0.0
-        for b in net.biases:
             b[...] = 0.0
         out, _ = forward(net, np.array([[1.0, -2.0, 3.0]]))
         assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_zero_parameters_softmax_uniform(self):
         net = init_mlp([3, 4, 2], output_activation="softmax", std=0.1, seed=0)
-        for w in net.weights:
+        for w, b in layer_views(net.widths, net.params):
             w[...] = 0.0
-        for b in net.biases:
             b[...] = 0.0
         out, _ = forward(net, np.array([[1.0, -2.0, 3.0]]))
         assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
@@ -225,7 +224,7 @@ class TestBackprop:
     @pytest.mark.parametrize("failing_call", [2, 3])
     def test_raising_loss_leaves_parameters_unperturbed(self, failing_call):
         net = init_mlp([2, 4, 1], std=0.3, seed=0)
-        before = [a.copy() for a in net.weights + net.biases]
+        before = [v.copy() for layer in layer_views(net.widths, net.params) for v in layer]
         xs = np.ones((3, 2))
         calls = []
 
@@ -239,7 +238,7 @@ class TestBackprop:
 
         with pytest.raises(RuntimeError):
             grad_check(net, loss_fn, fd_step=1e-3, num_checks=5, seed=0)
-        for a, b in zip(net.weights + net.biases, before):
+        for a, b in zip([v for layer in layer_views(net.widths, net.params) for v in layer], before):
             assert np.array_equal(a, b)
 
 
@@ -484,12 +483,13 @@ class TestSgdAndSchedule:
 
     def test_scalar_update_definition(self):
         net = init_mlp([1, 1], std=0.1, seed=0)
-        net.weights[0][...] = 2.0
-        net.biases[0][...] = 0.0
+        (w, b), = layer_views(net.widths, net.params)
+        w[...] = 2.0
+        b[...] = 0.0
         grad = np.zeros_like(net.params)
         layer_views(net.widths, grad)[0][0][...] = 0.5
         sgd_step(net, grad, lr=1.0)
-        assert net.weights[0][0, 0] == 1.5
+        assert layer_views(net.widths, net.params)[0][0][0, 0] == 1.5
 
     def test_two_half_steps_equal_one_step(self):
         a = init_mlp([2, 3, 1], std=0.3, seed=9)
@@ -532,18 +532,19 @@ class TestParamVector:
         net = init_mlp([3, 5, 2], std=0.2, seed=10)
         vec = net.params.copy()
         net.params[...] = vec * 2.0
-        layers = np.concatenate([np.append(w.ravel(), b) for w, b in zip(net.weights, net.biases)])
+        layers = np.concatenate([np.append(w.ravel(), b) for w, b in layer_views(net.widths, net.params)])
         assert layers == pytest.approx(vec * 2.0)
         assert net.params.size == len(vec)
 
     def test_views_write_through_both_ways(self):
         net = init_mlp([3, 5, 2], std=0.2, seed=10)
-        net.weights[1][4, 1] = 7.0
-        net.biases[0][2] = -3.0
+        (_, b0), (w1, b1) = layer_views(net.widths, net.params)
+        w1[4, 1] = 7.0
+        b0[2] = -3.0
         assert net.params[15 + 5 + 4 * 2 + 1] == 7.0
         assert net.params[15 + 2] == -3.0
         net.params[-1] = 11.0
-        assert net.biases[1][1] == 11.0
+        assert b1[1] == 11.0
 
     @pytest.mark.parametrize("shape", [(31,), (33,), (32, 1)])
     def test_layer_views_rejects_wrong_shape(self, shape):

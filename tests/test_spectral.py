@@ -44,9 +44,12 @@ class TestDft:
         assert spec[1] == pytest.approx(-2j, abs=1e-12)
         assert abs(spec[1]) == pytest.approx(2.0, abs=1e-12)
 
-    def test_empty_rejected(self):
+    # an empty vector fails in dft_matrix, a 2-d or 0-d input in spectrum's shape check
+    @pytest.mark.parametrize("values", [np.array([]), np.ones((2, 2)), np.array(5.0)],
+                             ids=["empty", "2d", "0d"])
+    def test_empty_rejected(self, values):
         with pytest.raises(ValueError):
-            dft_uniform(np.array([]))
+            dft_uniform(values)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(-5, 5), st.floats(-5, 5))
