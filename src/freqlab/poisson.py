@@ -13,11 +13,11 @@ which iterates from a SwitchPoint and returns the IterativeRun; run_hybrid
 composes them on one stream. Both histories, IterativeRun and the phase-one
 columns of a SwitchPoint, are held as one list per column.
 
-iterate sweeps in blocks: each sweep writes the next zero-padded row of a
-fixed block, and the block's sup errors and mode amplitudes are recorded at
-once, in the same operations as one sweep at a time, so the bits are the
-same. The sweeps after the stop in the last block are computed but not
-recorded; wall_ms is read after each sweep.
+iterate sweeps in blocks through row views built once per call, each sweep
+writing the next zero-padded row, and records each block at once, the mode
+amplitudes as one stacked matmul that makes each row's BLAS call, so the bits
+are those of one sweep at a time. Sweeps past the stop in the last block are
+computed but not recorded; wall_ms is read after each sweep.
 """
 
 from __future__ import annotations
@@ -156,27 +156,38 @@ def thomas_solve(rhs: np.ndarray) -> np.ndarray:
     return full
 
 
-def _jacobi_sweep(rhs: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    """One Jacobi sweep from the zero-padded row src into dst's interior:
-    dst_i <- (src_{i-1} + src_{i+1} + rhs_i) / 2, computed as
-    ((left + right) + rhs) * 0.5. Both rows hold n+1 values with zero ends."""
-    out = dst[1:-1]
-    np.add(src[:-2], src[2:], out=out)
-    out += rhs
-    out *= 0.5
+def _jacobi(rhs: np.ndarray, states: np.ndarray) -> Callable[[int], Iterator[None]]:
+    """Jacobi over the zero-padded rows of states, their views built once:
+    sweeps(count) sweeps each row r < count into row r+1 and yields after each,
+    dst_i <- ((src_{i-1} + src_{i+1}) + rhs_i) * 0.5. Rows hold n+1 values."""
+    views = [(states[r, :-2], states[r, 2:], states[r + 1, 1:-1]) for r in range(len(states) - 1)]
+
+    def sweeps(count: int) -> Iterator[None]:
+        for left, right, out in views[:count]:
+            np.add(left, right, out=out)
+            out += rhs
+            out *= 0.5
+            yield
+    return sweeps
 
 
-def _gauss_seidel_sweep(rhs: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    """One forward Gauss-Seidel sweep from the zero-padded row src into dst's
-    interior; each new value is used as soon as it is available."""
-    w = src.tolist()  # python floats: the same fp64 operations, without per-element numpy scalars
-    for i, r in enumerate(rhs.tolist()):
-        w[i + 1] = (w[i] + w[i + 2] + r) * 0.5
-    dst[1:-1] = w[1:-1]
+def _gauss_seidel(rhs: np.ndarray, states: np.ndarray) -> Callable[[int], Iterator[None]]:
+    """Forward Gauss-Seidel in _jacobi's form; each new value is used at once."""
+    b = rhs.tolist()  # python floats: the same fp64 operations, without per-element numpy scalars
+    views = [(states[r], states[r + 1, 1:-1]) for r in range(len(states) - 1)]
+
+    def sweeps(count: int) -> Iterator[None]:
+        for src, out in views[:count]:
+            w = src.tolist()
+            for i, x in enumerate(b):
+                w[i + 1] = (w[i] + w[i + 2] + x) * 0.5
+            out[:] = w[1:-1]
+            yield
+    return sweeps
 
 
-#: the iterative methods by name, each to its sweep; config.validate reads the names from here
-METHODS = {"jacobi": _jacobi_sweep, "gauss_seidel": _gauss_seidel_sweep}
+#: the iterative methods by name, each to its sweep plan; config.validate reads the names from here
+METHODS = {"jacobi": _jacobi, "gauss_seidel": _gauss_seidel}
 
 #: sweeps that iterate computes before it records them at once
 _BLOCK = 256
@@ -255,12 +266,13 @@ def iterate(
 
     Records the initial state as iteration 0. Stops at the first iteration
     whose sup error against u_star reaches tol, or after max_iters sweeps.
-    Sweeps run in blocks of up to _BLOCK rows and each block is recorded at
-    once, so up to _BLOCK - 1 sweeps past the stop are computed and not
-    recorded; wall_ms is read after each sweep.
+    Sweeps run in blocks of up to _BLOCK rows through row views built once per
+    call; each block is recorded at once, its mode amplitudes as one stacked
+    product, so up to _BLOCK - 1 sweeps past the stop are computed and not
+    recorded. wall_ms is read after each sweep.
     """
-    sweep = METHODS.get(method)
-    if sweep is None:
+    plan = METHODS.get(method)
+    if plan is None:
         raise ValueError(f"unknown method {method!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -280,14 +292,15 @@ def iterate(
     states = np.zeros((rows + 1, m + 2))  # row 0 carries the last recorded state
     err = np.empty((rows, m))
     dots = np.empty((rows, len(track)))
+    sweeps = plan(rhs, states)
 
     def record(first: int, count: int) -> None:
         """Record states[first:first + count], up to the first that meets tol."""
         e = err[:count]
         np.subtract(states[first:first + count, 1:-1], u_star, out=e)
         if track:
-            for r in range(count):  # one product per row: a block matmul rounds differently
-                np.matmul(basis, e[r], out=dots[r])
+            # per row the ddot/dgemv of np.matmul(basis, e[r]), so the same bits; e @ basis.T rounds differently
+            np.matmul(basis, e[:, :, None], out=dots[:count, :, None])
         sups = np.abs(e, out=e).max(axis=1)
         if tol is not None:
             hits = np.flatnonzero(sups <= tol)
@@ -303,8 +316,7 @@ def iterate(
     done = 0
     while done < max_iters and not (tol is not None and run.sup_errors[-1] <= tol):
         count = min(rows, max_iters - done)
-        for r in range(count):
-            sweep(rhs, states[r], states[r + 1])
+        for _ in sweeps(count):
             run.wall_ms.append(elapsed())
         record(1, count)
         del run.wall_ms[len(run.sup_errors):]

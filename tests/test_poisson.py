@@ -35,12 +35,12 @@ def make_rhs(n=32, seed=0, g=None):
 
 
 def sweep_once(method, rhs, u):
-    """One METHODS[method] sweep of the interior values u over a zero-padded
-    pair of rows; returns the new interior values."""
-    src, dst = np.zeros((2, rhs.size + 2))
-    src[1:-1] = u
-    METHODS[method](rhs, src, dst)
-    return dst[1:-1]
+    """One METHODS[method] sweep of the interior values u from row 0 of a
+    zero-padded pair of rows into row 1; returns the new interior values."""
+    states = np.zeros((2, rhs.size + 2))
+    states[0, 1:-1] = u
+    assert len(list(METHODS[method](rhs, states)(1))) == 1
+    return states[1, 1:-1]
 
 
 def poisson_matrix(m):
@@ -150,10 +150,11 @@ class TestSweeps:
 
     def test_jacobi_does_not_modify_input(self):
         rhs = make_rhs()
-        src = np.pad(np.ones(rhs.size), 1)
-        before = src.copy()
-        METHODS["jacobi"](rhs, src, np.zeros_like(src))
-        assert np.array_equal(src, before)
+        states = np.zeros((2, rhs.size + 2))
+        states[0, 1:-1] = 1.0
+        before = states[0].copy()
+        list(METHODS["jacobi"](rhs, states)(1))
+        assert np.array_equal(states[0], before)
 
     def test_gauss_seidel_hand_sweep(self):
         rhs = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
@@ -391,7 +392,9 @@ class TestBlocks:
         assert len(run.wall_ms) == len(sups)
 
     @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
-    @pytest.mark.parametrize("track", [(), (1, 5, 15)])
+    # one mode takes matmul's ddot path and two or three dgemv's remainder path,
+    # where other block forms of the product round differently
+    @pytest.mark.parametrize("track", [(), (1,), (1, 5), (1, 5, 15), (1, 2, 3, 5), (1, 2, 3, 4, 5)])
     @pytest.mark.parametrize("extra", ["0", "1", "B-1", "B", "B+1", "2B+3"])
     def test_blocks_record_the_bits_of_the_per_sweep_loop(self, method, track, extra):
         max_iters = {"0": 0, "1": 1, "B-1": self.B - 1, "B": self.B, "B+1": self.B + 1,
@@ -400,6 +403,58 @@ class TestBlocks:
         run = iterate(rhs, u0, u_star, method=method, max_iters=max_iters, track_modes=track)
         self._assert_same(run, _reference_iterate(rhs, u0, u_star, method, max_iters, track))
         assert run.iterations == max_iters
+
+    def test_relax_grid_records_the_bits_of_the_per_sweep_loop(self):
+        # relax's size: n = 512, one tracked mode
+        rhs, u_star, u0 = self._problem(n=512)
+        max_iters = 2 * self.B + 3
+        run = iterate(rhs, u0, u_star, max_iters=max_iters, track_modes=(1,))
+        self._assert_same(run, _reference_iterate(rhs, u0, u_star, "jacobi", max_iters, (1,)))
+
+    @pytest.mark.parametrize("m", [63, 511, 999])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_stacked_mode_product_is_the_per_row_product(self, m, k):
+        # iterate records a block's amplitudes as one stacked matmul; if numpy's
+        # dispatch changes, this names the cause before the golden digests do
+        basis = np.array([sine_mode(m + 1, j) for j in range(1, k + 1)])
+        e = np.random.default_rng(m + k).standard_normal((self.B, m))
+        stacked, per_row = np.empty((2, self.B, k))
+        np.matmul(basis, e[:, :, None], out=stacked[:, :, None])
+        for r in range(self.B):
+            np.matmul(basis, e[r], out=per_row[r])
+        assert stacked.tobytes() == per_row.tobytes()
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+    @pytest.mark.parametrize("stop", ["max_iters", "tol"])
+    def test_wall_ms_reads_the_clock_once_per_sweep_in_order(self, monkeypatch, method, stop):
+        # the fake clock reads the number of sweeps done, so wall_ms == [0, 1, ...]
+        # only if the clock is read after each sweep and before the next
+        done = [0]
+        plan = poisson_mod.METHODS[method]
+
+        def counted(rhs, states):
+            sweeps = plan(rhs, states)
+
+            def counted_sweeps(count):
+                for _ in sweeps(count):
+                    done[0] += 1
+                    yield
+            return counted_sweeps
+
+        def sweep_clock(timing):
+            assert timing
+            return lambda: float(done[0])
+
+        monkeypatch.setitem(poisson_mod.METHODS, method, counted)
+        monkeypatch.setattr(poisson_mod, "stopwatch", sweep_clock)
+        rhs, u_star, u0 = self._problem(n=64)
+        at, tol = 2 * self.B + 3, None  # across two block boundaries
+        if stop == "tol":
+            at = self.B + 7  # in the middle of the second block
+            tol = _reference_iterate(rhs, u0, u_star, method, at)[0][at]
+        run = iterate(rhs, u0, u_star, method=method, max_iters=2 * self.B + 3, tol=tol, timing=True)
+        assert run.iterations == at
+        assert run.wall_ms == [float(i) for i in range(at + 1)]
 
     @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
     def test_tol_met_by_the_initial_state_does_no_sweep(self, method):
