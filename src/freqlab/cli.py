@@ -10,11 +10,13 @@ divergence, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import (
     EXPERIMENTS,
     PRESETS,
+    ExperimentConfig,
     apply_overrides,
     default_config,
     load_config_file,
@@ -40,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
         p.add_argument("--seed", type=int, help="base seed")
         p.add_argument("--seeds", type=int, help="number of seeds (seed, seed+1, ...)")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
         p.add_argument("--svg", action="store_true", default=None, help="also write SVG charts")
         p.add_argument("--timing", action="store_true", default=None,
                        help="record real wall-clock columns (breaks byte-identical reruns)")
@@ -62,17 +64,9 @@ def resolve_config(args: argparse.Namespace):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         cfg = apply_overrides(cfg, parse_config_text(item))
-    direct = {}
-    for attr, key in (
-        ("seed", "seed"), ("seeds", "seeds"), ("out", "out_dir"),
-        ("svg", "svg"), ("timing", "timing"),
-        ("mnist_images", "mnist_images"), ("mnist_labels", "mnist_labels"),
-        ("synthetic", "synthetic"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            direct[key] = value
-    cfg = apply_overrides(cfg, direct)
+    # each direct flag's dest is its config key; experiment is the subcommand's, checked below
+    cfg = apply_overrides(cfg, {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+                                if f.name != "experiment" and getattr(args, f.name, None) is not None})
     if cfg.experiment != args.experiment:
         raise ConfigError(f"the resolved config is for experiment {cfg.experiment!r}, "
                           f"but the subcommand runs {args.experiment}")

@@ -13,8 +13,11 @@ snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
 snapshot. Every trained runner goes through one descent loop, _descent, over
 epochs of (inputs, loss_of) batches, loss_of returning a (value, gradient)
 pair; each step is one _evaluate (forward, loss, divergence rule). The
+recording cadence lives in _recorded: toy_ce, mnist_pca and poisson_dnn loop
+over it, and it passes on what _descent yields at every record_every-th epoch
+and stops at the last recorded epoch without resuming the descent. The
 full-batch runners record from the outputs it yields; mnist_pca's epochs are
-shuffled minibatches, and it records a full-batch _evaluate where _descent
+shuffled minibatches, and it records a full-batch _evaluate where _recorded
 yields. _descent owns one activation cache per batch length and one gradient
 vector and passes them back to nn as into; the outputs it yields are
 overwritten by the next step of their batch length, so every consumer reads
@@ -147,11 +150,6 @@ def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: s
             "first_passage": first_passage}
 
 
-def _last_recorded_epoch(cfg: ExperimentConfig) -> int:
-    """The last epoch the trace runners record; no output reads the updates after it."""
-    return cfg.epochs - cfg.epochs % cfg.record_every
-
-
 def _evaluate(net: Mlp, xs: np.ndarray, loss_of: LossOf, epoch: int,
               into: list[np.ndarray] | None = None
               ) -> tuple[np.ndarray, list[np.ndarray], float, np.ndarray]:
@@ -197,6 +195,19 @@ def _descent(net: Mlp, epochs: Iterable[Iterable[tuple[np.ndarray, LossOf]]],
             sgd_step(net, grad, lr)
 
 
+def _recorded(cfg: ExperimentConfig, descent: Iterator[tuple[int, np.ndarray, float]]
+              ) -> Iterator[tuple[int, np.ndarray, float]]:
+    """The items of descent at every cfg.record_every-th epoch, up to the last
+    one at or before cfg.epochs; descent is not resumed after that one, as no
+    output reads the updates after it."""
+    last = cfg.epochs - cfg.epochs % cfg.record_every
+    for item in descent:
+        if item[0] % cfg.record_every == 0:
+            yield item
+            if item[0] == last:
+                return
+
+
 # ---------------------------------------------------------------------------
 # step-function cross-entropy experiment
 
@@ -210,9 +221,8 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", cfg.init_std, cfg.init_mean, seed)
     descent = _descent(net, itertools.repeat(((xs, lambda out: cross_entropy_loss(out, targets)),)), cfg)
-    for epoch, probs, loss in itertools.islice(descent, _last_recorded_epoch(cfg) + 1):
-        if epoch % cfg.record_every == 0:
-            record(epoch, loss, probs[:, 0])
+    for epoch, probs, loss in _recorded(cfg, descent):
+        record(epoch, loss, probs[:, 0])
 
     return _emit_trace(cfg, out_dir, trace, "step-target cross entropy")
 
@@ -265,16 +275,10 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         for sel in np.split(shuffle_rng.permutation(n), range(batch, n, batch)):
             yield X[sel], lambda out, sel=sel: cross_entropy_loss(out, onehot[sel])
 
-    def record_full_batch(epoch: int) -> None:
+    # a recording's parameters are those before the epoch's first update
+    for epoch, _, _ in _recorded(cfg, _descent(net, (minibatches() for _ in itertools.count()), cfg)):
         probs, _, loss, _ = _evaluate(net, X, lambda out: cross_entropy_loss(out, onehot), epoch)
         record(epoch, loss, probs[:, 0])
-
-    # a recording's parameters are those before the epoch's first update
-    last = _last_recorded_epoch(cfg)
-    for epoch, _, _ in _descent(net, (minibatches() for _ in range(last)), cfg):
-        if epoch % cfg.record_every == 0:
-            record_full_batch(epoch)
-    record_full_batch(last)
 
     write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(datamod.NUM_CLASSES)],
               zip(coords, labels.tolist(), *onehot.T))
@@ -346,11 +350,10 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     sup_errors: list[float] = []
     descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
     # a finite energy implies finite grid values: each u_i enters a squared term
-    for epoch, out, loss in itertools.islice(descent, _last_recorded_epoch(cfg) + 1):
-        if epoch % cfg.record_every == 0:
-            u_pred = out[:, 0]
-            record(epoch, loss, u_pred)
-            sup_errors.append(float(np.max(np.abs(u_pred - ref))))
+    for epoch, out, loss in _recorded(cfg, descent):
+        u_pred = out[:, 0]
+        record(epoch, loss, u_pred)
+        sup_errors.append(float(np.max(np.abs(u_pred - ref))))
 
     metrics = _emit_trace(cfg, out_dir, trace, "energy-trained network vs direct solution")
     write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"],
@@ -444,20 +447,13 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     n = cfg.samples
     xs = (-1.0 + 2.0 * np.arange(n) / n).reshape(-1, 1)
-    if cfg.diag_loss == "mse":
-        net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity",
-                       cfg.init_std, cfg.init_mean, seed)
-        target = target_toy(xs[:, 0])[:, :1]
+    width, output, loss = ((1, "identity", mse_loss) if cfg.diag_loss == "mse"
+                           else (2, "softmax", cross_entropy_loss))
+    net = init_mlp([1, *cfg.hidden_widths, width], cfg.activation, output, cfg.init_std, cfg.init_mean, seed)
+    target = target_toy(xs[:, 0])[:, :width]
 
-        def pointwise(outputs):
-            return mse_loss(outputs, target)[1]
-    else:
-        net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax",
-                       cfg.init_std, cfg.init_mean, seed)
-        target = target_toy(xs[:, 0])
-
-        def pointwise(outputs):
-            return cross_entropy_loss(outputs, target)[1]
+    def pointwise(outputs):
+        return loss(outputs, target)[1]
 
     dec = grad_decomposition(net, xs, pointwise, output_dim=0)
     mags = dec.mode_magnitudes()

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from freqlab.cli import main
+from freqlab.cli import build_parser, main, resolve_config
 from freqlab.config import (
     PRESETS,
     ExperimentConfig,
@@ -204,6 +204,27 @@ class TestCli:
         assert main([*args, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    # flag arguments, then the config key they set, that key's value as --set reads
+    # it and another value for a --set the flag must override; each differs from the default
+    @pytest.mark.parametrize("flag,key,value,other", [
+        (["--seed", "7"], "seed", "7", "3"),
+        (["--seeds", "2"], "seeds", "2", "5"),
+        (["--out", "elsewhere"], "out_dir", "elsewhere", "here"),
+        (["--svg"], "svg", "true", "false"),
+        (["--timing"], "timing", "true", "false"),
+        (["--mnist-images", "im.idx"], "mnist_images", "im.idx", "other.idx"),
+        (["--mnist-labels", "lb.idx"], "mnist_labels", "lb.idx", "other.idx"),
+        (["--synthetic"], "synthetic", "true", "false"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_direct_flag_sets_its_config_key_after_set(self, flag, key, value, other):
+        def resolved(*args):
+            return resolve_config(build_parser().parse_args(["mnist-pca", *args]))
+
+        expected = resolved("--set", f"{key}={value}")
+        assert expected != resolved()
+        assert resolved(*flag) == expected
+        assert resolved("--set", f"{key}={other}", *flag) == expected
 
     def test_divergence_exit_code(self, tmp_path):
         code = main([

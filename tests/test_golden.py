@@ -35,6 +35,8 @@ _JACOBI = ["poisson-jacobi", "--set", "grid_n=16", "--set", "max_iters=300"]
 _D_JACOBI = ["d-jacobi", "--preset", "desk-d-jacobi", "--set", "hidden_widths=16,8", "--set", "grid_n=16",
              "--set", "epochs=400", "--set", "record_every=5", "--set", "plateau_window=10",
              "--set", "max_iters=20000"]
+_POISSON_DNN = ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "hidden_widths=8", "--set", "grid_n=16",
+                "--set", "epochs=40", "--set", "record_every=10"]
 _DIAGNOSE = ["diagnose-grad", "--set", "hidden_widths=8", "--set", "samples=16"]
 
 # run name -> CLI arguments; each run also gets --svg and --out <name>
@@ -48,8 +50,8 @@ RUNS = {
     "poisson-direct": ["poisson-direct", "--set", "grid_n=16"],
     "poisson-jacobi-jacobi": _JACOBI,
     "poisson-jacobi-gauss-seidel": _JACOBI + ["--set", "hybrid_method=gauss_seidel"],
-    "poisson-dnn": ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "hidden_widths=8",
-                    "--set", "grid_n=16", "--set", "epochs=40", "--set", "record_every=10"],
+    "poisson-dnn": _POISSON_DNN,
+    "poisson-dnn-halving": _POISSON_DNN + ["--set", "lr_halve_every=10"],
     "d-jacobi-jacobi": _D_JACOBI,
     "d-jacobi-gauss-seidel": _D_JACOBI + ["--set", "hybrid_method=gauss_seidel"],
     "diagnose-grad-mse": _DIAGNOSE,

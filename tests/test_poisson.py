@@ -23,6 +23,7 @@ from freqlab.poisson import (
     solve_tridiagonal,
     thomas_solve,
 )
+from poisson_helpers import sweep_once
 
 
 def make_rhs(n=32, seed=0, g=None):
@@ -32,15 +33,6 @@ def make_rhs(n=32, seed=0, g=None):
         vals = rng.standard_normal(n - 1)
         g = lambda x: vals
     return assemble_poisson(grid, g)
-
-
-def sweep_once(method, rhs, u):
-    """One METHODS[method] sweep of the interior values u from row 0 of a
-    zero-padded pair of rows into row 1; returns the new interior values."""
-    states = np.zeros((2, rhs.size + 2))
-    states[0, 1:-1] = u
-    assert len(list(METHODS[method](rhs, states)(1))) == 1
-    return states[1, 1:-1]
 
 
 def poisson_matrix(m):
