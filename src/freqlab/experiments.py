@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -372,9 +373,55 @@ def _energy_training_stream(cfg: ExperimentConfig, seed: int, grid: Grid1D,
                             gvals: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
     """Yield (full-grid network values, loss) per step; step 0 is untrained.
 
-    Deterministic in seed, so separate streams replay the same trajectory.
+    Deterministic in seed, so a second stream replays the same trajectory. The
+    values are a view that the next step overwrites.
     """
     return ((out[:, 0], loss) for _, out, loss in _energy_descent(cfg, seed, grid, gvals))
+
+
+#: bytes of grid values run_d_jacobi keeps for its early switch. A run whose
+#: kept states would cross it replays the early prefix instead. At fig5 (1,001
+#: points, 8 KB a state, every step a candidate) about 0.75 t states are held
+#: at step t, so a plateau after about step 11,170 takes the replay.
+_EARLY_STATES_CAP = 64 * 2**20
+
+
+class _EarlyStates:
+    """Copies of the grid values at each step a plateau stream passes that can
+    still turn out to be its early switch max(1, p // 4). The plateau p is a
+    multiple of record_every or epochs, and p >= t once the stream stands at
+    step t, so steps below max(1, t // 4) are dropped as it goes. Adding a
+    state that would cross _EARLY_STATES_CAP drops them all, for good."""
+
+    def __init__(self, record_every: int, epochs: int):
+        self._record_every, self._epochs = record_every, epochs
+        self._kept: deque[tuple[int, np.ndarray]] | None = deque()
+        self._nbytes = 0
+
+    def _candidate(self, s: int) -> bool:
+        # the p in [lo, hi] with max(1, p // 4) = s: some multiple of record_every, or epochs
+        lo, hi = (0 if s == 1 else 4 * s), min(4 * s + 3, self._epochs)
+        return lo <= hi and (hi == self._epochs or -(-lo // self._record_every) * self._record_every <= hi)
+
+    def passing(self, stream: Iterator[tuple[np.ndarray, float]]) -> Iterator[tuple[np.ndarray, float]]:
+        """stream, item by item, keeping the candidates' values until take."""
+        for t, (values, loss) in enumerate(stream):
+            kept = self._kept
+            if kept is not None:
+                while kept and kept[0][0] < max(1, t // 4):
+                    self._nbytes -= kept.popleft()[1].nbytes
+                if t >= 1 and self._candidate(t):
+                    if self._nbytes + values.nbytes > _EARLY_STATES_CAP:
+                        self._kept = None
+                    else:
+                        kept.append((t, values.copy()))
+                        self._nbytes += values.nbytes
+            yield values, loss
+
+    def take(self, step: int) -> np.ndarray | None:
+        """The kept values at step, or None; frees every state and keeps no more."""
+        kept, self._kept = self._kept or (), None
+        return next((values for s, values in kept if s == step), None)
 
 
 def _hybrid_rows(run: IterativeRun, method: str, at: SwitchPoint | None = None) -> list[list]:
@@ -396,24 +443,34 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     plateau step p, early at max(1, p // 4) and late at min(2p, epochs), and
     compare each with a cold start from zero.
 
-    One training stream runs to p and then on to the late switch; a second
-    stream replays only the prefix up to the early switch. That is
-    2p + max(1, p // 4) + 2 training steps instead of three replays from step
-    0, with the same files. All training finishes before the first hand-off.
+    One training stream runs to p and then on to the late switch: 2p + 1
+    training steps instead of three replays from step 0, with the same files.
+    The early switch is built from the grid values kept on the way to p (see
+    _EarlyStates) and the plateau run's recorded columns up to it. Where those
+    values would cross _EARLY_STATES_CAP, a second stream replays the prefix up
+    to the early switch. All training finishes before the first hand-off.
     """
     grid, rhs, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
 
-    def train_phase() -> TrainPhase:
-        return TrainPhase(_energy_training_stream(cfg, seed, grid, gvals), ref, cfg.record_every,
-                          cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
+    def train_phase(stream: Iterator[tuple[np.ndarray, float]]) -> TrainPhase:
+        return TrainPhase(stream, ref, cfg.record_every, cfg.plateau_window, cfg.plateau_tol,
+                          cfg.epochs, cfg.timing)
 
-    stream = train_phase()
+    early_states = _EarlyStates(cfg.record_every, cfg.epochs)
+    stream = train_phase(early_states.passing(_energy_training_stream(cfg, seed, grid, gvals)))
     at_plateau = stream.run()
     plateau_step = at_plateau.step
+    early_step = max(1, plateau_step // 4)
+    early_values = early_states.take(early_step)
     at_late = stream.run(min(2 * plateau_step, cfg.epochs))
-    at_early = train_phase().run(max(1, plateau_step // 4))
+    if early_values is None:  # over the cap, or the stream stopped at step 0
+        at_early = train_phase(_energy_training_stream(cfg, seed, grid, gvals)).run(early_step)
+    else:
+        k = early_step // cfg.record_every + 1  # the recorded steps 0, r, 2r, ... up to early_step
+        at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
+                               at_plateau.wall_ms[:k], at_plateau.losses[:k], at_plateau.sup_errors[:k])
     labelled = [(label, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
                 for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
     cold = iterate(rhs, np.zeros(rhs.size), ref[1:-1], method=cfg.hybrid_method,
@@ -483,7 +540,9 @@ def run_single(cfg: ExperimentConfig, seed: int, out_dir: str | Path) -> RunRepo
     validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    metrics = _RUNNERS[cfg.experiment](cfg, seed, out)
+    # overflow to inf on diverged values is intended: the trainers watch the loss for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = _RUNNERS[cfg.experiment](cfg, seed, out)
     _snapshot(cfg, seed, out)
     return RunReport(cfg, seed, out, metrics)
 

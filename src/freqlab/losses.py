@@ -4,7 +4,8 @@ and the discretized boundary-penalized Dirichlet energy.
 Each returns a (value, grad) pair: the scalar value and its exact gradient with
 respect to the network outputs, so the network backward pass stays
 loss-agnostic. The value is finite for finite inputs; training loops watch it
-for divergence.
+for divergence. Diverged inputs overflow to inf or nan, and numpy warns on that
+unless the caller silences it: run_single does, once per run.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
     diff = p - t
-    # overflow to inf on diverged outputs is intended: trainers watch for it
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.sum(diff * diff))
+    value = float(np.sum(diff * diff))
     return value, 2.0 * diff
 
 
@@ -83,16 +82,15 @@ def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D,
     if npts < 3:
         raise ValueError("energy loss needs at least 3 grid points")
     dx = grid.dx
-    # overflow to inf on diverged grid values is intended: trainers watch for it
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = (u[1:] - u[:-1]) / dx
-        value = dx * 0.5 * float(np.sum(diff * diff)) - dx * float(np.sum(g * u))
-        value += beta * float(u[0] * u[0] + u[-1] * u[-1])
-        grad = -dx * g
-        grad[:-1] -= diff
-        grad[1:] += diff
-        grad[0] += 2.0 * beta * u[0]
-        grad[-1] += 2.0 * beta * u[-1]
+    diff = (u[1:] - u[:-1]) / dx
+    value = dx * 0.5 * float(np.add.reduce(diff * diff)) - dx * float(np.add.reduce(g * u))
+    u0, un = float(u[0]), float(u[-1])
+    value += beta * (u0 * u0 + un * un)
+    grad = -dx * g
+    grad[:-1] -= diff
+    grad[1:] += diff
+    grad[0] += 2.0 * beta * u0
+    grad[-1] += 2.0 * beta * un
     return value, grad
 
 

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,21 @@ class TestCli:
         assert "[seed 25]" not in captured.out
         assert "seed 25: loss diverged at epoch 153" in captured.err
         assert (tmp_path / "seed24" / "config.txt").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["poisson-dnn", "--set", "hidden_widths=16", "--set", "grid_n=16", "--set", "epochs=4000",
+         "--set", "lr=100.0", "--set", "init_std=1.0"],
+        ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "epochs=400", "--set", "record_every=4",
+         "--seed", "25"],
+    ], ids=["lr-100", "desk-seed-25"])
+    def test_divergence_raises_no_runtime_warning(self, tmp_path, args):
+        # the overflow on the way to a non-finite loss is silenced once per run; a
+        # warning turned into an error would crash the run with exit 1 instead
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "freqlab.cli", *args,
+                               "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert "loss diverged at epoch" in proc.stderr
 
     def test_io_error_exit_code(self, tmp_path):
         target = tmp_path / "blocked"

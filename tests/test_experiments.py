@@ -329,7 +329,8 @@ def _hand_off_fields(at, run):
 
 
 class TestDJacobiOneStream:
-    # the plateau stream goes on to the late switch; only the early prefix is replayed
+    # one stream runs to the plateau and on to the late switch; the early switch is
+    # built from the grid values kept on the way, or replayed over _EARLY_STATES_CAP
     PLATEAU = dict(hidden_widths=(16, 8), grid_n=16, epochs=400, record_every=5,
                    plateau_window=10, max_iters=20_000)
     NO_PLATEAU = dict(PLATEAU, plateau_window=100)
@@ -355,12 +356,48 @@ class TestDJacobiOneStream:
         report = run_single(cfg, 0, tmp_path)
         return cfg, report, len(forwards), hand_offs
 
-    def test_forward_calls_are_one_stream_to_2p_plus_the_early_prefix(self, tmp_path, monkeypatch):
+    def test_forward_calls_are_one_stream_to_2p(self, tmp_path, monkeypatch):
         cfg, report, forwards, _ = self._run(tmp_path, monkeypatch, **self.PLATEAU)
         p = report.metrics["plateau_step"]
         assert report.metrics["plateau_detected"] and 2 * p <= cfg.epochs
         assert p // 4 % cfg.record_every != 0  # the early switch is not a recorded step
+        assert forwards == 2 * p + 1
+
+    def test_over_the_cap_the_early_prefix_is_replayed(self, tmp_path, monkeypatch):
+        # ten 17-point states fit; the run's candidates between p // 4 and p need more
+        monkeypatch.setattr(ex, "_EARLY_STATES_CAP", 10 * 17 * 8)
+        cfg, report, forwards, hand_offs = self._run(tmp_path, monkeypatch, **self.PLATEAU)
+        p = report.metrics["plateau_step"]
         assert forwards == 2 * p + max(1, p // 4) + 2
+        assert hand_offs == [_hand_off_fields(*replay) for replay in _replayed_hybrids(cfg, 0)]
+
+    @pytest.mark.parametrize("record_every,epochs", [(1, 60), (5, 103), (20, 400), (7, 9)])
+    def test_early_states_keep_every_possible_early_switch_and_nothing_below_a_quarter(
+            self, record_every, epochs):
+        plateaus = sorted({*range(0, epochs + 1, record_every), epochs})
+        for p in plateaus:
+            states = ex._EarlyStates(record_every, epochs)
+            for t, (values, _) in enumerate(states.passing((np.full(3, float(t)), 0.0)
+                                                           for t in range(p + 1))):
+                values[:] = -1.0  # the stream's next step overwrites its values
+                assert all(s >= max(1, t // 4) for s, _ in states._kept)
+            early = states.take(max(1, p // 4))
+            assert states._kept is None
+            if p == 0:
+                assert early is None  # the stream stopped before step 1: replayed
+            else:
+                assert early.tolist() == [float(max(1, p // 4))] * 3
+
+    def test_early_states_past_the_cap_are_dropped_for_good(self, monkeypatch):
+        # fig5's 1,001-point states with every step a candidate, under a cap of 100 states
+        monkeypatch.setattr(ex, "_EARLY_STATES_CAP", 100 * 1001 * 8)
+        states = ex._EarlyStates(1, 200_000)
+        held = []
+        for t, _ in enumerate(states.passing((np.zeros(1001), 0.0) for _ in range(400))):
+            held.append(None if states._kept is None else len(states._kept))
+        # steps max(1, t // 4) .. t are held: 100 states at t = 132, the 101st would be at 133
+        assert held[132] == 100 and held[133:] == [None] * (400 - 133)
+        assert states.take(100) is None
 
     @pytest.mark.parametrize("shrink", [PLATEAU, NO_PLATEAU], ids=["plateau", "no-plateau"])
     def test_reports_equal_three_replays(self, tmp_path, monkeypatch, shrink):
@@ -375,7 +412,7 @@ class TestDJacobiOneStream:
         assert not report.metrics["plateau_detected"]
         assert report.metrics["plateau_step"] == cfg.epochs
         assert late == plateau
-        assert forwards == cfg.epochs + 1 + cfg.epochs // 4 + 1
+        assert forwards == cfg.epochs + 1
 
     def test_divergence_between_plateau_and_late_switch_writes_nothing(self, tmp_path, monkeypatch):
         cfg = tiny("desk-d-jacobi", **self.PLATEAU)
@@ -655,4 +692,4 @@ class TestTracer:
         names = [span[2] for span in json.loads(spans_path.read_text())["spans"]]
         p = int(re.search(r"plateau_step=(\d+)", proc.stdout).group(1))
         assert names.count("poisson.iterate") == 4
-        assert names.count("nn.forward") == 2 * p + max(1, p // 4) + 2
+        assert names.count("nn.forward") == 2 * p + 1

@@ -54,6 +54,10 @@ RUNS = {
     "poisson-dnn-halving": _POISSON_DNN + ["--set", "lr_halve_every=10"],
     "d-jacobi-jacobi": _D_JACOBI,
     "d-jacobi-gauss-seidel": _D_JACOBI + ["--set", "hybrid_method=gauss_seidel"],
+    # no plateau in 400 epochs, so p = epochs
+    "d-jacobi-no-plateau": _D_JACOBI + ["--set", "plateau_window=100"],
+    # every step is recorded, so the early switch falls on a recorded step
+    "d-jacobi-record-every-1": _D_JACOBI + ["--set", "record_every=1"],
     "diagnose-grad-mse": _DIAGNOSE,
     "diagnose-grad-cross-entropy": _DIAGNOSE + ["--set", "diag_loss=cross_entropy"],
 }
