@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .nn import HIDDEN_ACTIVATIONS
+from .nn import HIDDEN_ACTIVATIONS, lr_at
 from .poisson import METHODS
 from .spectral import DF_DENOMINATORS
 
@@ -285,6 +285,11 @@ def validate(cfg: ExperimentConfig) -> None:
         _require(cfg.lr > 0, "lr must be positive")
         _require(cfg.lr_halve_every >= 0, "lr_halve_every must be >= 0")
         _require(cfg.batch_size >= 0, "batch_size must be >= 0 (0 = full batch)")
+        # the trainers' last update is at epoch epochs - 1, and sgd_step rejects a rate of 0
+        last_lr = lr_at(cfg.lr, cfg.lr_halve_every, max(cfg.epochs - 1, 0))
+        _require(cfg.experiment == "diagnose_grad" or last_lr > 0,
+                 f"lr = {cfg.lr} halved every lr_halve_every = {cfg.lr_halve_every} epochs underflows "
+                 f"to 0 by epoch {cfg.epochs - 1}, the last update of epochs = {cfg.epochs}")
     if cfg.experiment in _GRID_EXPERIMENTS:
         _require(cfg.grid_n >= 2, "grid_n must be >= 2")
     if cfg.experiment in ("poisson_dnn", "d_jacobi"):

@@ -25,8 +25,9 @@ or copies them before resuming it.
 toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
 recorder, _spectral_recorder, and _emit_trace writes it; the runner builds the
 recorder's phase matrix once, so it lives and dies with the run. Histories are
-columns: a FreqTrace, an IterativeRun and a SwitchPoint's phase-one record
-each hold one list per column, and the CSV rows are zipped from them.
+columns: the recorder's trace.csv columns, an IterativeRun and a SwitchPoint's
+phase-one record each hold one list per column, and the CSV rows are zipped
+from them.
 mnist_pca builds its row-major images and one-hot matrices once, after PCA,
 from data's (images, labels) pair. Wall-clock columns come from
 reporting.stopwatch and are all zero unless timing is enabled, so that
@@ -69,7 +70,6 @@ from .poisson import (
 )
 from .reporting import stopwatch, write_atomic, write_csv, write_svg_lines
 from .spectral import (
-    FreqTrace,
     dft_matrix,
     dft_uniform,
     grad_decomposition,
@@ -78,7 +78,6 @@ from .spectral import (
     pick_peaks,
     rel_freq_diff,
     spectrum,
-    step_to_threshold,
 )
 
 __all__ = ["RunReport", "target_toy", "run_experiment", "run_single"]
@@ -116,39 +115,47 @@ def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
 
 
 def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float], phase: np.ndarray,
-                       target_values: np.ndarray) -> tuple[FreqTrace, Callable]:
-    """A FreqTrace over the peaks of spectrum(phase, target_values), and
-    record(epoch, loss, values), which appends recording step
-    epoch // cfg.record_every with the relative difference of
+                       target_values: np.ndarray) -> tuple[list[int], list[list], Callable]:
+    """(peaks, columns, record): the ascending peaks of spectrum(phase,
+    target_values), the trace.csv columns step, epoch, wall_ms, loss and one df
+    column per peak, and record(epoch, loss, values), which appends recording
+    step epoch // cfg.record_every with the relative difference of
     spectrum(phase, values) from the target at each peak. A target spectrum
     with no peak leaves nothing to measure: ConfigError."""
     target = spectrum(phase, target_values)
-    peaks = tuple(pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude))
+    peaks = pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
     if not peaks:
         raise ConfigError(f"the target spectrum has no peak to track (samples = {cfg.samples}, "
                           f"nufft_freqs = {cfg.nufft_freqs}); it needs more samples or frequencies")
-    trace = FreqTrace(peaks)
+    columns: list[list] = [[] for _ in range(4 + len(peaks))]
 
     def record(epoch: int, loss: float, values: np.ndarray) -> None:
         model = spectrum(phase, values)
-        trace.append(epoch // cfg.record_every, epoch, elapsed(), loss,
-                     {g: rel_freq_diff(model, target, g, cfg.df_denominator) for g in trace.selected_peaks})
+        row = (epoch // cfg.record_every, epoch, elapsed(), loss,
+               *(rel_freq_diff(model, target, g, cfg.df_denominator) for g in peaks))
+        for column, value in zip(columns, row):
+            column.append(value)
 
-    return trace, record
+    return peaks, columns, record
 
 
-def _emit_trace(cfg: ExperimentConfig, out_dir: Path, trace: FreqTrace, title: str) -> dict:
-    """Write trace.csv, first_passage.csv and (with cfg.svg) trace.svg; return
-    the final_loss, peaks and first_passage metrics."""
-    first_passage = {g: step_to_threshold(trace, g, cfg.first_passage_tau) for g in trace.selected_peaks}
-    write_csv(out_dir / "trace.csv", trace.header(), trace.table())
+def _emit_trace(cfg: ExperimentConfig, out_dir: Path, peaks: list[int], columns: list[list],
+                title: str) -> dict:
+    """Write a _spectral_recorder's peaks and columns to trace.csv,
+    first_passage.csv and (with cfg.svg) trace.svg; return the final_loss,
+    peaks and first_passage metrics. A peak's first passage is the first
+    recording step with df <= cfg.first_passage_tau, or None."""
+    steps, _, _, losses, *dfs = columns
+    first_passage = {g: next((s for s, d in zip(steps, df) if d <= cfg.first_passage_tau), None)
+                     for g, df in zip(peaks, dfs)}
+    write_csv(out_dir / "trace.csv", ["step", "epoch", "wall_ms", "loss"] + [f"df_{g}" for g in peaks],
+              zip(*columns))
     write_csv(out_dir / "first_passage.csv", ["gamma", "first_step"], list(first_passage.items()))
     if cfg.svg:
-        series = [(f"gamma={g}", trace.steps, trace.df[g]) for g in trace.selected_peaks]
+        series = [(f"gamma={g}", steps, df) for g, df in zip(peaks, dfs)]
         write_svg_lines(out_dir / "trace.svg", series, title=title,
                         xlabel="recording step", ylabel="relative difference")
-    return {"final_loss": trace.losses[-1], "peaks": list(trace.selected_peaks),
-            "first_passage": first_passage}
+    return {"final_loss": losses[-1], "peaks": peaks, "first_passage": first_passage}
 
 
 def _evaluate(net: Mlp, xs: np.ndarray, loss_of: LossOf, epoch: int,
@@ -218,14 +225,14 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
     xs = np.linspace(-1.0, 1.0, cfg.samples).reshape(-1, 1)
     targets = target_toy(xs[:, 0])
-    trace, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(xs)), targets[:, 0])
+    peaks, columns, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(xs)), targets[:, 0])
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", cfg.init_std, cfg.init_mean, seed)
     descent = _descent(net, itertools.repeat(((xs, lambda out: cross_entropy_loss(out, targets)),)), cfg)
     for epoch, probs, loss in _recorded(cfg, descent):
         record(epoch, loss, probs[:, 0])
 
-    return _emit_trace(cfg, out_dir, trace, "step-target cross entropy")
+    return _emit_trace(cfg, out_dir, peaks, columns, "step-target cross entropy")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,8 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     del images
     onehot = np.eye(datamod.NUM_CLASSES)[labels]   # (n, classes)
 
-    trace, record = _spectral_recorder(cfg, elapsed, nufft_matrix(coords, cfg.nufft_freqs), onehot[:, 0])
+    peaks, columns, record = _spectral_recorder(cfg, elapsed, nufft_matrix(coords, cfg.nufft_freqs),
+                                                onehot[:, 0])
 
     net = init_mlp([X.shape[1], *cfg.hidden_widths, datamod.NUM_CLASSES], cfg.activation, "softmax",
                    cfg.init_std, cfg.init_mean, seed)
@@ -283,7 +291,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
     write_csv(out_dir / "projected.csv", ["x", "label"] + [f"y{j}" for j in range(datamod.NUM_CLASSES)],
               zip(coords, labels.tolist(), *onehot.T))
-    return _emit_trace(cfg, out_dir, trace, "image-task cross entropy, first output dimension")
+    return _emit_trace(cfg, out_dir, peaks, columns, "image-task cross entropy, first output dimension")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +354,7 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     elapsed = stopwatch(cfg.timing)
 
     grid, _, ref = _poisson_setup(cfg)
-    trace, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(ref)), ref)
+    peaks, columns, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(ref)), ref)
 
     sup_errors: list[float] = []
     descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
@@ -356,9 +364,8 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         record(epoch, loss, u_pred)
         sup_errors.append(float(np.max(np.abs(u_pred - ref))))
 
-    metrics = _emit_trace(cfg, out_dir, trace, "energy-trained network vs direct solution")
-    write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"],
-              zip(trace.steps, trace.epochs, sup_errors))
+    metrics = _emit_trace(cfg, out_dir, peaks, columns, "energy-trained network vs direct solution")
+    write_csv(out_dir / "sup_error.csv", ["step", "epoch", "sup_error"], zip(*columns[:2], sup_errors))
     write_csv(out_dir / "solution.csv", ["x", "u_dnn", "u_star"],
               [[x, up, us] for x, up, us in zip(grid.points, u_pred, ref)])
     return {**metrics, "final_sup_error": sup_errors[-1],
@@ -440,37 +447,35 @@ _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
 
 def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Hand the energy-trained network's grid values to cfg.hybrid_method at the
-    plateau step p, early at max(1, p // 4) and late at min(2p, epochs), and
-    compare each with a cold start from zero.
+    plateau step p, early at min(max(1, p // 4), p) and late at min(2p, epochs),
+    and compare each with a cold start from zero.
 
     One training stream runs to p and then on to the late switch: 2p + 1
     training steps instead of three replays from step 0, with the same files.
     The early switch is built from the grid values kept on the way to p (see
     _EarlyStates) and the plateau run's recorded columns up to it. Where those
-    values would cross _EARLY_STATES_CAP, a second stream replays the prefix up
-    to the early switch. All training finishes before the first hand-off.
+    values would cross _EARLY_STATES_CAP, and at p = 0, a second stream replays
+    the training up to the early switch for its grid values alone. All
+    training finishes before the first hand-off.
     """
     grid, rhs, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
 
-    def train_phase(stream: Iterator[tuple[np.ndarray, float]]) -> TrainPhase:
-        return TrainPhase(stream, ref, cfg.record_every, cfg.plateau_window, cfg.plateau_tol,
-                          cfg.epochs, cfg.timing)
-
     early_states = _EarlyStates(cfg.record_every, cfg.epochs)
-    stream = train_phase(early_states.passing(_energy_training_stream(cfg, seed, grid, gvals)))
+    stream = TrainPhase(early_states.passing(_energy_training_stream(cfg, seed, grid, gvals)), ref,
+                        cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
     at_plateau = stream.run()
     plateau_step = at_plateau.step
-    early_step = max(1, plateau_step // 4)
+    early_step = min(max(1, plateau_step // 4), plateau_step)  # 0 where the stream stopped at step 0
     early_values = early_states.take(early_step)
     at_late = stream.run(min(2 * plateau_step, cfg.epochs))
-    if early_values is None:  # over the cap, or the stream stopped at step 0
-        at_early = train_phase(_energy_training_stream(cfg, seed, grid, gvals)).run(early_step)
-    else:
-        k = early_step // cfg.record_every + 1  # the recorded steps 0, r, 2r, ... up to early_step
-        at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
-                               at_plateau.wall_ms[:k], at_plateau.losses[:k], at_plateau.sup_errors[:k])
+    if early_values is None:  # over the cap, or at step 0: replay the grid values up to early_step
+        replay = itertools.islice(_energy_training_stream(cfg, seed, grid, gvals), early_step, None)
+        early_values = next(replay)[0].copy()
+    k = early_step // cfg.record_every + 1  # the recorded steps 0, r, 2r, ... up to early_step
+    at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
+                           at_plateau.wall_ms[:k], at_plateau.losses[:k], at_plateau.sup_errors[:k])
     labelled = [(label, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
                 for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
     cold = iterate(rhs, np.zeros(rhs.size), ref[1:-1], method=cfg.hybrid_method,

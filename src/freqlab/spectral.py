@@ -1,6 +1,7 @@
-"""Frequency-domain machinery: direct transforms, peak tracking, the
-per-recording-step trace of relative frequency differences (FreqTrace, one
-list per column), and the per-mode decomposition of a training gradient.
+"""Frequency-domain machinery: direct transforms, peak picking, the relative
+frequency difference at a peak, and the per-mode decomposition of a training
+gradient. The runners keep the step-by-step history of these differences
+themselves (see experiments._spectral_recorder).
 
 A spectrum is its complex coefficient vector, indexed by integer frequency:
 spectrum applies a phase matrix to values and rejects non-finite
@@ -19,7 +20,7 @@ nufft_direct build and apply in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,6 @@ from .nn import Mlp, backprop, forward
 
 __all__ = [
     "DF_DENOMINATORS",
-    "FreqTrace",
     "GradDecomposition",
     "dft_matrix",
     "nufft_matrix",
@@ -37,7 +37,6 @@ __all__ = [
     "nufft_direct",
     "pick_peaks",
     "rel_freq_diff",
-    "step_to_threshold",
     "grad_decomposition",
 ]
 
@@ -142,53 +141,6 @@ def rel_freq_diff(
     if den < _DENOM_FLOOR:
         return math.inf
     return float(num / den)
-
-
-@dataclass
-class FreqTrace:
-    """Per-recording-step history of the relative frequency differences: one
-    list per column, df one per selected peak. Entry i of each list belongs to
-    the i-th recording."""
-
-    selected_peaks: tuple[int, ...]
-    steps: list[int] = field(default_factory=list)
-    epochs: list[int] = field(default_factory=list)
-    wall_ms: list[float] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    df: dict[int, list[float]] = field(init=False)
-
-    def __post_init__(self):
-        self.df = {g: [] for g in self.selected_peaks}
-
-    def append(self, recording_step: int, epoch: int, wall_ms: float, loss: float, df: dict[int, float]):
-        if self.steps and recording_step <= self.steps[-1]:
-            raise ValueError("recording_step must be strictly increasing")
-        missing = set(self.selected_peaks) - set(df)
-        if missing:
-            raise ValueError(f"missing frequency entries {sorted(missing)}")
-        self.steps.append(recording_step)
-        self.epochs.append(epoch)
-        self.wall_ms.append(wall_ms)
-        self.losses.append(loss)
-        for g, column in self.df.items():
-            column.append(df[g])
-
-    def header(self) -> list[str]:
-        return ["step", "epoch", "wall_ms", "loss"] + [f"df_{g}" for g in self.selected_peaks]
-
-    def table(self) -> list[list]:
-        columns = [self.df[g] for g in self.selected_peaks]
-        return [list(row) for row in zip(self.steps, self.epochs, self.wall_ms, self.losses, *columns)]
-
-
-def step_to_threshold(trace: FreqTrace, freq_index: int, threshold: float) -> int | None:
-    """First recording step with the relative difference at or below threshold."""
-    if freq_index not in trace.selected_peaks:
-        raise KeyError(f"frequency index {freq_index} is not tracked by this trace")
-    for step, df in zip(trace.steps, trace.df[freq_index]):
-        if df <= threshold:
-            return step
-    return None
 
 
 @dataclass

@@ -209,6 +209,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_learning_rate_that_underflows_exits_2_before_the_run_directory(self, tmp_path, capsys):
+        # 1e-4 halved every epoch is 0.0 from epoch 1062 on, the last update of 1063 epochs
+        args = ["toy-ce", "--set", "hidden_widths=4", "--set", "lr_halve_every=1", "--set", "record_every=1"]
+        out = tmp_path / "run"
+        assert main([*args, "--set", "epochs=1063", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and all(key in err for key in ("lr =", "lr_halve_every =", "epochs ="))
+        assert not out.exists()
+        assert main([*args, "--set", "epochs=1062", "--out", str(out)]) == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 1063
+
     # flag arguments, then the config key they set, that key's value as --set reads
     # it and another value for a --set the flag must override; each differs from the default
     @pytest.mark.parametrize("flag,key,value,other", [

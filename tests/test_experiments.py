@@ -72,6 +72,8 @@ class TestToyCe:
         rows = read_csv(tmp_path / "trace.csv")
         assert len(rows) == 6  # initial row + 5 recordings
         assert report.metrics["peaks"] == [0, 3, 5, 7]
+        # one df column per peak, in ascending frequency order
+        assert list(rows[0]) == ["step", "epoch", "wall_ms", "loss", "df_0", "df_3", "df_5", "df_7"]
 
     def test_wall_ms_zero_without_timing(self, tmp_path):
         cfg = tiny("desk-toy-ce", epochs=20, record_every=10)
@@ -399,7 +401,9 @@ class TestDJacobiOneStream:
         assert held[132] == 100 and held[133:] == [None] * (400 - 133)
         assert states.take(100) is None
 
-    @pytest.mark.parametrize("shrink", [PLATEAU, NO_PLATEAU], ids=["plateau", "no-plateau"])
+    # at epochs = 0 the stream stops at step 0, which is every switch, the early one replayed
+    @pytest.mark.parametrize("shrink", [PLATEAU, NO_PLATEAU, dict(PLATEAU, epochs=0)],
+                             ids=["plateau", "no-plateau", "epochs-0"])
     def test_reports_equal_three_replays(self, tmp_path, monkeypatch, shrink):
         cfg, report, _, hand_offs = self._run(tmp_path, monkeypatch, **shrink)
         assert hand_offs == [_hand_off_fields(*replay) for replay in _replayed_hybrids(cfg, 0)]
@@ -432,6 +436,11 @@ class TestDJacobiOneStream:
             run_single(cfg, 0, tmp_path / "diverged")
         assert info.value.step == p + p // 2
         assert list((tmp_path / "diverged").iterdir()) == []
+
+
+def _first_passages(trace_rows, peaks, tau):
+    """Each peak's first trace.csv step with df <= tau, or None."""
+    return {g: next((int(r["step"]) for r in trace_rows if float(r[f"df_{g}"]) <= tau), None) for g in peaks}
 
 
 class TestTrainingLoop:
@@ -485,12 +494,22 @@ class TestTrainingLoop:
         ("desk-poisson-dnn", dict(hidden_widths=(16, 8), epochs=300, record_every=20, first_passage_tau=0.95)),
     ])
     def test_first_passage_metric_is_the_csv(self, tmp_path, preset, shrink):
-        metrics = run_single(tiny(preset, **shrink), 0, tmp_path).metrics
+        cfg = tiny(preset, **shrink)
+        metrics = run_single(cfg, 0, tmp_path).metrics
         rows = read_csv(tmp_path / "first_passage.csv")
         assert metrics["first_passage"] == {int(r["gamma"]): int(r["first_step"]) if r["first_step"] else None
                                             for r in rows}
         assert list(metrics["first_passage"]) == metrics["peaks"]
         assert None in metrics["first_passage"].values() and set(metrics["first_passage"].values()) != {None}
+        # each passage is the first trace.csv step with df <= tau: at step 0, later, or never
+        trace = read_csv(tmp_path / "trace.csv")
+        assert metrics["first_passage"] == _first_passages(trace, metrics["peaks"], cfg.first_passage_tau)
+        # a tau equal to the least df of a peak that never crossed is crossed where that df first occurs
+        g = next(g for g, step in metrics["first_passage"].items() if step is None)
+        tau = min(float(r[f"df_{g}"]) for r in trace)
+        again = run_single(dataclasses.replace(cfg, first_passage_tau=tau), 0, tmp_path / "again").metrics
+        assert again["first_passage"][g] is not None
+        assert again["first_passage"] == _first_passages(trace, metrics["peaks"], tau)
 
     @pytest.mark.parametrize("preset,shrink", [
         ("desk-toy-ce", dict(epochs=4, record_every=2)),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import freqlab.reporting as reporting
 from freqlab.reporting import format_value, write_csv, write_svg_lines
-from freqlab.spectral import FreqTrace
 
 
 class TestFormat:
@@ -48,13 +47,8 @@ class TestCsv:
             assert float(row[2]) == orig[2]
 
     def test_empty_trace_writes_header_only(self, tmp_path):
-        trace = FreqTrace(selected_peaks=(0, 2))
-        path = write_csv(tmp_path / "t.csv", trace.header(), trace.table())
+        path = write_csv(tmp_path / "t.csv", ["step", "epoch", "wall_ms", "loss", "df_0", "df_2"], [])
         assert path.read_text() == "step,epoch,wall_ms,loss,df_0,df_2\n"
-
-    def test_trace_header_layout(self):
-        trace = FreqTrace(selected_peaks=(1, 3, 8))
-        assert trace.header() == ["step", "epoch", "wall_ms", "loss", "df_1", "df_3", "df_8"]
 
 
 def _reference_csv(header, rows):

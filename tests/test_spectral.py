@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from freqlab.losses import mse_loss
 from freqlab.nn import backprop, forward, init_mlp
 from freqlab.spectral import (
-    FreqTrace,
     dft_matrix,
     dft_uniform,
     grad_decomposition,
@@ -18,7 +17,6 @@ from freqlab.spectral import (
     pick_peaks,
     rel_freq_diff,
     spectrum,
-    step_to_threshold,
 )
 
 
@@ -244,47 +242,6 @@ class TestRelFreqDiff:
         before = rel_freq_diff(a, b, 3)
         after = rel_freq_diff(z * a, z * b, 3)
         assert after == pytest.approx(before, rel=1e-9)
-
-
-class TestTrace:
-    def make_trace(self):
-        trace = FreqTrace(selected_peaks=(0, 3))
-        for step, df3 in enumerate([0.9, 0.7, 0.4, 0.2, 0.1]):
-            trace.append(step, step * 10, 0.0, 1.0 - 0.1 * step, {0: 0.05, 3: df3})
-        return trace
-
-    def test_first_passage_starts_below(self):
-        trace = self.make_trace()
-        assert step_to_threshold(trace, 0, 0.3) == 0
-
-    def test_first_passage_crossing(self):
-        trace = self.make_trace()
-        assert step_to_threshold(trace, 3, 0.3) == 3
-
-    def test_never_crossing_returns_none(self):
-        trace = self.make_trace()
-        assert step_to_threshold(trace, 3, 0.05) is None
-
-    def test_unknown_frequency_rejected(self):
-        trace = self.make_trace()
-        with pytest.raises(KeyError):
-            step_to_threshold(trace, 7, 0.3)
-
-    def test_strictly_increasing_steps_enforced(self):
-        trace = self.make_trace()
-        with pytest.raises(ValueError):
-            trace.append(2, 100, 0.0, 0.5, {0: 0.1, 3: 0.1})
-
-    def test_missing_peak_entry_rejected(self):
-        trace = self.make_trace()
-        with pytest.raises(ValueError):
-            trace.append(10, 100, 0.0, 0.5, {0: 0.1})
-
-    def test_table_is_the_appended_rows_in_peak_order(self):
-        trace = FreqTrace(selected_peaks=(5, 2))
-        trace.append(0, 0, 0.0, 1.0, {2: 0.8, 5: 0.6, 9: 0.1})
-        trace.append(3, 30, 1.5, 0.25, {9: 0.2, 5: 0.3, 2: 0.4})
-        assert trace.table() == [[0, 0, 0.0, 1.0, 0.6, 0.8], [3, 30, 1.5, 0.25, 0.3, 0.4]]
 
 
 class TestGradDecomposition:
