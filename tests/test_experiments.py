@@ -443,6 +443,66 @@ def _first_passages(trace_rows, peaks, tau):
     return {g: next((int(r["step"]) for r in trace_rows if float(r[f"df_{g}"]) <= tau), None) for g in peaks}
 
 
+class TestTraceColumns:
+    """_emit_trace on hand-made recorder columns (steps 0..4: peak 0 stays below
+    tau, peak 3 falls through it) and _spectral_recorder on a two-tone target."""
+
+    def emit(self, out_dir, tau=0.3, svg=False):
+        steps = list(range(5))
+        columns = [steps, [10 * s for s in steps], [0.5 * s for s in steps], [1.0 - 0.1 * s for s in steps],
+                   [0.05] * 5, [0.9, 0.7, 0.4, 0.3, 0.1]]
+        cfg = tiny("desk-toy-ce", first_passage_tau=tau, svg=svg)
+        out_dir.mkdir(exist_ok=True)
+        return ex._emit_trace(cfg, out_dir, [0, 3], columns, "hand-made trace"), columns
+
+    def test_first_passage_starts_below(self, tmp_path):
+        metrics, _ = self.emit(tmp_path)
+        assert metrics["first_passage"][0] == 0
+
+    def test_first_passage_crossing(self, tmp_path):
+        metrics, _ = self.emit(tmp_path, tau=0.5)
+        assert metrics["first_passage"] == {0: 0, 3: 2}
+
+    def test_first_passage_equal_to_tau_counts(self, tmp_path):
+        metrics, _ = self.emit(tmp_path, tau=0.3)
+        assert metrics["first_passage"] == {0: 0, 3: 3}
+
+    def test_never_crossing_returns_none(self, tmp_path):
+        metrics, _ = self.emit(tmp_path, tau=0.05)
+        assert metrics["first_passage"] == {0: 0, 3: None}
+        assert (tmp_path / "first_passage.csv").read_text() == "gamma,first_step\n0,0\n3,\n"
+
+    def test_trace_csv_is_the_columns_in_peak_order(self, tmp_path):
+        metrics, columns = self.emit(tmp_path)
+        with open(tmp_path / "trace.csv") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["step", "epoch", "wall_ms", "loss", "df_0", "df_3"]
+        assert [[float(v) for v in row] for row in rows] == [list(row) for row in zip(*columns)]
+        assert metrics["final_loss"] == columns[3][-1] and metrics["peaks"] == [0, 3]
+
+    def test_svg_only_when_asked(self, tmp_path):
+        self.emit(tmp_path / "plain")
+        assert not (tmp_path / "plain" / "trace.svg").exists()
+        self.emit(tmp_path / "drawn", svg=True)
+        assert "gamma=3" in (tmp_path / "drawn" / "trace.svg").read_text()
+
+    def test_recorder_columns_follow_ascending_peaks(self):
+        cfg = tiny("desk-toy-ce", record_every=5)
+        x = np.arange(16) / 16
+        phase = ex.dft_matrix(16)
+        target = np.cos(2 * np.pi * 3 * x) + 0.5 * np.cos(2 * np.pi * x)
+        clock = iter([1.5, 4.0])
+        peaks, columns, record = ex._spectral_recorder(cfg, lambda: next(clock), phase, target)
+        assert peaks == [1, 3]
+        outputs = [np.cos(2 * np.pi * 3 * x), 0.5 * np.cos(2 * np.pi * x)]
+        record(0, 0.8, outputs[0])
+        record(5, 0.2, outputs[1])
+        assert columns[:4] == [[0, 1], [0, 5], [1.5, 4.0], [0.8, 0.2]]
+        target_spec = ex.spectrum(phase, target)
+        assert columns[4:] == [[ex.rel_freq_diff(ex.spectrum(phase, v), target_spec, g, cfg.df_denominator)
+                                for v in outputs] for g in peaks]
+
+
 class TestTrainingLoop:
     @pytest.mark.parametrize("preset,shrink", [
         ("desk-toy-ce", dict(epochs=23, record_every=5)),
