@@ -44,7 +44,9 @@ class IdxFormatError(ConfigError):
     """Malformed IDX container (a bad input file is a configuration error)."""
 
 
-class PowerIterationError(RuntimeError):
+class PowerIterationError(ConfigError):
+    """Power iteration found no leading direction: data PCA cannot reduce (a configuration error)."""
+
     def __init__(self, residual: float, max_iters: int):
         self.residual = residual
         super().__init__(f"power iteration did not converge in {max_iters} iterations "

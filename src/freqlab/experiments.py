@@ -7,21 +7,21 @@ function of (config, seed): it trains with the seeded network and shuffle
 streams, records frequency-domain convergence at a fixed cadence, writes its
 CSV (and, with cfg.svg, SVG) files into out_dir through the module-level
 write_csv/write_svg_lines, and returns the metrics the CLI prints. run_single
-owns the run directory: it validates the config, creates the directory, calls
-the runner and, once the runner has returned, writes the resolved-config
-snapshot config.txt that re-runs the run verbatim; a run that raises leaves no
-snapshot. Every trained runner goes through one descent loop, _descent, over
-epochs of (inputs, loss_of) batches, loss_of returning a (value, gradient)
-pair; each step is one _evaluate (forward, loss, divergence rule). The
-recording cadence lives in _recorded: toy_ce, mnist_pca and poisson_dnn loop
-over it, and it passes on what _descent yields at every record_every-th epoch
-and stops at the last recorded epoch without resuming the descent. The
-full-batch runners record from the outputs it yields; mnist_pca's epochs are
-shuffled minibatches, and it records a full-batch _evaluate where _recorded
-yields. _descent owns one activation cache per batch length and one gradient
-vector and passes them back to nn as into; the outputs it yields are
-overwritten by the next step of their batch length, so every consumer reads
-or copies them before resuming it.
+owns the run directory: it validates the config, creates the directory, drops
+an earlier run's config.txt, calls the runner and, once it has returned, writes
+the resolved-config snapshot config.txt that re-runs the run verbatim; a run
+that raises leaves no snapshot. Every trained runner goes through one descent
+loop, _descent, over epochs of (inputs, loss_of) batches, loss_of returning a
+(value, gradient) pair; each step is one _evaluate (forward, loss, and the one
+divergence rule: a non-finite loss). The recording cadence lives in _recorded:
+toy_ce, mnist_pca and poisson_dnn loop over it, and it passes on what _descent
+yields at every record_every-th epoch and stops at the last recorded epoch
+without resuming the descent. The full-batch runners record from the outputs it
+yields; mnist_pca's epochs are shuffled minibatches, and it records a
+full-batch _evaluate where _recorded yields. _descent owns one activation cache
+per batch length and one gradient vector and passes them back to nn as into;
+the outputs it yields are overwritten by the next step of their batch length,
+so every consumer reads or copies them before resuming it.
 toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
 recorder, _spectral_recorder, and _emit_trace writes it; the runner builds the
 recorder's phase matrix once, so it lives and dies with the run. Histories are
@@ -162,16 +162,11 @@ def _evaluate(net: Mlp, xs: np.ndarray, loss_of: LossOf, epoch: int,
               into: list[np.ndarray] | None = None
               ) -> tuple[np.ndarray, list[np.ndarray], float, np.ndarray]:
     """(outputs, cache, loss, loss gradient) of net on xs, the cache written
-    into into if given (see nn.forward). A non-finite loss raises
-    DivergenceError for epoch, and so does a ValueError once the parameters
-    are non-finite (softmax rejects the NaN logits they produce)."""
-    try:
-        out, cache = forward(net, xs, into)
-        value, grad = loss_of(out)
-    except ValueError as e:
-        if np.all(np.isfinite(net.params)):
-            raise
-        raise DivergenceError(epoch, f"training diverged at epoch {epoch}: {e}") from e
+    into into if given (see nn.forward). Divergence is a non-finite loss, raised
+    as DivergenceError for epoch: non-finite parameters and overflows reach the
+    loss as non-finite outputs (NaN softmax rows). Exceptions pass unchanged."""
+    out, cache = forward(net, xs, into)
+    value, grad = loss_of(out)
     if not np.isfinite(value):
         raise DivergenceError(epoch, f"loss diverged at epoch {epoch}")
     return out, cache, value, grad
@@ -307,8 +302,7 @@ def _poisson_setup(cfg: ExperimentConfig) -> tuple[Grid1D, np.ndarray, np.ndarra
 
 def _tracked_modes(peaks, n: int) -> tuple[int, ...]:
     """Sine-mode indexes nearest the spectral peaks (mode k has index k/2)."""
-    ks = sorted({min(n - 1, max(1, 2 * g)) for g in peaks})
-    return tuple(ks)
+    return tuple(sorted({min(n - 1, max(1, 2 * g)) for g in peaks}))
 
 
 def run_poisson_direct(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
@@ -376,16 +370,6 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 # warm-started iterative solves
 
 
-def _energy_training_stream(cfg: ExperimentConfig, seed: int, grid: Grid1D,
-                            gvals: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield (full-grid network values, loss) per step; step 0 is untrained.
-
-    Deterministic in seed, so a second stream replays the same trajectory. The
-    values are a view that the next step overwrites.
-    """
-    return ((out[:, 0], loss) for _, out, loss in _energy_descent(cfg, seed, grid, gvals))
-
-
 #: bytes of grid values run_d_jacobi keeps for its early switch. A run whose
 #: kept states would cross it replays the early prefix instead. At fig5 (1,001
 #: points, 8 KB a state, every step a candidate) about 0.75 t states are held
@@ -394,35 +378,33 @@ _EARLY_STATES_CAP = 64 * 2**20
 
 
 class _EarlyStates:
-    """Copies of the grid values at each step a plateau stream passes that can
-    still turn out to be its early switch max(1, p // 4). The plateau p is a
-    multiple of record_every or epochs, and p >= t once the stream stands at
-    step t, so steps below max(1, t // 4) are dropped as it goes. Adding a
-    state that would cross _EARLY_STATES_CAP drops them all, for good."""
+    """Copies of the grid values at each step of a descent that can still turn
+    out to be its early switch max(1, p // 4) for a plateau p >= 1, a multiple
+    of record_every or epochs. p >= t once the descent stands at step t, so
+    steps below max(1, t // 4) are dropped as it goes. Adding a state, all of
+    one size, that would cross _EARLY_STATES_CAP drops them all, for good."""
 
     def __init__(self, record_every: int, epochs: int):
         self._record_every, self._epochs = record_every, epochs
         self._kept: deque[tuple[int, np.ndarray]] | None = deque()
-        self._nbytes = 0
 
     def _candidate(self, s: int) -> bool:
         # the p in [lo, hi] with max(1, p // 4) = s: some multiple of record_every, or epochs
-        lo, hi = (0 if s == 1 else 4 * s), min(4 * s + 3, self._epochs)
+        lo, hi = (1 if s == 1 else 4 * s), min(4 * s + 3, self._epochs)
         return lo <= hi and (hi == self._epochs or -(-lo // self._record_every) * self._record_every <= hi)
 
-    def passing(self, stream: Iterator[tuple[np.ndarray, float]]) -> Iterator[tuple[np.ndarray, float]]:
-        """stream, item by item, keeping the candidates' values until take."""
-        for t, (values, loss) in enumerate(stream):
-            kept = self._kept
+    def passing(self, descent: Iterator[tuple[int, np.ndarray, float]]) -> Iterator[tuple[np.ndarray, float]]:
+        """descent's (epoch, outputs, loss) as TrainPhase's (values, loss), keeping candidates until take."""
+        for t, out, loss in descent:
+            values, kept = out[:, 0], self._kept
             if kept is not None:
                 while kept and kept[0][0] < max(1, t // 4):
-                    self._nbytes -= kept.popleft()[1].nbytes
+                    kept.popleft()
                 if t >= 1 and self._candidate(t):
-                    if self._nbytes + values.nbytes > _EARLY_STATES_CAP:
+                    if (len(kept) + 1) * values.nbytes > _EARLY_STATES_CAP:
                         self._kept = None
                     else:
                         kept.append((t, values.copy()))
-                        self._nbytes += values.nbytes
             yield values, loss
 
     def take(self, step: int) -> np.ndarray | None:
@@ -453,26 +435,28 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     One training stream runs to p and then on to the late switch: 2p + 1
     training steps instead of three replays from step 0, with the same files.
     The early switch is built from the grid values kept on the way to p (see
-    _EarlyStates) and the plateau run's recorded columns up to it. Where those
-    values would cross _EARLY_STATES_CAP, and at p = 0, a second stream replays
-    the training up to the early switch for its grid values alone. All
-    training finishes before the first hand-off.
+    _EarlyStates) and the plateau run's recorded columns up to it, or at p = 0
+    is the plateau switch's own state. Only over _EARLY_STATES_CAP does a
+    second stream replay the training up to the early switch, for its grid
+    values alone. All training finishes before the first hand-off.
     """
     grid, rhs, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
 
     early_states = _EarlyStates(cfg.record_every, cfg.epochs)
-    stream = TrainPhase(early_states.passing(_energy_training_stream(cfg, seed, grid, gvals)), ref,
+    stream = TrainPhase(early_states.passing(_energy_descent(cfg, seed, grid, gvals)), ref,
                         cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
     at_plateau = stream.run()
     plateau_step = at_plateau.step
     early_step = min(max(1, plateau_step // 4), plateau_step)  # 0 where the stream stopped at step 0
-    early_values = early_states.take(early_step)
+    early_values = early_states.take(early_step)  # frees the kept states before the late run
+    if early_step == 0:  # step 0 is kept by no store: it is the plateau switch's own state
+        early_values = at_plateau.grid_values
     at_late = stream.run(min(2 * plateau_step, cfg.epochs))
-    if early_values is None:  # over the cap, or at step 0: replay the grid values up to early_step
-        replay = itertools.islice(_energy_training_stream(cfg, seed, grid, gvals), early_step, None)
-        early_values = next(replay)[0].copy()
+    if early_values is None:  # over the cap: replay the grid values up to early_step
+        _, out, _ = next(itertools.islice(_energy_descent(cfg, seed, grid, gvals), early_step, None))
+        early_values = out[:, 0].copy()
     k = early_step // cfg.record_every + 1  # the recorded steps 0, r, 2r, ... up to early_step
     at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
                            at_plateau.wall_ms[:k], at_plateau.losses[:k], at_plateau.sup_errors[:k])
@@ -541,10 +525,12 @@ _RUNNERS = {
 
 def run_single(cfg: ExperimentConfig, seed: int, out_dir: str | Path) -> RunReport:
     """Run one experiment instance for one seed, writing into out_dir; the
-    config snapshot is written only once the runner has returned."""
+    config snapshot is written only once the runner has returned, and an
+    earlier run's snapshot there is removed before the runner starts."""
     validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").unlink(missing_ok=True)
     # overflow to inf on diverged values is intended: the trainers watch the loss for it
     with np.errstate(over="ignore", invalid="ignore"):
         metrics = _RUNNERS[cfg.experiment](cfg, seed, out)

@@ -174,19 +174,19 @@ def _views(mlp: Mlp, slot: str, vec: np.ndarray) -> list[tuple[np.ndarray, np.nd
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, in place, with max subtraction."""
-    row_max = np.max(z, axis=-1, keepdims=True)
-    if np.any(np.isnan(row_max)):  # a row's max is NaN exactly when the row holds a NaN
-        raise ValueError("softmax received NaN logits")
-    z -= row_max
+    """Softmax along the last axis, in place, with max subtraction; a NaN or +inf logit makes its row NaN."""
+    z -= np.max(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= np.sum(z, axis=-1, keepdims=True)
     return z
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; safe for large logits."""
-    return _softmax_rows(np.array(logits, dtype=float))
+    """Row-wise softmax with max subtraction; safe for large logits. NaN logits: ValueError."""
+    z = np.array(logits, dtype=float)
+    if np.isnan(z).any():
+        raise ValueError("softmax received NaN logits")
+    return _softmax_rows(z)
 
 
 def forward(mlp: Mlp, xs: np.ndarray,

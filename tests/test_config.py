@@ -260,20 +260,23 @@ class TestCli:
         assert "seed 25: loss diverged at epoch 153" in captured.err
         assert (tmp_path / "seed24" / "config.txt").exists()
 
-    @pytest.mark.parametrize("args", [
-        ["poisson-dnn", "--set", "hidden_widths=16", "--set", "grid_n=16", "--set", "epochs=4000",
-         "--set", "lr=100.0", "--set", "init_std=1.0"],
-        ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "epochs=400", "--set", "record_every=4",
-         "--seed", "25"],
-    ], ids=["lr-100", "desk-seed-25"])
-    def test_divergence_raises_no_runtime_warning(self, tmp_path, args):
+    @pytest.mark.parametrize("args,epoch", [
+        (["poisson-dnn", "--set", "hidden_widths=16", "--set", "grid_n=16", "--set", "epochs=4000",
+          "--set", "lr=100.0", "--set", "init_std=1.0"], 33),
+        (["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "epochs=400", "--set", "record_every=4",
+          "--seed", "25"], 153),
+        # the untrained network's logits overflow to inf - inf = NaN while its parameters are finite
+        (["toy-ce", "--set", "activation=relu", "--set", "init_std=1e200", "--set", "hidden_widths=8,8",
+          "--set", "epochs=5"], 0),
+    ], ids=["lr-100", "desk-seed-25", "relu-init-std-1e200"])
+    def test_divergence_raises_no_runtime_warning(self, tmp_path, args, epoch):
         # the overflow on the way to a non-finite loss is silenced once per run; a
         # warning turned into an error would crash the run with exit 1 instead
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "freqlab.cli", *args,
                                "--out", str(tmp_path)], env=env, capture_output=True, text=True)
         assert proc.returncode == 3, proc.stderr
-        assert "loss diverged at epoch" in proc.stderr
+        assert f"loss diverged at epoch {epoch}\n" in proc.stderr
 
     def test_io_error_exit_code(self, tmp_path):
         target = tmp_path / "blocked"

@@ -40,6 +40,11 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
+def grid_stream(cfg, seed, grid, gvals):
+    """(full-grid network values, loss) per step of _energy_descent, as TrainPhase reads a stream."""
+    return ((out[:, 0], loss) for _, out, loss in ex._energy_descent(cfg, seed, grid, gvals))
+
+
 class TestTargetToy:
     def test_right_half(self):
         assert np.array_equal(target_toy(0.5), [1.0, 0.0])
@@ -170,6 +175,24 @@ class TestMnistPca:
         assert "30 images" in err and "samples = 100" in err
         assert not (out / "config.txt").exists()
 
+    def test_power_iteration_that_does_not_converge_exits_2(self, tmp_path, capsys):
+        # 1x2-pixel images, the four 0/255 pairs 100 times each and one 255 made 254: the two
+        # leading variances differ by a ratio of 0.99994, too close for the power iteration
+        import struct
+        count = 400
+        pixels = np.array([[0, 0], [0, 255], [255, 0], [255, 255]] * (count // 4), dtype=np.uint8)
+        pixels[1, 1] = 254
+        (tmp_path / "im.idx").write_bytes(struct.pack(">IIII", 0x803, count, 1, 2) + pixels.tobytes())
+        (tmp_path / "lb.idx").write_bytes(struct.pack(">II", 0x801, count) + bytes(range(10)) * (count // 10))
+        out = tmp_path / "run"
+        args = ["mnist-pca", "--preset", "desk-mnist-pca", "--set", "synthetic=false", "--set", f"samples={count}",
+                "--mnist-images", str(tmp_path / "im.idx"), "--mnist-labels", str(tmp_path / "lb.idx"),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "power iteration did not converge" in err
+        assert not (out / "config.txt").exists()
+
     def test_file_dataset_cut_frees_the_rest_of_the_file(self, tmp_path):
         # the cut is a copy: a view would keep the whole file's fp64 matrix alive for the run
         import struct
@@ -291,14 +314,13 @@ class TestDJacobi:
         # an untrained-but-seeded net is a fixed function; switching immediately
         # must reproduce a plain iteration from that function's interior values
         from freqlab.poisson import run_hybrid, iterate, g_rhs
-        from freqlab.experiments import _energy_training_stream, _poisson_setup
 
         cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16)
-        grid, rhs, ref = _poisson_setup(cfg)
+        grid, rhs, ref = ex._poisson_setup(cfg)
         gvals = g_rhs(grid.points)
-        stream = _energy_training_stream(cfg, 3, grid, gvals)
+        stream = grid_stream(cfg, 3, grid, gvals)
         _, run = run_hybrid(rhs, stream, 1e-4, switch_step=0, max_iters=50_000)
-        u0_full = next(_energy_training_stream(cfg, 3, grid, gvals))[0]
+        u0_full = next(grid_stream(cfg, 3, grid, gvals))[0]
         direct = iterate(rhs, u0_full[1:-1], ref[1:-1], max_iters=50_000, tol=1e-4)
         assert run.iterations == direct.iterations
 
@@ -312,7 +334,7 @@ def _replayed_hybrids(cfg, seed):
     gvals = g_rhs(grid.points)
 
     def hybrid(switch_step):
-        return run_hybrid(rhs, ex._energy_training_stream(cfg, seed, grid, gvals),
+        return run_hybrid(rhs, grid_stream(cfg, seed, grid, gvals),
                           cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1]))), switch_step,
                           cfg.hybrid_method, cfg.max_iters, record_every=cfg.record_every,
                           plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
@@ -377,16 +399,18 @@ class TestDJacobiOneStream:
     def test_early_states_keep_every_possible_early_switch_and_nothing_below_a_quarter(
             self, record_every, epochs):
         plateaus = sorted({*range(0, epochs + 1, record_every), epochs})
+        # the early switches of the stops q >= 1: a stop at step 0 switches at the plateau's own state
+        switches = {max(1, q // 4) for q in plateaus if q >= 1}
         for p in plateaus:
             states = ex._EarlyStates(record_every, epochs)
-            for t, (values, _) in enumerate(states.passing((np.full(3, float(t)), 0.0)
+            for t, (values, _) in enumerate(states.passing((t, np.full((3, 1), float(t)), 0.0)
                                                            for t in range(p + 1))):
-                values[:] = -1.0  # the stream's next step overwrites its values
-                assert all(s >= max(1, t // 4) for s, _ in states._kept)
+                values[:] = -1.0  # the descent's next step overwrites its outputs
+                assert all(max(1, t // 4) <= s and s in switches for s, _ in states._kept)
             early = states.take(max(1, p // 4))
             assert states._kept is None
             if p == 0:
-                assert early is None  # the stream stopped before step 1: replayed
+                assert early is None  # the descent stopped before step 1
             else:
                 assert early.tolist() == [float(max(1, p // 4))] * 3
 
@@ -395,13 +419,13 @@ class TestDJacobiOneStream:
         monkeypatch.setattr(ex, "_EARLY_STATES_CAP", 100 * 1001 * 8)
         states = ex._EarlyStates(1, 200_000)
         held = []
-        for t, _ in enumerate(states.passing((np.zeros(1001), 0.0) for _ in range(400))):
+        for t, _ in enumerate(states.passing((t, np.zeros((1001, 1)), 0.0) for t in range(400))):
             held.append(None if states._kept is None else len(states._kept))
         # steps max(1, t // 4) .. t are held: 100 states at t = 132, the 101st would be at 133
         assert held[132] == 100 and held[133:] == [None] * (400 - 133)
         assert states.take(100) is None
 
-    # at epochs = 0 the stream stops at step 0, which is every switch, the early one replayed
+    # at epochs = 0 the stream stops at step 0, which is every switch
     @pytest.mark.parametrize("shrink", [PLATEAU, NO_PLATEAU, dict(PLATEAU, epochs=0)],
                              ids=["plateau", "no-plateau", "epochs-0"])
     def test_reports_equal_three_replays(self, tmp_path, monkeypatch, shrink):
@@ -409,6 +433,13 @@ class TestDJacobiOneStream:
         assert hand_offs == [_hand_off_fields(*replay) for replay in _replayed_hybrids(cfg, 0)]
         assert [fields[0] for fields in hand_offs] == [
             int(row["switch_step"]) for row in read_csv(tmp_path / "summary.csv")[:3]]
+
+    def test_epochs_0_takes_the_plateau_state_without_a_replay(self, tmp_path, monkeypatch):
+        cfg, report, forwards, (early, plateau, late) = self._run(tmp_path, monkeypatch,
+                                                                  **dict(self.PLATEAU, epochs=0))
+        assert report.metrics["plateau_step"] == 0
+        assert early == plateau == late
+        assert forwards == 1
 
     def test_no_plateau_late_equals_plateau_without_extra_steps(self, tmp_path, monkeypatch):
         cfg, report, forwards, (early, plateau, late) = self._run(tmp_path, monkeypatch,
@@ -594,6 +625,28 @@ class TestTrainingLoop:
         ("desk-toy-ce", dict(epochs=4)),
         ("desk-mnist-pca", dict(samples=80, epochs=2, record_every=1)),
     ])
+    def test_value_error_with_non_finite_parameters_is_not_divergence(self, tmp_path, monkeypatch,
+                                                                        preset, shrink):
+        # divergence is a non-finite loss alone: a loss that raises is a bug, whatever the parameters
+        real = ex.init_mlp
+
+        def poisoned(*args):
+            net = real(*args)
+            layer_views(net.widths, net.params)[0][1][0] = np.nan
+            return net
+
+        def broken(probs, onehot):
+            raise ValueError("broken loss")
+
+        monkeypatch.setattr(ex, "init_mlp", poisoned)
+        monkeypatch.setattr(ex, "cross_entropy_loss", broken)
+        with pytest.raises(ValueError, match="broken loss"):
+            run_single(tiny(preset, **shrink), 0, tmp_path)
+
+    @pytest.mark.parametrize("preset,shrink", [
+        ("desk-toy-ce", dict(epochs=4)),
+        ("desk-mnist-pca", dict(samples=80, epochs=2, record_every=1)),
+    ])
     def test_nan_logits_from_non_finite_parameters_are_divergence(self, tmp_path, monkeypatch,
                                                                    preset, shrink):
         real = ex.init_mlp
@@ -633,7 +686,7 @@ class TestLoopBuffers:
         ref = thomas_solve(assemble_poisson(grid, g_rhs))
 
         def phase():
-            return TrainPhase(ex._energy_training_stream(cfg, 0, grid, g_rhs(grid.points)), ref,
+            return TrainPhase(grid_stream(cfg, 0, grid, g_rhs(grid.points)), ref,
                               cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs)
 
         k = 30
@@ -677,6 +730,25 @@ class TestRunDirectory:
                       "summary.csv"}, {"hybrid.svg"}),
         "diagnose-grad": (["--set", "hidden_widths=8", "--set", "samples=16"], {"decomposition.csv"}, set()),
     }
+
+    def test_failed_rerun_leaves_no_config_of_the_finished_run(self, tmp_path, monkeypatch):
+        # a rerun over a finished run that fails partway leaves a directory that does not look complete
+        out = tmp_path / "run"
+        args = ["toy-ce", "--preset", "desk-toy-ce", "--set", "record_every=10", "--out", str(out)]
+        assert main([*args, "--set", "epochs=50"]) == 0
+        assert "epochs = 50" in (out / "config.txt").read_text()
+        real, calls = ex.write_csv, []
+
+        def second_fails(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(ex, "write_csv", second_fails)
+        assert main([*args, "--set", "epochs=60"]) == 4
+        assert read_csv(out / "trace.csv")[-1]["epoch"] == "60"
+        assert not (out / "config.txt").exists()
 
     @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
     @pytest.mark.parametrize("command", sorted(RUNS))
