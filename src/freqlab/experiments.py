@@ -23,15 +23,16 @@ per batch length and one gradient vector and passes them back to nn as into;
 the outputs it yields are overwritten by the next step of their batch length,
 so every consumer reads or copies them before resuming it.
 toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
-recorder, _spectral_recorder, and _emit_trace writes it; the runner builds the
-recorder's phase matrix once, so it lives and dies with the run. Histories are
+recorder, _spectral_recorder, which starts its own clock, and _emit_trace
+writes it; the runner builds the recorder's phase matrix once. Histories are
 columns: the recorder's trace.csv columns, an IterativeRun and a SwitchPoint's
 phase-one record each hold one list per column, and the CSV rows are zipped
 from them.
 mnist_pca builds its row-major images and one-hot matrices once, after PCA,
-from data's (images, labels) pair. Wall-clock columns come from
-reporting.stopwatch and are all zero unless timing is enabled, so that
-identical (config, seed) pairs produce byte-identical files.
+from data's (images, labels) pair. Wall-clock columns come from one
+reporting.stopwatch per recorder, TrainPhase and iterate call, counting from
+its start, and are all zero unless timing is enabled, so that identical
+(config, seed) pairs produce byte-identical files.
 
 The runners reach the other modules' functions (forward, iterate, write_csv,
 ...) through this module's globals, imported by name, and run_hybrid and
@@ -114,13 +115,14 @@ def _snapshot(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
                         config_to_text(dataclasses.replace(cfg, seed=seed, seeds=1, out_dir=recorded)))
 
 
-def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float], phase: np.ndarray,
+def _spectral_recorder(cfg: ExperimentConfig, phase: np.ndarray,
                        target_values: np.ndarray) -> tuple[list[int], list[list], Callable]:
     """(peaks, columns, record): the ascending peaks of spectrum(phase,
     target_values), the trace.csv columns step, epoch, wall_ms, loss and one df
     column per peak, and record(epoch, loss, values), which appends recording
     step epoch // cfg.record_every with the relative difference of
-    spectrum(phase, values) from the target at each peak. A target spectrum
+    spectrum(phase, values) from the target at each peak. wall_ms is read from
+    the recorder's own stopwatch(cfg.timing), started here. A target spectrum
     with no peak leaves nothing to measure: ConfigError."""
     target = spectrum(phase, target_values)
     peaks = pick_peaks(target, cfg.peak_max_count, cfg.peak_min_rel_amplitude)
@@ -128,6 +130,7 @@ def _spectral_recorder(cfg: ExperimentConfig, elapsed: Callable[[], float], phas
         raise ConfigError(f"the target spectrum has no peak to track (samples = {cfg.samples}, "
                           f"nufft_freqs = {cfg.nufft_freqs}); it needs more samples or frequencies")
     columns: list[list] = [[] for _ in range(4 + len(peaks))]
+    elapsed = stopwatch(cfg.timing)
 
     def record(epoch: int, loss: float, values: np.ndarray) -> None:
         model = spectrum(phase, values)
@@ -216,11 +219,9 @@ def _recorded(cfg: ExperimentConfig, descent: Iterator[tuple[int, np.ndarray, fl
 
 
 def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    elapsed = stopwatch(cfg.timing)
-
     xs = np.linspace(-1.0, 1.0, cfg.samples).reshape(-1, 1)
     targets = target_toy(xs[:, 0])
-    peaks, columns, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(xs)), targets[:, 0])
+    peaks, columns, record = _spectral_recorder(cfg, dft_matrix(len(xs)), targets[:, 0])
 
     net = init_mlp([1, *cfg.hidden_widths, 2], cfg.activation, "softmax", cfg.init_std, cfg.init_mean, seed)
     descent = _descent(net, itertools.repeat(((xs, lambda out: cross_entropy_loss(out, targets)),)), cfg)
@@ -235,27 +236,24 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 
 def _load_images(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(images, labels): the first cfg.samples of the dataset files, or the
-    seeded synthetic set. Files holding fewer than cfg.samples images, and equal
-    images, which leave PCA no direction: ConfigError."""
-    if cfg.mnist_images and cfg.mnist_labels:
-        images, labels = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
-        if len(labels) < cfg.samples:
-            raise ConfigError(f"{cfg.mnist_images} holds {len(labels)} images, "
-                              f"fewer than samples = {cfg.samples}")
-        # copies, so the rest of the file's matrix is freed; F-ordered, as a file holding only the cut
-        images, labels = images[:, :cfg.samples].copy(order="F"), labels[:cfg.samples].copy()
-        if np.array_equal(images.min(axis=1), images.max(axis=1)):
-            raise ConfigError(f"the first {images.shape[1]} images of {cfg.mnist_images} are all equal")
-        return images, labels
-    if cfg.synthetic:
+    """(images, labels): the first cfg.samples of the dataset files, or, with
+    no files given, the seeded synthetic set. Files holding fewer than
+    cfg.samples images, and equal images, which leave PCA no direction:
+    ConfigError."""
+    if not (cfg.mnist_images and cfg.mnist_labels):
         return datamod.synthetic_image_set(cfg.samples, seed=seed)
-    raise ConfigError("no dataset: give mnist_images/mnist_labels or set synthetic")
+    images, labels = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
+    if len(labels) < cfg.samples:
+        raise ConfigError(f"{cfg.mnist_images} holds {len(labels)} images, "
+                          f"fewer than samples = {cfg.samples}")
+    # copies, so the rest of the file's matrix is freed; F-ordered, as a file holding only the cut
+    images, labels = images[:, :cfg.samples].copy(order="F"), labels[:cfg.samples].copy()
+    if np.array_equal(images.min(axis=1), images.max(axis=1)):
+        raise ConfigError(f"the first {images.shape[1]} images of {cfg.mnist_images} are all equal")
+    return images, labels
 
 
 def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    elapsed = stopwatch(cfg.timing)
-
     images, labels = _load_images(cfg, seed)
     coords = datamod.pca_project(images, seed=seed)
     # row-major, so a minibatch is a gather of contiguous rows; made after
@@ -265,8 +263,7 @@ def run_mnist_pca(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     del images
     onehot = np.eye(datamod.NUM_CLASSES)[labels]   # (n, classes)
 
-    peaks, columns, record = _spectral_recorder(cfg, elapsed, nufft_matrix(coords, cfg.nufft_freqs),
-                                                onehot[:, 0])
+    peaks, columns, record = _spectral_recorder(cfg, nufft_matrix(coords, cfg.nufft_freqs), onehot[:, 0])
 
     net = init_mlp([X.shape[1], *cfg.hidden_widths, datamod.NUM_CLASSES], cfg.activation, "softmax",
                    cfg.init_std, cfg.init_mean, seed)
@@ -345,10 +342,8 @@ def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
 
 
 def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    elapsed = stopwatch(cfg.timing)
-
     grid, _, ref = _poisson_setup(cfg)
-    peaks, columns, record = _spectral_recorder(cfg, elapsed, dft_matrix(len(ref)), ref)
+    peaks, columns, record = _spectral_recorder(cfg, dft_matrix(len(ref)), ref)
 
     sup_errors: list[float] = []
     descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
@@ -459,7 +454,7 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
         early_values = out[:, 0].copy()
     k = early_step // cfg.record_every + 1  # the recorded steps 0, r, 2r, ... up to early_step
     at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
-                           at_plateau.wall_ms[:k], at_plateau.losses[:k], at_plateau.sup_errors[:k])
+                           at_plateau.wall_ms[:k], at_plateau.sup_errors[:k])
     labelled = [(label, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
                 for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
     cold = iterate(rhs, np.zeros(rhs.size), ref[1:-1], method=cfg.hybrid_method,

@@ -6,7 +6,7 @@ operation and a gradient is a row of a Jacobian as it stands. layer_views is
 the only code that knows the layout, and gives each layer's (weights, biases)
 views of it.
 forward and backprop keep the views of mlp.params, and of the last gradient
-passed back as into, on the network and build them again only when the vector
+passed back as into, in Mlp.work and build them again only when the vector
 is a different object: reassigning mlp.params or passing another gradient is
 seen, writing into the same vector needs no new views.
 
@@ -18,10 +18,10 @@ A training loop can run without allocating a batch-sized array per step.
 forward and backprop take an optional into: an earlier forward's cache for the
 same widths and batch shape, or an earlier gradient vector, written over and
 returned in place of fresh arrays. Their other temporaries, and sgd_step's
-lr * grad, live in work arrays the network owns, one per shape. The rule:
-nothing this module returns is overwritten unless the caller passes it back as
-into. Buffered or fresh, the operations and their order are the same, so are
-the bits.
+lr * grad, live in Mlp.work, one array per shape, which a deep copy or a
+pickle starts without. The rule: nothing this module returns is overwritten
+unless the caller passes it back as into. Buffered or fresh, the operations
+and their order are the same, so are the bits.
 
 A layer with one input is an outer product, and so is the delta below a layer
 with one output: each entry is the single product a k = 1 matmul would form,
@@ -46,7 +46,6 @@ __all__ = [
     "Mlp",
     "layer_views",
     "init_mlp",
-    "softmax",
     "forward",
     "backprop",
     "sgd_step",
@@ -58,10 +57,11 @@ HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
 
 
-class _Views(dict):
-    """slot -> (vector, layer_views of it); see _views. A copy, deep or not, and
-    a pickle start empty: numpy copies a view as an array of its own, so a
-    copied entry would hold views of nothing the copy's vector owns."""
+class _Scratch(dict):
+    """Mlp.work: work arrays keyed (slot, shape, dtype), see _work, and layer
+    views keyed by slot name, see _views. A copy, deep or not, and a pickle
+    start empty: a work array holds no value between calls, and numpy copies a
+    view as an array of its own, of nothing the copy's vector owns."""
 
     def __reduce__(self):
         return type(self), ()
@@ -73,8 +73,7 @@ class Mlp:
     params: np.ndarray                 # every weight and bias, in layer_views order
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
-    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see _work
-    views: _Views = field(default_factory=_Views, init=False, repr=False, compare=False)  # see _views
+    work: _Scratch = field(default_factory=_Scratch, init=False, repr=False, compare=False)  # see _Scratch
 
     @property
     def num_layers(self) -> int:
@@ -154,9 +153,9 @@ def init_mlp(
 
 
 def _work(mlp: Mlp, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """The network's work array for a temporary inside one call, made on first
-    use of this slot, shape and dtype. A call writes it before it reads it and
-    never returns it, so calls share memory, not values."""
+    """The network's work array in mlp.work for a temporary inside one call,
+    made on first use of this slot, shape and dtype. A call writes it before it
+    reads it and never returns it, so calls share memory, not values."""
     key = (slot, shape, dtype)
     a = mlp.work.get(key)
     if a is None:
@@ -165,11 +164,11 @@ def _work(mlp: Mlp, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np
 
 
 def _views(mlp: Mlp, slot: str, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """layer_views(mlp.widths, vec), kept in the network's slot and built again
-    only when vec is not the vector they were built for."""
-    held = mlp.views.get(slot)
+    """layer_views(mlp.widths, vec), kept in mlp.work under the slot name and
+    built again only when vec is not the vector they were built for."""
+    held = mlp.work.get(slot)
     if held is None or held[0] is not vec:
-        held = mlp.views[slot] = (vec, layer_views(mlp.widths, vec))
+        held = mlp.work[slot] = (vec, layer_views(mlp.widths, vec))
     return held[1]
 
 
@@ -179,14 +178,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= np.sum(z, axis=-1, keepdims=True)
     return z
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; safe for large logits. NaN logits: ValueError."""
-    z = np.array(logits, dtype=float)
-    if np.isnan(z).any():
-        raise ValueError("softmax received NaN logits")
-    return _softmax_rows(z)
 
 
 def forward(mlp: Mlp, xs: np.ndarray,

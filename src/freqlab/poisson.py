@@ -343,15 +343,14 @@ def _require_positive_tol(tol: float) -> None:
 @dataclass
 class SwitchPoint:
     """Where a train phase stopped: the state a hand-off starts from, and the
-    phase-one columns recorded up to it. Entry i of steps, wall_ms, losses and
-    sup_errors belongs to the i-th recorded training step."""
+    phase-one columns a hybrid_*.csv reads, recorded up to it. Entry i of steps,
+    wall_ms and sup_errors belongs to the i-th recorded training step."""
 
     step: int
     plateau_detected: bool
     grid_values: np.ndarray          # full-grid values at step, a copy
     steps: list[int]
     wall_ms: list[float]
-    losses: list[float]
     sup_errors: list[float]
 
 
@@ -426,7 +425,7 @@ class TrainPhase:
                     raise ValueError("solver stream yielded no states")
         # an exhausted stream switches at its last state, recorded or not
         return SwitchPoint(self._step, plateau, self._grid.copy(), self._steps[:], self._wall_ms[:],
-                           self._losses[:], self._sup_errors[:])
+                           self._sup_errors[:])
 
 
 def hand_off(rhs: np.ndarray, reference: np.ndarray, at: SwitchPoint, method: str,

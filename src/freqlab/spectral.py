@@ -10,11 +10,11 @@ transforms are exact direct summations (O(N^2) / O(nK)); at the sample sizes
 used here that is cheap and keeps every value independently checkable against
 a second summation.
 
-dft_matrix and nufft_matrix are the only places that spell the phase
-formulas. Building a matrix costs far more than applying it (about 150 us
-against 3.4 us at N = 65), so a run that records a spectrum many times builds
-its matrix once and passes it to spectrum at each recording; dft_uniform and
-nufft_direct build and apply in one call.
+dft_matrix and nufft_matrix spell the spectrum phases; grad_decomposition
+spells its own orthonormal basis. Building a matrix costs far more than
+applying it (about 150 us against 3.4 us at N = 65), so a run that records a
+spectrum many times builds its matrix once and passes it to spectrum at each
+recording; dft_uniform and nufft_direct build and apply in one call.
 """
 
 from __future__ import annotations
