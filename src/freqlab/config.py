@@ -308,8 +308,9 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "mnist_pca":
         _require(cfg.samples >= 2, "samples must be >= 2")
         _require(cfg.nufft_freqs >= 2, "nufft_freqs must be >= 2")
-        has_files = bool(cfg.mnist_images) and bool(cfg.mnist_labels)
-        _require(has_files or cfg.synthetic,
+        _require(bool(cfg.mnist_images) == bool(cfg.mnist_labels),
+                 "mnist_images and mnist_labels go together: give both files or neither")
+        _require(bool(cfg.mnist_images) or cfg.synthetic,
                  "mnist_pca needs --mnist-images/--mnist-labels or --synthetic")
     if cfg.experiment == "diagnose_grad":
         _require(cfg.diag_loss in ("mse", "cross_entropy"),

@@ -205,13 +205,10 @@ def _recorded(cfg: ExperimentConfig, descent: Iterator[tuple[int, np.ndarray, fl
               ) -> Iterator[tuple[int, np.ndarray, float]]:
     """The items of descent at every cfg.record_every-th epoch, up to the last
     one at or before cfg.epochs; descent is not resumed after that one, as no
-    output reads the updates after it."""
+    output reads the updates after it: the islice stops at last + 1, as descent
+    yields epoch i as its i-th item."""
     last = cfg.epochs - cfg.epochs % cfg.record_every
-    for item in descent:
-        if item[0] % cfg.record_every == 0:
-            yield item
-            if item[0] == last:
-                return
+    return itertools.islice(descent, 0, last + 1, cfg.record_every)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +234,10 @@ def run_toy_ce(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 def _load_images(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(images, labels): the first cfg.samples of the dataset files, or, with
-    no files given, the seeded synthetic set. Files holding fewer than
-    cfg.samples images, and equal images, which leave PCA no direction:
-    ConfigError."""
-    if not (cfg.mnist_images and cfg.mnist_labels):
+    no files given, the seeded synthetic set (validate takes both files or
+    neither). Files holding fewer than cfg.samples images, and equal images,
+    which leave PCA no direction: ConfigError."""
+    if not cfg.mnist_images:
         return datamod.synthetic_image_set(cfg.samples, seed=seed)
     images, labels = datamod.load_image_set(cfg.mnist_images, cfg.mnist_labels)
     if len(labels) < cfg.samples:
@@ -374,17 +371,19 @@ _EARLY_STATES_CAP = 64 * 2**20
 
 class _EarlyStates:
     """Copies of the grid values at each step of a descent that can still turn
-    out to be its early switch max(1, p // 4) for a plateau p >= 1, a multiple
-    of record_every or epochs. p >= t once the descent stands at step t, so
-    steps below max(1, t // 4) are dropped as it goes. Adding a state, all of
-    one size, that would cross _EARLY_STATES_CAP drops them all, for good."""
+    out to be its early switch min(max(1, p // 4), p) for a plateau p, a
+    multiple of record_every or epochs (step 0 for p = 0). p >= t once the
+    descent stands at step t, so steps below max(1, t // 4) are dropped as it
+    goes, before step t is added. Adding a state, all of one size, that would
+    cross _EARLY_STATES_CAP drops them all, for good."""
 
     def __init__(self, record_every: int, epochs: int):
         self._record_every, self._epochs = record_every, epochs
         self._kept: deque[tuple[int, np.ndarray]] | None = deque()
 
     def _candidate(self, s: int) -> bool:
-        # the p in [lo, hi] with max(1, p // 4) = s: some multiple of record_every, or epochs
+        # a p in [lo, hi] with min(max(1, p // 4), p) = s: a multiple of record_every, or epochs
+        # ([0, 3] at s = 0, whose first multiple is p = 0 itself)
         lo, hi = (1 if s == 1 else 4 * s), min(4 * s + 3, self._epochs)
         return lo <= hi and (hi == self._epochs or -(-lo // self._record_every) * self._record_every <= hi)
 
@@ -395,7 +394,7 @@ class _EarlyStates:
             if kept is not None:
                 while kept and kept[0][0] < max(1, t // 4):
                     kept.popleft()
-                if t >= 1 and self._candidate(t):
+                if self._candidate(t):
                     if (len(kept) + 1) * values.nbytes > _EARLY_STATES_CAP:
                         self._kept = None
                     else:
@@ -430,10 +429,10 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     One training stream runs to p and then on to the late switch: 2p + 1
     training steps instead of three replays from step 0, with the same files.
     The early switch is built from the grid values kept on the way to p (see
-    _EarlyStates) and the plateau run's recorded columns up to it, or at p = 0
-    is the plateau switch's own state. Only over _EARLY_STATES_CAP does a
-    second stream replay the training up to the early switch, for its grid
-    values alone. All training finishes before the first hand-off.
+    _EarlyStates) and the plateau run's recorded columns up to it, at p = 0
+    (epochs = 0) from step 0's. Only over _EARLY_STATES_CAP does a second
+    stream replay the training up to the early switch, for its grid values
+    alone. All training finishes before the first hand-off.
     """
     grid, rhs, ref = _poisson_setup(cfg)
     gvals = g_rhs(grid.points)
@@ -444,10 +443,8 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                         cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
     at_plateau = stream.run()
     plateau_step = at_plateau.step
-    early_step = min(max(1, plateau_step // 4), plateau_step)  # 0 where the stream stopped at step 0
+    early_step = min(max(1, plateau_step // 4), plateau_step)
     early_values = early_states.take(early_step)  # frees the kept states before the late run
-    if early_step == 0:  # step 0 is kept by no store: it is the plateau switch's own state
-        early_values = at_plateau.grid_values
     at_late = stream.run(min(2 * plateau_step, cfg.epochs))
     if early_values is None:  # over the cap: replay the grid values up to early_step
         _, out, _ = next(itertools.islice(_energy_descent(cfg, seed, grid, gvals), early_step, None))

@@ -186,19 +186,17 @@ def forward(mlp: Mlp, xs: np.ndarray,
     to each layer, then the outputs: cache[l] feeds layer l, cache[-1] is returned.
 
     into, a cache that forward returned for a network of the same widths and a
-    batch of the same shape, is written over and returned as the cache.
+    batch of the same shape, is written over and returned as the cache, as a
+    fresh cache is without it; both pass one shape check.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != mlp.widths[0]:
         raise ValueError(f"expected inputs of shape (batch, {mlp.widths[0]}), got {xs.shape}")
     shapes = [(len(xs), width) for width in mlp.widths[1:]]
-    if into is None:
-        cache = [xs] + [np.empty(shape) for shape in shapes]
-    elif len(into) != len(mlp.widths) or [a.shape for a in into[1:]] != shapes:
+    cache = [xs] + [np.empty(shape) for shape in shapes] if into is None else into
+    if len(cache) != len(mlp.widths) or [a.shape for a in cache[1:]] != shapes:
         raise ValueError(f"into is not a cache for widths {mlp.widths} and a batch of {len(xs)}")
-    else:
-        cache = into
-        cache[0] = xs
+    cache[0] = xs
     last = mlp.num_layers - 1
     for l, (w, b) in enumerate(_views(mlp, "params", mlp.params)):
         z = cache[l + 1]
@@ -232,8 +230,9 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
         raise ValueError(f"gradient shape {g.shape} does not match outputs {out.shape}")
     if len(cache) != mlp.num_layers + 1:
         raise ValueError("cache does not match this network")
-    if into is not None and into.shape != mlp.params.shape:
-        raise ValueError(f"into has shape {into.shape}, the parameters {mlp.params.shape}")
+    grad = np.empty(mlp.params.size) if into is None else into
+    if grad.shape != mlp.params.shape:
+        raise ValueError(f"into has shape {grad.shape}, the parameters {mlp.params.shape}")
     if mlp.output_activation == "softmax":
         delta = _work(mlp, ("softmax",), out.shape)
         np.multiply(g, out, out=delta)
@@ -241,8 +240,8 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
         delta *= out
     else:
         delta = g
-    grad = np.empty(mlp.params.size) if into is None else into
     layers = _views(mlp, "params", mlp.params)
+    # a fresh gradient's views are not kept: mlp.work would keep the returned vector alive
     grads = layer_views(mlp.widths, grad) if into is None else _views(mlp, "grad", grad)
     for l in range(mlp.num_layers - 1, -1, -1):
         gw, gb = grads[l]

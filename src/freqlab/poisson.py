@@ -266,6 +266,8 @@ def iterate(
 
     Records the initial state as iteration 0. Stops at the first iteration
     whose sup error against u_star reaches tol, or after max_iters sweeps.
+    tol=None is taken as -inf, which no sup error reaches; a NaN one reaches no
+    tol, so it sweeps on too.
     Sweeps run in blocks of up to _BLOCK rows through row views built once per
     call; each block is recorded at once, its mode amplitudes as one stacked
     product, so up to _BLOCK - 1 sweeps past the stop are computed and not
@@ -283,6 +285,7 @@ def iterate(
     track = tuple(track_modes)
     if len(set(track)) != len(track):
         raise ValueError(f"track_modes repeats a mode: {track}")
+    tol = -math.inf if tol is None else tol
     m = rhs.size
     n = m + 1
     basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), m)
@@ -298,14 +301,12 @@ def iterate(
         """Record states[first:first + count], up to the first that meets tol."""
         e = err[:count]
         np.subtract(states[first:first + count, 1:-1], u_star, out=e)
-        if track:
-            # per row the ddot/dgemv of np.matmul(basis, e[r]), so the same bits; e @ basis.T rounds differently
-            np.matmul(basis, e[:, :, None], out=dots[:count, :, None])
+        # per row the ddot/dgemv of np.matmul(basis, e[r]), so the same bits; e @ basis.T rounds differently
+        np.matmul(basis, e[:, :, None], out=dots[:count, :, None])
         sups = np.abs(e, out=e).max(axis=1)
-        if tol is not None:
-            hits = np.flatnonzero(sups <= tol)
-            if hits.size:
-                count = int(hits[0]) + 1
+        hits = np.flatnonzero(sups <= tol)
+        if hits.size:
+            count = int(hits[0]) + 1
         run.sup_errors.extend(sups[:count].tolist())
         for k, column in zip(track, ((2.0 / n) * dots[:count]).T.tolist()):
             run.alphas[k].extend(column)
@@ -314,7 +315,7 @@ def iterate(
     run.wall_ms.append(elapsed())
     record(0, 1)
     done = 0
-    while done < max_iters and not (tol is not None and run.sup_errors[-1] <= tol):
+    while done < max_iters and not run.sup_errors[-1] <= tol:  # not <=: a NaN error sweeps on
         count = min(rows, max_iters - done)
         for _ in sweeps(count):
             run.wall_ms.append(elapsed())
@@ -398,7 +399,7 @@ class TrainPhase:
     def run(self, switch_step: int | None = None) -> SwitchPoint:
         """Train until switch_step, or -- with no switch step -- until the loss
         plateau, or until max_steps. Consumes nothing if the stream already
-        stands at or past the stop step."""
+        stands at or past the stop step. A stream with no state: ValueError."""
         plateau = False
         if self._grid is None or not self._at_stop_step(switch_step):
             for step, (grid_values, loss) in self._stream:
@@ -420,9 +421,8 @@ class TrainPhase:
                         break
                 if self._at_stop_step(switch_step):
                     break
-            else:
-                if self._grid is None:
-                    raise ValueError("solver stream yielded no states")
+        if self._grid is None:
+            raise ValueError("solver stream yielded no states")
         # an exhausted stream switches at its last state, recorded or not
         return SwitchPoint(self._step, plateau, self._grid.copy(), self._steps[:], self._wall_ms[:],
                            self._sup_errors[:])

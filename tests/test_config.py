@@ -209,6 +209,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--mnist-images", "--mnist-labels"])
+    def test_one_dataset_file_without_the_other_exits_2_before_the_run_directory(self, tmp_path, capsys, flag):
+        # the preset sets synthetic = true, which must not hide the half given
+        out = tmp_path / "run"
+        args = ["mnist-pca", "--preset", "desk-mnist-pca", "--set", "samples=60", "--set", "epochs=2",
+                flag, str(tmp_path / "missing.idx"), "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "give both files or neither" in err
+        assert not out.exists()
+
     def test_learning_rate_that_underflows_exits_2_before_the_run_directory(self, tmp_path, capsys):
         # 1e-4 halved every epoch is 0.0 from epoch 1062 on, the last update of 1063 epochs
         args = ["toy-ce", "--set", "hidden_widths=4", "--set", "lr_halve_every=1", "--set", "record_every=1"]

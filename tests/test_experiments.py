@@ -399,20 +399,17 @@ class TestDJacobiOneStream:
     def test_early_states_keep_every_possible_early_switch_and_nothing_below_a_quarter(
             self, record_every, epochs):
         plateaus = sorted({*range(0, epochs + 1, record_every), epochs})
-        # the early switches of the stops q >= 1: a stop at step 0 switches at the plateau's own state
-        switches = {max(1, q // 4) for q in plateaus if q >= 1}
+        # the early switches of every stop q, step 0 that of q = 0
+        switches = {min(max(1, q // 4), q) for q in plateaus}
         for p in plateaus:
             states = ex._EarlyStates(record_every, epochs)
             for t, (values, _) in enumerate(states.passing((t, np.full((3, 1), float(t)), 0.0)
                                                            for t in range(p + 1))):
                 values[:] = -1.0  # the descent's next step overwrites its outputs
-                assert all(max(1, t // 4) <= s and s in switches for s, _ in states._kept)
-            early = states.take(max(1, p // 4))
+                assert all(min(max(1, t // 4), t) <= s and s in switches for s, _ in states._kept)
+            early = states.take(min(max(1, p // 4), p))
             assert states._kept is None
-            if p == 0:
-                assert early is None  # the descent stopped before step 1
-            else:
-                assert early.tolist() == [float(max(1, p // 4))] * 3
+            assert early.tolist() == [float(min(max(1, p // 4), p))] * 3
 
     def test_early_states_past_the_cap_are_dropped_for_good(self, monkeypatch):
         # fig5's 1,001-point states with every step a candidate, under a cap of 100 states

@@ -313,6 +313,17 @@ class TestIterate:
         with pytest.raises(ValueError, match="interior vector of length 7"):
             iterate(assemble_poisson(Grid1D(8)), np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_nan_start_sweeps_to_max_iters(self, tol):
+        # a NaN sup error meets no tol: the solve sweeps on, as one with no tol does
+        rhs = make_rhs(n=16, seed=9)
+        ref = thomas_solve(rhs)
+        u0 = np.zeros(rhs.size)
+        u0[4] = np.nan
+        run = iterate(rhs, u0, ref[1:-1], max_iters=300, track_modes=(1, 3), tol=tol)
+        assert run.iterations == 300 and len(run.wall_ms) == 301
+        assert np.isnan(run.sup_errors).all() and np.isnan(run.alphas[1]).all()
+
     def test_repeated_tracked_mode_rejected(self):
         # a repeated mode would be recorded twice per iteration into one list
         rhs = make_rhs()
@@ -618,12 +629,23 @@ class TestTrainPhase:
         rhs = assemble_poisson(Grid1D(n=8), g_rhs)
         reference = thomas_solve(rhs)
         states = [np.full(rhs.size + 2, 0.1 * step) for step in range(7)]
-        at = TrainPhase(((u, 1.0) for u in states), reference, record_every=5).run()
+        phase = TrainPhase(((u, 1.0) for u in states), reference, record_every=5)
+        at = phase.run()
         assert at.steps == [0, 5]
         assert at.step == 6 and not at.plateau_detected
         assert np.array_equal(at.grid_values, states[6])
         run = hand_off(rhs, reference, at, "jacobi", 200_000, 1e-3)
         assert run.sup_errors[0] == float(np.max(np.abs(states[6][1:-1] - reference[1:-1])))
+        # resumed, the exhausted stream yields nothing and switches at the same last state
+        for again in (phase.run(), phase.run(10)):
+            assert again.step == 6 and np.array_equal(again.grid_values, states[6])
+
+    def test_empty_stream_rejected(self):
+        rhs = assemble_poisson(Grid1D(n=8), g_rhs)
+        with pytest.raises(ValueError, match="no states"):
+            TrainPhase(iter(()), thomas_solve(rhs)).run()
+        with pytest.raises(ValueError, match="no states"):
+            run_hybrid(rhs, iter(()), 1e-3)
 
     @pytest.mark.parametrize("policy", [dict(plateau_window=1), dict(plateau_window=0),
                                         dict(plateau_tol=0.0), dict(plateau_tol=-0.01),
