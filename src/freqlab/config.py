@@ -186,10 +186,11 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 # The fig presets hold the full-scale reference settings for the four
 # experiments (widths, learning rate, init std, sample counts, batch size,
-# beta, halving cadence); epoch budgets are set here. Desk presets keep the
-# network depth but shrink widths and epoch counts to seconds of runtime,
-# with step sizes retuned for the smaller networks; the problem setup (data,
-# beta, grid) is unchanged.
+# beta, halving cadence); epoch budgets are set here. Desk presets keep beta
+# and the network depth and shrink a run to seconds per seed: narrower widths,
+# fewer epochs, a 64-interval grid (fig4 has 50, fig5 1000) and 600 synthetic
+# images for mnist-pca (fig3 has 10,000), with learning rates, fig4's halving
+# and init stds retuned for the smaller networks.
 PRESETS: dict[str, dict] = {
     "fig2": dict(
         experiment="toy_ce", hidden_widths=(400, 400, 200, 100), lr=2e-4,

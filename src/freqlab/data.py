@@ -85,8 +85,12 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 
 
 def load_idx_bytes(path: str | Path) -> bytes:
-    """Read an IDX file, transparently decompressing gzip."""
-    raw = Path(path).read_bytes()
+    """Read an IDX file, transparently decompressing gzip. A file that cannot
+    be read is a configuration error, as a malformed one is."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise ConfigError(f"cannot read dataset file {path}: {e}") from e
     if raw[:2] == b"\x1f\x8b":
         try:
             return gzip.decompress(raw)

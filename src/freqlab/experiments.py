@@ -42,6 +42,7 @@ each layer.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 from collections import deque
@@ -369,32 +370,32 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 _EARLY_STATES_CAP = 64 * 2**20
 
 
+def _early_switch(p: int) -> int:
+    """The early hand-off step for a plateau at step p: p // 4, but at least
+    step 1 and at most p itself (step 0 for p = 0)."""
+    return min(max(1, p // 4), p)
+
+
 class _EarlyStates:
     """Copies of the grid values at each step of a descent that can still turn
-    out to be its early switch min(max(1, p // 4), p) for a plateau p, a
-    multiple of record_every or epochs (step 0 for p = 0). p >= t once the
-    descent stands at step t, so steps below max(1, t // 4) are dropped as it
-    goes, before step t is added. Adding a state, all of one size, that would
-    cross _EARLY_STATES_CAP drops them all, for good."""
+    out to be its early switch: _early_switch(p) for a stop p, a multiple of
+    record_every or epochs. p >= t once the descent stands at step t, so steps
+    below _early_switch(t) are dropped as it goes, before step t is added.
+    Adding a state, all of one size, that would cross _EARLY_STATES_CAP drops
+    them all, for good."""
 
     def __init__(self, record_every: int, epochs: int):
-        self._record_every, self._epochs = record_every, epochs
+        self._switches = {_early_switch(p) for p in (*range(0, epochs + 1, record_every), epochs)}
         self._kept: deque[tuple[int, np.ndarray]] | None = deque()
-
-    def _candidate(self, s: int) -> bool:
-        # a p in [lo, hi] with min(max(1, p // 4), p) = s: a multiple of record_every, or epochs
-        # ([0, 3] at s = 0, whose first multiple is p = 0 itself)
-        lo, hi = (1 if s == 1 else 4 * s), min(4 * s + 3, self._epochs)
-        return lo <= hi and (hi == self._epochs or -(-lo // self._record_every) * self._record_every <= hi)
 
     def passing(self, descent: Iterator[tuple[int, np.ndarray, float]]) -> Iterator[tuple[np.ndarray, float]]:
         """descent's (epoch, outputs, loss) as TrainPhase's (values, loss), keeping candidates until take."""
         for t, out, loss in descent:
             values, kept = out[:, 0], self._kept
             if kept is not None:
-                while kept and kept[0][0] < max(1, t // 4):
+                while kept and kept[0][0] < _early_switch(t):
                     kept.popleft()
-                if self._candidate(t):
+                if t in self._switches:
                     if (len(kept) + 1) * values.nbytes > _EARLY_STATES_CAP:
                         self._kept = None
                     else:
@@ -423,8 +424,8 @@ _HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
 
 def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Hand the energy-trained network's grid values to cfg.hybrid_method at the
-    plateau step p, early at min(max(1, p // 4), p) and late at min(2p, epochs),
-    and compare each with a cold start from zero.
+    plateau step p, early at _early_switch(p) and late at min(2p, epochs), and
+    compare each with a cold start from zero.
 
     One training stream runs to p and then on to the late switch: 2p + 1
     training steps instead of three replays from step 0, with the same files.
@@ -443,13 +444,13 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                         cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
     at_plateau = stream.run()
     plateau_step = at_plateau.step
-    early_step = min(max(1, plateau_step // 4), plateau_step)
+    early_step = _early_switch(plateau_step)
     early_values = early_states.take(early_step)  # frees the kept states before the late run
     at_late = stream.run(min(2 * plateau_step, cfg.epochs))
     if early_values is None:  # over the cap: replay the grid values up to early_step
         _, out, _ = next(itertools.islice(_energy_descent(cfg, seed, grid, gvals), early_step, None))
         early_values = out[:, 0].copy()
-    k = early_step // cfg.record_every + 1  # the recorded steps 0, r, 2r, ... up to early_step
+    k = bisect.bisect_right(at_plateau.steps, early_step)  # the plateau run's recorded steps up to it
     at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
                            at_plateau.wall_ms[:k], at_plateau.sup_errors[:k])
     labelled = [(label, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))

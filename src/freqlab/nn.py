@@ -21,16 +21,8 @@ returned in place of fresh arrays. Their other temporaries, and sgd_step's
 lr * grad, live in Mlp.work, one array per shape, which a deep copy or a
 pickle starts without. The rule: nothing this module returns is overwritten
 unless the caller passes it back as into. Buffered or fresh, the operations
-and their order are the same, so are the bits.
-
-A layer with one input is an outer product, and so is the delta below a layer
-with one output: each entry is the single product a k = 1 matmul would form,
-so neither runs as a matmul, and the bits are the same. The delta is one
-np.multiply of the two broadcast factors, faster than the k = 1 matmul. The
-layer copies its weight row into the output and multiplies by the input column
-in place, which measured faster there than one multiply: numpy buffers both
-operands of a multiply that broadcasts each, two 64 KiB buffers on a 65 x 256
-layer.
+and their order are the same, so are the bits. Every weight product, forward
+or backward, is one _matmul.
 """
 
 from __future__ import annotations
@@ -172,6 +164,25 @@ def _views(mlp: Mlp, slot: str, vec: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return held[1]
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """np.matmul(a, b, out=out), a weight product of forward or backprop.
+
+    With an inner index of size 1 the product is an outer product: a layer
+    with one input, the delta below a layer with one output, a batch-1 weight
+    gradient. Each entry is then the single product a k = 1 matmul would form,
+    so it runs as b copied into out and multiplied in place by a, with the
+    matmul's bits, but for the sign of a zero product, which the matmul's sum
+    from +0 drops. This measured faster than the matmul, and than one multiply
+    of the two broadcast operands, which numpy buffers both of: two 64 KiB
+    buffers on a 65 x 256 layer.
+    """
+    if a.shape[1] == 1:
+        np.copyto(out, b)
+        out *= a
+    else:
+        np.matmul(a, b, out=out)
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, in place, with max subtraction; a NaN or +inf logit makes its row NaN."""
     z -= np.max(z, axis=-1, keepdims=True)
@@ -200,11 +211,7 @@ def forward(mlp: Mlp, xs: np.ndarray,
     last = mlp.num_layers - 1
     for l, (w, b) in enumerate(_views(mlp, "params", mlp.params)):
         z = cache[l + 1]
-        if w.shape[0] == 1:  # one input: an outer product, see the module docstring
-            np.copyto(z, w)
-            z *= cache[l]
-        else:
-            np.matmul(cache[l], w, out=z)
+        _matmul(cache[l], w, z)
         z += b
         if l < last:
             if mlp.hidden_activation == "tanh":
@@ -245,15 +252,11 @@ def backprop(mlp: Mlp, cache: list[np.ndarray], dloss_doutputs: np.ndarray,
     grads = layer_views(mlp.widths, grad) if into is None else _views(mlp, "grad", grad)
     for l in range(mlp.num_layers - 1, -1, -1):
         gw, gb = grads[l]
-        np.matmul(cache[l].T, delta, out=gw)
+        _matmul(cache[l].T, delta, gw)
         np.add.reduce(delta, axis=0, out=gb)
         if l > 0:
             below = _work(mlp, ("delta", l), cache[l].shape)
-            w = layers[l][0]
-            if w.shape[1] == 1:  # one output: an outer product, see the module docstring
-                np.multiply(delta, w.T, out=below)
-            else:
-                np.matmul(delta, w.T, out=below)
+            _matmul(delta, layers[l][0].T, below)
             if mlp.hidden_activation == "tanh":
                 slope = _work(mlp, ("slope", l), cache[l].shape)
                 np.multiply(cache[l], cache[l], out=slope)

@@ -327,12 +327,13 @@ def iterate(
 
 
 def _plateau_reached(losses: list[float], window: int, tol: float) -> bool:
+    """Whether the mean of the last window losses is within tol, relative, of
+    the mean of the window before it. tol is finite, so after a zero mean only
+    a zero mean reaches it; a NaN mean never does."""
     if len(losses) < 2 * window:
         return False
     cur = float(np.mean(losses[-window:]))
     prev = float(np.mean(losses[-2 * window:-window]))
-    if prev == 0.0:
-        return abs(cur) == 0.0
     return abs(cur - prev) <= tol * abs(prev)
 
 
@@ -364,10 +365,12 @@ class TrainPhase:
     policy is fixed here: every record_every-th step is recorded with its sup
     error against reference over the interior [1:-1], and without a switch
     step training stops once the windowed-mean loss flattens (relative change
-    at most plateau_tol between adjacent windows of plateau_window recorded
-    samples), and in any case at max_steps. Each run resumes the stream where
-    the previous one stopped, so one stream serves several increasing switch
-    points; the recorded columns and the stopwatch carry on across runs.
+    at most plateau_tol, finite and positive, between adjacent windows of
+    plateau_window recorded samples), and in any case at max_steps: a run's
+    one stop step is its switch step capped at max_steps, or max_steps. Each
+    run resumes the stream where the previous one stopped, so one stream
+    serves several increasing switch points; the recorded columns and the
+    stopwatch carry on across runs.
     """
 
     def __init__(self, solver_stream: Iterator[tuple[np.ndarray, float]], reference: np.ndarray,
@@ -377,8 +380,8 @@ class TrainPhase:
             raise ValueError("record_every must be >= 1")
         if plateau_window < 2:
             raise ValueError("plateau_window must be >= 2")
-        if not plateau_tol > 0:
-            raise ValueError("plateau_tol must be positive")
+        if not 0 < plateau_tol < math.inf:
+            raise ValueError("plateau_tol must be finite and positive")
         self._reference = reference
         self._record_every = record_every
         self._plateau_window = plateau_window
@@ -393,15 +396,14 @@ class TrainPhase:
         self._step = -1
         self._grid: np.ndarray | None = None
 
-    def _at_stop_step(self, switch_step: int | None) -> bool:
-        return (switch_step is not None and self._step >= switch_step) or self._step >= self._max_steps
-
     def run(self, switch_step: int | None = None) -> SwitchPoint:
-        """Train until switch_step, or -- with no switch step -- until the loss
-        plateau, or until max_steps. Consumes nothing if the stream already
-        stands at or past the stop step. A stream with no state: ValueError."""
+        """Train until the stop step, switch_step capped at max_steps, or --
+        with no switch step -- until the loss plateau or max_steps. Consumes
+        nothing if the stream already stands at or past the stop step. A
+        stream with no state: ValueError."""
         plateau = False
-        if self._grid is None or not self._at_stop_step(switch_step):
+        stop = self._max_steps if switch_step is None else min(switch_step, self._max_steps)
+        if self._grid is None or self._step < stop:
             for step, (grid_values, loss) in self._stream:
                 self._step = step
                 self._grid = np.asarray(grid_values, dtype=float)
@@ -419,7 +421,7 @@ class TrainPhase:
                             self._losses, self._plateau_window, self._plateau_tol):
                         plateau = True
                         break
-                if self._at_stop_step(switch_step):
+                if step >= stop:
                     break
         if self._grid is None:
             raise ValueError("solver stream yielded no states")

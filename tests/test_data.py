@@ -125,6 +125,18 @@ class TestLoading:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run" / "config.txt").exists()
 
+    @pytest.mark.parametrize("unreadable", ["missing.idx", "a-directory"])
+    def test_unreadable_dataset_file_exits_2(self, tmp_path, capsys, unreadable):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "lb").write_bytes(build_idx_labels([1, 2]))
+        path = tmp_path / unreadable
+        code = main(["mnist-pca", "--preset", "desk-mnist-pca", "--set", "samples=60", "--set", "epochs=2",
+                     "--mnist-images", str(path), "--mnist-labels", str(tmp_path / "lb"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"config error: cannot read dataset file {path}: [Errno" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "config.txt").exists()
+
     def test_load_image_set_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         pixels = rng.integers(0, 256, size=2 * 784, dtype=np.uint8)

@@ -11,6 +11,7 @@ from freqlab.config import preset_config
 from freqlab.losses import cross_entropy_loss, mse_loss
 from freqlab.nn import (
     Mlp,
+    _matmul,
     _softmax_rows,
     backprop,
     forward,
@@ -402,9 +403,33 @@ def _matmul_forward_backprop(mlp, xs, g):
     return cache, grad
 
 
+def _weight_view(rng, n_in, n_out):
+    """A (n_in, n_out) weight view into a parameter-layout vector, as forward reads it."""
+    return layer_views((n_in, n_out), rng.standard_normal(n_in * n_out + n_out))[0][0]
+
+
 class TestOuterProductLayers:
-    """A one-input layer and the delta below a one-output layer are outer
-    products formed without a matmul; their bits are the matmul's."""
+    """A one-input layer, the delta below a one-output layer and a batch-1
+    weight gradient are outer products, which _matmul forms without a matmul;
+    their bits are the matmul's."""
+
+    @pytest.mark.parametrize("operands", [
+        lambda rng: (rng.standard_normal((65, 1)), _weight_view(rng, 1, 64)),        # one-input layer
+        lambda rng: (rng.standard_normal((1, 65)), rng.standard_normal((65, 256))),  # inner size above 1
+        lambda rng: (rng.standard_normal((65, 64)), _weight_view(rng, 64, 1)),       # one-output layer
+        lambda rng: (rng.standard_normal((1, 1)), rng.standard_normal((1, 5))),
+        # backprop's operands: cache[l].T @ delta, and delta @ w.T below a one-output and a wider layer
+        lambda rng: (rng.standard_normal((65, 64)).T, rng.standard_normal((65, 32))),
+        lambda rng: (rng.standard_normal((65, 1)), _weight_view(rng, 64, 1).T),
+        lambda rng: (rng.standard_normal((65, 32)), _weight_view(rng, 64, 32).T),
+        lambda rng: (rng.standard_normal((1, 64)).T, rng.standard_normal((1, 32))),  # batch-1 weight gradient
+    ], ids=["65x1x64", "1x65x256", "65x64x1", "1x1x5", "grad-w", "delta-one-output", "delta-wide",
+            "grad-w-batch-1"])
+    def test_matmul_is_byte_equal_to_np_matmul(self, operands):
+        a, b = operands(np.random.default_rng(3))
+        out = np.full((a.shape[0], b.shape[1]), np.nan)
+        _matmul(a, b, out)
+        assert out.tobytes() == np.matmul(a, b).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 7, 65])
     @pytest.mark.parametrize("widths,head", [

@@ -28,6 +28,54 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+#: module-level names a module keeps without reading them: experiments' tracer
+#: placeholders, which perfbench/tracer.py wraps, and the package's submodules
+UNREAD_ON_PURPOSE = {
+    "experiments": {"run_hybrid", "nufft_direct"},
+    "__init__": set(MODULES),
+}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined(body: list[ast.stmt]) -> set[str]:
+    """The names that the statements of body define by def, class or assignment."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _unread_names(tree: ast.Module) -> set[str]:
+    """tree's module-level imports and private definitions, and its classes'
+    private members and self._ fields, that no code in the module reads."""
+    imports = {alias.asname or alias.name.split(".")[0] for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+               for alias in node.names}
+    names = imports | {n for n in _defined(tree.body) if _private(n)}
+    members = set()
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        members |= {n for n in _defined(cls.body) if _private(n)}
+        members |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self" and _private(n.attr)}
+    loads = [n for n in ast.walk(tree) if isinstance(getattr(n, "ctx", None), ast.Load)]
+    return (names - {n.id for n in loads if isinstance(n, ast.Name)}) | \
+        (members - {n.attr for n in loads if isinstance(n, ast.Attribute)})
+
+
+@pytest.mark.parametrize("path", sorted(Path(freqlab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_and_private_name_is_read_or_exported(path):
+    module = importlib.import_module("freqlab" if path.stem == "__init__" else f"freqlab.{path.stem}")
+    unread = _unread_names(ast.parse(path.read_text(), filename=str(path)))
+    assert unread - set(getattr(module, "__all__", ())) - UNREAD_ON_PURPOSE.get(path.stem, set()) == set()
+
+
 def test_bundled_openblas_runs_one_thread_although_numpy_loaded_first():
     # pytest's process imports numpy before freqlab, so the environment pin came too late
     if freqlab._bundled_openblas() is None:

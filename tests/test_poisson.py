@@ -647,9 +647,17 @@ class TestTrainPhase:
         with pytest.raises(ValueError, match="no states"):
             run_hybrid(rhs, iter(()), 1e-3)
 
+    def test_switch_step_above_max_steps_stops_at_max_steps(self):
+        consumed = []
+        _, phase = self._phase(consumed, record_every=3, max_steps=7)
+        at = phase.run(50)
+        assert consumed == list(range(8))
+        assert at.step == 7 and not at.plateau_detected and at.steps == [0, 3, 6]
+        assert phase.run(60).step == 7 and consumed == list(range(8))
+
     @pytest.mark.parametrize("policy", [dict(plateau_window=1), dict(plateau_window=0),
                                         dict(plateau_tol=0.0), dict(plateau_tol=-0.01),
-                                        dict(plateau_tol=float("nan"))])
+                                        dict(plateau_tol=float("nan")), dict(plateau_tol=float("inf"))])
     def test_bad_plateau_policy_rejected(self, policy):
         with pytest.raises(ValueError, match="plateau"):
             self._phase([], **policy)
@@ -663,3 +671,14 @@ class TestTrainPhase:
     def test_record_every_below_one_rejected(self, record_every):
         with pytest.raises(ValueError, match="record_every"):
             self._phase([], record_every=record_every)
+
+
+class TestPlateauReached:
+    @pytest.mark.parametrize("losses,reached", [
+        ([0.0, 0.0, 0.0, 0.0], True),
+        ([0.0, 0.0, 5e-324, 5e-324], False),  # the smallest subnormal after an exact zero
+        ([1.0, float("nan"), 1.0, 1.0], False),
+        ([1.0, 1.0, float("nan"), 1.0], False),
+    ], ids=["zeros", "zero-then-subnormal", "nan-before", "nan-now"])
+    def test_exact_zero_and_nan_windows(self, losses, reached):
+        assert poisson_mod._plateau_reached(losses, 2, 0.01) is reached
