@@ -324,7 +324,7 @@ def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
               zip(its, run.wall_ms, run.sup_errors, *run.alphas.values()))
     if cfg.svg:
         series = [("sup_error", its, run.sup_errors)]
-        series += [(f"|alpha_{k}|", its, [abs(a) for a in trace]) for k, trace in run.alphas.items()]
+        series += [(f"|alpha_{k}|", its, np.abs(trace)) for k, trace in run.alphas.items()]
         write_svg_lines(out_dir / "iters.svg", series, title=f"{cfg.hybrid_method} iteration",
                         xlabel="iteration", ylabel="sup error / |alpha|")
     return {"iterations": run.iterations, "final_sup_error": run.sup_errors[-1],

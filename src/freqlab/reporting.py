@@ -5,20 +5,25 @@ Floats are printed with 17 significant digits so a CSV re-read reproduces the
 in-memory values exactly. The SVG writer is hand-rolled: a self-contained
 line chart with no external assets and byte-deterministic output. Every file
 is written through write_atomic, so an interrupted write never leaves a
-partial file under the final name.
+partial file under the final name. The writers hand it their text in pieces of
+_CHUNK rows or points, so no file's text is ever built whole and writing takes
+memory that does not grow with the row count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = ["format_value", "stopwatch", "write_atomic", "write_csv", "write_svg_lines"]
+
+_CHUNK = 2048  # CSV rows, or polyline points, formatted per piece of an output file
 
 
 def stopwatch(timing: bool) -> Callable[[], float]:
@@ -30,13 +35,16 @@ def stopwatch(timing: bool) -> Callable[[], float]:
     return lambda: (time.perf_counter() - t0) * 1e3
 
 
-def write_atomic(path: str | Path, text: str) -> Path:
-    """Write text to a temp file next to path, then os.replace it into place:
-    path ends up with all of text or keeps what it held before."""
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write text, a str or an iterable of str pieces, to a temp file next to
+    path, then os.replace it into place: path ends up with all of text or keeps
+    what it held before, also when the pieces' iterator raises. The pieces are
+    written as they come, so the whole text is never held at once."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -47,7 +55,7 @@ def write_atomic(path: str | Path, text: str) -> Path:
 def format_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -58,7 +66,8 @@ def format_value(v) -> str:
 
 def _spec(t: type) -> str:
     """The %-format that writes a value of type t as format_value does, or "%s"
-    for a type whose values go through format_value (bool, None, str, ...)."""
+    for a type whose values go through format_value (bool, np.bool_, None,
+    str, ...)."""
     if issubclass(t, (int, np.integer)) and not issubclass(t, bool):
         return "%d"
     if issubclass(t, (float, np.floating)):
@@ -67,26 +76,34 @@ def _spec(t: type) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write header and rows as CSV, each value as format_value writes it.
+    """Write header and rows as CSV, each value as format_value writes it, in
+    pieces of _CHUNK rows.
 
     One %-format per row type signature does the formatting; rows can change
     types from one to the next (a None among ints), so the format is looked up
     per row."""
-    formats: dict[tuple[type, ...], tuple[str, tuple[bool, ...] | None]] = {}
-    lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        signature = tuple(map(type, row))
-        cached = formats.get(signature)
-        if cached is None:
-            specs = tuple(map(_spec, signature))
-            via = tuple(spec == "%s" for spec in specs)
-            cached = formats[signature] = (",".join(specs), via if any(via) else None)
-        fmt, via = cached
-        if via is not None:
-            row = tuple(format_value(v) if text else v for v, text in zip(row, via))
-        lines.append(fmt % row)
-    return write_atomic(path, "\n".join(lines) + "\n")
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        formats: dict[tuple[type, ...], tuple[str, tuple[bool, ...] | None]] = {}
+        rest = iter(rows)
+        while batch := list(itertools.islice(rest, _CHUNK)):
+            lines = []
+            for row in batch:
+                row = tuple(row)
+                signature = tuple(map(type, row))
+                cached = formats.get(signature)
+                if cached is None:
+                    specs = tuple(map(_spec, signature))
+                    via = tuple(spec == "%s" for spec in specs)
+                    cached = formats[signature] = (",".join(specs) + "\n", via if any(via) else None)
+                fmt, via = cached
+                if via is not None:
+                    row = tuple(format_value(v) if text else v for v, text in zip(row, via))
+                lines.append(fmt % row)
+            yield "".join(lines)
+
+    return write_atomic(path, chunks())
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -130,9 +147,13 @@ def write_svg_lines(
     """Write one polyline per (label, xs, ys) series on a log10 y axis.
 
     Nonpositive and non-finite values are clipped to a tenth of the smallest
-    positive value in the data (the scale is for ratios, not signs).
+    positive value in the data (the scale is for ratios, not signs). Each
+    polyline's points are written in pieces of _CHUNK points.
     """
     xs_ys = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for _, xs, ys in series]
+    for (label, _, _), (xs, ys) in zip(series, xs_ys):
+        if xs.size != ys.size:
+            raise ValueError(f"series {label!r} has {xs.size} x values but {ys.size} y values")
     if not any(x.size for x, _ in xs_ys):
         raise ValueError("no data to plot")
     smallest = min(float(y[(y > 0) & np.isfinite(y)].min(initial=math.inf)) for _, y in xs_ys)
@@ -182,13 +203,22 @@ def write_svg_lines(
     if ylabel:
         out.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
                    f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{_escape(ylabel)}</text>')
-    for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, xs_ys)):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        ly = _MT + 16 + 18 * i
-        out.append(f'<line x1="{_W - _MR + 10}" y1="{ly - 4}" x2="{_W - _MR + 34}" y2="{ly - 4}" '
-                   f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_W - _MR + 40}" y="{ly}">{_escape(str(label))}</text>')
-    out.append("</svg>")
-    return write_atomic(path, "\n".join(out) + "\n")
+
+    def chunks() -> Iterator[str]:
+        """out's lines, then each polyline, its points _CHUNK at a time, with its
+        legend entry, then the closing tag."""
+        yield "\n".join(out) + "\n"
+        for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, xs_ys)):
+            color = _PALETTE[i % len(_PALETTE)]
+            yield f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+            for start in range(0, xs.size, _CHUNK):
+                part = slice(start, start + _CHUNK)
+                points = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs[part]).tolist(), py(ys[part]).tolist())))
+                yield points if start == 0 else " " + points
+            ly = _MT + 16 + 18 * i
+            yield (f'"/>\n<line x1="{_W - _MR + 10}" y1="{ly - 4}" x2="{_W - _MR + 34}" y2="{ly - 4}" '
+                   f'stroke="{color}" stroke-width="2"/>\n'
+                   f'<text x="{_W - _MR + 40}" y="{ly}">{_escape(str(label))}</text>\n')
+        yield "</svg>\n"
+
+    return write_atomic(path, chunks())

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -24,6 +25,8 @@ class TestFormat:
     def test_bools(self):
         assert format_value(True) == "true"
         assert format_value(False) == "false"
+        assert format_value(np.True_) == "true"
+        assert format_value(np.False_) == "false"
 
     def test_inf(self):
         assert float(format_value(math.inf)) == math.inf
@@ -77,6 +80,16 @@ class TestCsvBytes:
 
     def test_returns_its_path(self, tmp_path):
         assert write_csv(tmp_path / "t.csv", ["a"], [[1]]) == tmp_path / "t.csv"
+
+    @pytest.mark.parametrize("count", [0, 1, reporting._CHUNK - 1, reporting._CHUNK, reporting._CHUNK + 1,
+                                       2 * reporting._CHUNK + 1])
+    def test_chunk_boundaries_match_format_value(self, tmp_path, count):
+        # a None cell in the last row of each chunk and the first row of the next,
+        # so the row's type signature changes on both sides of every boundary
+        edges = {0, reporting._CHUNK - 1}
+        rows = [(i, i / 3, None if i % reporting._CHUNK in edges else np.int64(-i)) for i in range(count)]
+        path = write_csv(tmp_path / "t.csv", ["i", "third", "maybe"], iter(rows))
+        assert path.read_text() == _reference_csv(["i", "third", "maybe"], rows)
 
 
 def _reference_svg(series, title="", xlabel="", ylabel=""):
@@ -156,6 +169,11 @@ class TestSvgBytes:
             ("b", np.arange(400), (np.abs(np.sin(np.arange(400.0))) * np.geomspace(1.0, 1e-9, 400)).tolist()),
             ("c", np.arange(0, 800, 2, dtype=np.int64), [abs(v) for v in np.cos(np.arange(400.0))]),
         ],
+        "chunk boundaries": [
+            ("longer than two chunks", range(2 * reporting._CHUNK + 7),
+             np.geomspace(1.0, 1e-8, 2 * reporting._CHUNK + 7)),
+            ("one chunk", np.arange(reporting._CHUNK) * 2.5, np.abs(np.sin(np.arange(reporting._CHUNK) + 1.0))),
+        ],
     }
 
     @pytest.mark.parametrize("case", sorted(SERIES))
@@ -202,6 +220,81 @@ class TestSvg:
         with pytest.raises(ValueError):
             write_svg_lines(tmp_path / "t.svg", [("s", [], [])])
 
+    @pytest.mark.parametrize("xs, ys", [([0, 1, 2], [1.0, 2.0]), ([0, 1], [1.0, 2.0, 3.0])])
+    def test_series_of_unequal_lengths_rejected(self, tmp_path, xs, ys):
+        series = [("fine", [0, 1], [1.0, 2.0]), ("ragged", xs, ys)]
+        with pytest.raises(ValueError, match="ragged"):
+            write_svg_lines(tmp_path / "t.svg", series)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak(call) -> int:
+    """Bytes of traced allocation at call's peak, above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """The writers stream their text in pieces, so their memory does not grow with the data."""
+
+    N = 200_000
+
+    def test_csv_peak_does_not_grow_with_rows(self, tmp_path):
+        rows = ((i, 1.0 / (i + 1), math.sin(i)) for i in range(self.N))
+        path = tmp_path / "t.csv"
+        peak = _traced_peak(lambda: write_csv(path, ["iter", "sup_error", "alpha_2"], rows))
+        assert path.stat().st_size > 8 * 2**20
+        assert peak < 2 * 2**20
+
+    def test_svg_peak_is_the_scaled_arrays_not_the_text(self, tmp_path):
+        xs = np.arange(self.N, dtype=float)
+        ys = np.geomspace(1.0, 1e-12, self.N)
+        path = tmp_path / "t.svg"
+        peak = _traced_peak(lambda: write_svg_lines(path, [("s", xs, ys)]))
+        assert path.stat().st_size > 2 * 2**20
+        assert peak < 12 * 2**20
+
+
+def _disk_full(target: Path):
+    assert target.with_name(f".{target.name}.tmp").stat().st_size > 0  # part of the text was written
+    raise OSError("disk full")
+
+
+def _csv_rows_fail_mid_chunk(target: Path, monkeypatch):
+    def rows():
+        yield from ([i, 0.5 * i] for i in range(3 * reporting._CHUNK // 2))
+        _disk_full(target)
+
+    write_csv(target, ["a", "b"], rows())
+
+
+def _svg_fails_after_first_points(target: Path, monkeypatch):
+    real = reporting.write_atomic
+
+    def write_atomic(path, chunks):
+        def pieces():
+            previous = ""
+            for chunk in chunks:
+                yield chunk
+                if previous.endswith('points="'):
+                    _disk_full(target)
+                previous = chunk
+
+        return real(path, pieces())
+
+    monkeypatch.setattr(reporting, "write_atomic", write_atomic)
+    n = 3 * reporting._CHUNK // 2
+    write_svg_lines(target, [("s", range(n), np.geomspace(1.0, 1e-6, n))])
+
+
+INTERRUPTED_WRITES = {"csv": _csv_rows_fail_mid_chunk, "svg": _svg_fails_after_first_points}
+
 
 class TestAtomicWrites:
     WRITERS = {
@@ -213,18 +306,12 @@ class TestAtomicWrites:
     def writer(self, request):
         return self.WRITERS[request.param]
 
-    def test_interrupted_write_keeps_old_content_and_no_temp(self, tmp_path, monkeypatch, writer):
+    @pytest.mark.parametrize("interrupted_write", ["csv", "svg"])
+    def test_interrupted_write_keeps_old_content_and_no_temp(self, tmp_path, monkeypatch, interrupted_write):
         target = tmp_path / "out.file"
         target.write_text("old\n")
-        real = Path.write_text
-
-        def half_then_fail(self, text, *args, **kwargs):
-            real(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
-
-        monkeypatch.setattr(Path, "write_text", half_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            writer(target)
+            INTERRUPTED_WRITES[interrupted_write](target, monkeypatch)
         assert [p.name for p in tmp_path.iterdir()] == ["out.file"]
         assert target.read_text() == "old\n"
 
