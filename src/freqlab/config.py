@@ -169,7 +169,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 def load_config_file(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return parse_config_text(text)

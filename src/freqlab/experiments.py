@@ -494,8 +494,8 @@ def run_diagnose_grad(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     def pointwise(outputs):
         return loss(outputs, target)[1]
 
-    dec = grad_decomposition(net, xs, pointwise, output_dim=0)
-    mags = dec.mode_magnitudes()
+    dec = grad_decomposition(net, xs, pointwise)
+    mags = np.linalg.norm(dec.mode_terms, axis=1)
     write_csv(out_dir / "decomposition.csv", ["gamma", "abs_d", "mode_term_norm"],
               [[k, float(abs(dec.d_k[k])), float(mags[k])] for k in range(n)])
     return {"real_residual": dec.real_residual, "imag_residual": dec.imag_residual}

@@ -61,11 +61,24 @@ class _Scratch(dict):
 
 @dataclass
 class Mlp:
+    """A dense network: its layer widths, every parameter in one vector, and
+    its activations by name. Building one, directly or by init_mlp, checks the
+    widths and the names, so forward and backprop meet only known ones; a copy
+    or a pickle of a network builds nothing and checks nothing."""
+
     widths: tuple[int, ...]
     params: np.ndarray                 # every weight and bias, in layer_views order
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
     work: _Scratch = field(default_factory=_Scratch, init=False, repr=False, compare=False)  # see _Scratch
+
+    def __post_init__(self):
+        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
+            raise ValueError(f"widths must have >= 2 entries, all >= 1, got {self.widths}")
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
     @property
     def num_layers(self) -> int:
@@ -125,23 +138,17 @@ def init_mlp(
     PCG64(seed); the same (std, mean, seed) reproduces the arrays bit for bit.
     """
     widths = tuple(int(w) for w in widths)
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise ValueError(f"widths must have >= 2 entries, all >= 1, got {widths}")
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ValueError(f"unknown hidden activation {hidden_activation!r}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"unknown output activation {output_activation!r}")
+    net = Mlp(widths, np.empty(0), hidden_activation, output_activation)  # checks widths and names
     if not 0.0 < std < math.inf:
         raise ValueError(f"init std must be finite and positive, got {std}")
     if not -math.inf < mean < math.inf:
         raise ValueError(f"init mean must be finite, got {mean}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = np.empty(_param_count(widths))
-    for w, b in layer_views(widths, params):
+    net.params = np.empty(_param_count(widths))
+    for w, b in layer_views(widths, net.params):
         w[...] = mean + std * _box_muller(rng, w.size).reshape(w.shape)
         b[...] = mean + std * _box_muller(rng, b.size)
-    return Mlp(widths=widths, params=params,
-               hidden_activation=hidden_activation, output_activation=output_activation)
+    return net
 
 
 def _work(mlp: Mlp, slot: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:

@@ -99,26 +99,26 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     """Thomas elimination for a general tridiagonal system.
 
     sub/sup have length m-1, diag and rhs length m. No pivoting; intended
-    for the diagonally dominant / SPD systems used here.
+    for the diagonally dominant / SPD systems used here. A zero pivot raises
+    ZeroDivisionError.
+
+    Forward elimination is one loop over the m rows, the bands padded with a
+    zero below row 0 and above row m-1: row 0 subtracts 0.0 * 0.0, which
+    leaves every value, -0.0 included, as it is.
     """
     m = len(diag)
     if len(rhs) != m or len(sub) != m - 1 or len(sup) != m - 1:
         raise ValueError("inconsistent tridiagonal band lengths")
-    c = np.empty(m - 1)
-    d = np.empty(m)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal elimination")
-    d[0] = rhs[0] / piv
-    if m > 1:
-        c[0] = sup[0] / piv
-    for i in range(1, m):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
+    lower = np.concatenate(([0.0], sub))
+    upper = np.concatenate((sup, [0.0]))
+    c = np.zeros(m)
+    d = np.zeros(m)  # row 0 reads c[-1] and d[-1] before row m-1 writes them: 0.0
+    for i in range(m):
+        piv = diag[i] - lower[i] * c[i - 1]
         if piv == 0.0:
             raise ZeroDivisionError("zero pivot in tridiagonal elimination")
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
-        if i < m - 1:
-            c[i] = sup[i] / piv
+        c[i] = upper[i] / piv
+        d[i] = (rhs[i] - lower[i] * d[i - 1]) / piv
     u = np.empty(m)
     u[-1] = d[-1]
     for i in range(m - 2, -1, -1):
@@ -221,11 +221,12 @@ def mode_amplitudes(err: np.ndarray, n: int) -> np.ndarray:
 
 
 def halving_ratio(n: int, k: int) -> float:
-    """Iterations (real-valued) for mode k's amplitude to halve under Jacobi."""
-    lam = abs(jacobi_eigen(n, k))
-    if lam == 0.0:
-        return 0.0
-    return math.log(0.5) / math.log(lam)
+    """Iterations (real-valued) for mode k's amplitude to halve under Jacobi.
+
+    |lambda_k| is never exactly 0: cos(k pi / n) of a double argument is at
+    least about 6.1e-17 in magnitude, so the ratio is at least about 0.0186.
+    """
+    return math.log(0.5) / math.log(abs(jacobi_eigen(n, k)))
 
 
 def halving_count(n: int, k: int) -> int:
@@ -233,8 +234,9 @@ def halving_count(n: int, k: int) -> int:
 
     The 1e-9 slack absorbs fp rounding of exact ties, e.g. k = n/4 where
     lambda^2 = 1/2 exactly but the evaluated ratio lands a few ulp above 2.
+    The ratio is above 0.01 (see halving_ratio), so the count is at least 1.
     """
-    return max(1, math.ceil(halving_ratio(n, k) - 1e-9))
+    return math.ceil(halving_ratio(n, k) - 1e-9)
 
 
 @dataclass

@@ -43,7 +43,7 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
             f.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -119,12 +119,12 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
+    """Axis ticks on [lo, hi]: whole exponents when log, else round steps;
+    linear ticks need hi > lo, which write_svg_lines ensures by widening."""
     if log:
         lo_e, hi_e = math.floor(lo), math.ceil(hi)
         step = max(1, (hi_e - lo_e) // 6)
         return [float(e) for e in range(lo_e, hi_e + 1, step)]
-    if hi == lo:
-        return [lo]
     raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)

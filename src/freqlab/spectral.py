@@ -145,11 +145,13 @@ def rel_freq_diff(
 
 @dataclass
 class GradDecomposition:
-    """Per-mode split of a training gradient over the unitary Fourier basis.
+    """Per-mode split of a training gradient through the network's first
+    output over the unitary Fourier basis.
 
     Every parameter-indexed axis is in Mlp.params order, the layout of the
     gradients backprop returns. mode_terms[k] summed over k must
-    reproduce direct_grad (real part) with a vanishing imaginary remainder.
+    reproduce direct_grad (real part) with a vanishing imaginary remainder;
+    mode k's gradient magnitude is the norm of row k of mode_terms.
     """
 
     d_k: np.ndarray            # (K,) complex: coefficients of dl/doutput
@@ -169,9 +171,6 @@ class GradDecomposition:
         scale = np.linalg.norm(self.direct_grad)
         return float(np.linalg.norm(self.summed().imag) / scale)
 
-    def mode_magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.mode_terms, axis=1)
-
 
 def _check_uniform(xs: np.ndarray) -> None:
     if len(xs) < 2:
@@ -186,17 +185,16 @@ def grad_decomposition(
     mlp: Mlp,
     xs: np.ndarray,
     pointwise_loss: Callable[[np.ndarray], np.ndarray],
-    output_dim: int = 0,
 ) -> GradDecomposition:
-    """Split the loss gradient through one output dimension into Fourier modes.
+    """Split the loss gradient through the first output into Fourier modes.
 
     pointwise_loss maps the (N, out) network outputs to the loss derivatives
     (N, out) with respect to them; the loss must act sample by sample
     (couplings across samples break the identity). The expansion uses
     the orthonormal basis p_k(j) = exp(2*pi*i*k*j/N)/sqrt(N) over the sample
     index, which requires uniformly spaced scalar samples. Row j of the
-    (N, P) Jacobian is backprop's gradient of sample j's output_dim output,
-    in Mlp.params order.
+    (N, P) Jacobian is backprop's gradient of sample j's first output, in
+    Mlp.params order.
     """
     xs = np.asarray(xs, dtype=float)
     flat = xs.reshape(len(xs), -1)
@@ -205,18 +203,16 @@ def grad_decomposition(
     _check_uniform(flat[:, 0])
     n = len(xs)
     outputs, cache = forward(mlp, flat)
-    if not 0 <= output_dim < outputs.shape[1]:
-        raise IndexError(f"output_dim {output_dim} out of range")
     dl_dout = pointwise_loss(outputs)
     if dl_dout.shape != outputs.shape:
         raise ValueError("pointwise_loss must return per-sample derivatives matching the outputs")
-    s = dl_dout[:, output_dim]
+    s = dl_dout[:, 0]
 
-    # per-sample parameter gradients of the selected output dimension
+    # per-sample parameter gradients of the first output
     jac = np.empty((n, mlp.params.size))
     for j in range(n):
         seed = np.zeros_like(outputs)
-        seed[j, output_dim] = 1.0
+        seed[j, 0] = 1.0
         backprop(mlp, cache, seed, jac[j])
 
     k = np.arange(n)

@@ -209,6 +209,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--config", "{tmp}/nonexistent.cfg"], "cannot read config file {tmp}/nonexistent.cfg"),
+        (["--set", "lr"], "--set expects KEY=VALUE, got 'lr'"),
+        (["--set", "svg=maybe"], "cannot parse svg = 'maybe' as bool"),
+    ], ids=["missing-config-file", "set-without-equals", "set-bool-unparsed"])
+    def test_unusable_arguments_exit_2_before_the_run_directory(self, tmp_path, capsys, args, message):
+        out = tmp_path / "run"
+        assert main(["toy-ce", *(a.format(tmp=tmp_path) for a in args), "--out", str(out)]) == 2
+        assert f"config error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--mnist-images", "--mnist-labels"])
     def test_one_dataset_file_without_the_other_exits_2_before_the_run_directory(self, tmp_path, capsys, flag):
         # the preset sets synthetic = true, which must not hide the half given
@@ -333,6 +344,18 @@ class TestCli:
         assert main(["toy-ce", "--config", str(snapshot), "--out", str(out2)]) == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "first_passage.csv").read_bytes() == (out2 / "first_passage.csv").read_bytes()
+
+    def test_files_are_read_and_written_without_the_locale_encoding(self, tmp_path):
+        # an EncodingWarning marks a text file opened in the locale's encoding; as an error it exits 1
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        cli = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "freqlab.cli"]
+        first, second = tmp_path / "a", tmp_path / "b"
+        for args in (["toy-ce", "--set", "hidden_widths=4", "--set", "samples=16", "--set", "epochs=4",
+                      "--out", str(first)],
+                     ["toy-ce", "--config", str(first / "config.txt"), "--out", str(second)]):
+            proc = subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
 
     def test_multi_seed_runs_write_subdirectories(self, tmp_path):
         code = main(["poisson-direct", "--out", str(tmp_path), "--set", "grid_n=8",

@@ -125,6 +125,15 @@ class TestLoading:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run" / "config.txt").exists()
 
+    def test_label_file_shorter_than_its_header_exits_2(self, tmp_path, capsys):
+        (tmp_path / "im").write_bytes(build_idx_images(count=2))
+        (tmp_path / "lb").write_bytes(build_idx_labels([1, 2])[:7])
+        code = main(["mnist-pca", "--preset", "desk-mnist-pca", "--mnist-images", str(tmp_path / "im"),
+                     "--mnist-labels", str(tmp_path / "lb"), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "label header truncated" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "config.txt").exists()
+
     @pytest.mark.parametrize("unreadable", ["missing.idx", "a-directory"])
     def test_unreadable_dataset_file_exits_2(self, tmp_path, capsys, unreadable):
         (tmp_path / "a-directory").mkdir()

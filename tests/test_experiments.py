@@ -175,6 +175,23 @@ class TestMnistPca:
         assert "30 images" in err and "samples = 100" in err
         assert not (out / "config.txt").exists()
 
+    def test_file_dataset_whose_first_samples_are_equal_exits_2(self, tmp_path, capsys):
+        # only an image past the first samples differs, so the cut leaves PCA no direction
+        import struct
+        count, samples = 30, 20
+        pixels = np.full((count, 4), 7, dtype=np.uint8)
+        pixels[samples] = 9
+        (tmp_path / "im.idx").write_bytes(struct.pack(">IIII", 0x803, count, 2, 2) + pixels.tobytes())
+        (tmp_path / "lb.idx").write_bytes(struct.pack(">II", 0x801, count) + bytes(range(10)) * 3)
+        out = tmp_path / "run"
+        args = ["mnist-pca", "--preset", "desk-mnist-pca", "--set", "synthetic=false", "--set", f"samples={samples}",
+                "--mnist-images", str(tmp_path / "im.idx"), "--mnist-labels", str(tmp_path / "lb.idx"),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"config error: the first {samples} images of {tmp_path / 'im.idx'} are all equal" in err
+        assert not (out / "config.txt").exists()
+
     def test_power_iteration_that_does_not_converge_exits_2(self, tmp_path, capsys):
         # 1x2-pixel images, the four 0/255 pairs 100 times each and one 255 made 254: the two
         # leading variances differ by a ratio of 0.99994, too close for the power iteration

@@ -12,6 +12,7 @@ purpose, say why in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import ctypes
 import hashlib
 import json
@@ -23,7 +24,9 @@ from pathlib import Path
 import pytest
 
 import freqlab
-from freqlab.cli import main
+from freqlab.cli import build_parser, main
+from freqlab.config import EXPERIMENTS
+from freqlab.experiments import _RUNNERS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -105,6 +108,18 @@ def test_outputs_match_golden_digests(golden, tmp_path, monkeypatch, name):
 
 def test_golden_file_covers_every_run(golden):
     assert sorted(golden) == sorted(RUNS)
+
+
+def test_every_list_names_the_same_experiments():
+    """config.EXPERIMENTS, the runners, the CLI's subcommands and the golden
+    runs, each by its first CLI argument, name the same experiments, so no
+    experiment is registered in some of them only."""
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    experiment = {command: parser.parse_args([command]).experiment for command in commands}
+    assert sorted(_RUNNERS) == sorted(EXPERIMENTS)
+    assert sorted(experiment.values()) == sorted(EXPERIMENTS)
+    assert sorted({experiment[args[0]] for args in RUNS.values()}) == sorted(EXPERIMENTS)
 
 
 if __name__ == "__main__":

@@ -60,6 +60,19 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp([4, 0, 2], std=0.1)
 
+    @pytest.mark.parametrize("widths, hidden, head, message", [
+        ((2, 3, 1), "sigmoid", "identity", "unknown hidden activation"),
+        ((2, 3, 1), "tanh", "sofmax", "unknown output activation"),
+        ((2,), "tanh", "identity", "widths"),
+        ((2, 0, 1), "relu", "identity", "widths"),
+    ], ids=["hidden", "head", "one-width", "zero-width"])
+    def test_a_network_built_directly_is_checked(self, widths, hidden, head, message):
+        """Every way of building a network checks its widths and names, not
+        just init_mlp: forward would run an unknown name as relu/identity."""
+        net = init_mlp([2, 3, 1], std=0.1)
+        with pytest.raises(ValueError, match=message):
+            Mlp(widths, net.params.copy(), hidden, head)
+
     def test_nonpositive_std_rejected(self):
         with pytest.raises(ValueError):
             init_mlp([2, 3], std=0.0)

@@ -83,6 +83,28 @@ class TestAssembly:
         assert s8[0] == pytest.approx(4.0 * s16[0], rel=1e-14)
 
 
+def _textbook_thomas(sub, diag, sup, rhs):
+    """Thomas elimination as textbooks write it, on python floats: row 0 on
+    its own, then rows 1..m-1, then back substitution from u[m-1] = d[m-1]."""
+    sub, diag, sup, rhs = (list(map(float, band)) for band in (sub, diag, sup, rhs))
+    m = len(diag)
+    c = [0.0] * m
+    d = [0.0] * m
+    if m > 1:
+        c[0] = sup[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, m):
+        piv = diag[i] - sub[i - 1] * c[i - 1]
+        if i < m - 1:
+            c[i] = sup[i] / piv
+        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
+    u = [0.0] * m
+    u[-1] = d[-1]
+    for i in range(m - 2, -1, -1):
+        u[i] = d[i] - c[i] * u[i + 1]
+    return np.array(u)
+
+
 class TestThomas:
     def test_hand_case_n4_unit_source(self):
         rhs = assemble_poisson(Grid1D(n=4), lambda x: np.ones_like(x))
@@ -127,6 +149,33 @@ class TestThomas:
         u = solve_tridiagonal(sub, diag, sup, rhs)
         A = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         assert np.allclose(A @ u, rhs, atol=1e-9)
+
+    # negative pivots and signed zeros in rhs: the padded row 0 must keep each
+    @pytest.mark.parametrize("sub, diag, sup, rhs", [
+        ([], [-2.0], [], [0.0]),
+        ([], [3.0], [], [-0.0]),
+        ([0.5], [-2.0, 4.0], [1.0], [-0.0, 0.0]),
+        ([0.5, -1.0], [2.0, -3.0, 5.0], [-1.0, 0.25], [1.0, -0.0, 0.0]),
+    ], ids=["m1-negative", "m1-signed-zero", "m2", "m3"])
+    def test_small_systems_equal_the_textbook_recurrence_bit_for_bit(self, sub, diag, sup, rhs):
+        u = solve_tridiagonal(np.array(sub), np.array(diag), np.array(sup), np.array(rhs))
+        assert u.tobytes() == _textbook_thomas(sub, diag, sup, rhs).tobytes()
+
+    def test_random_dominant_system_equals_the_textbook_recurrence_bit_for_bit(self):
+        rng = np.random.default_rng(64)
+        m = 64
+        diag = rng.choice([-1.0, 1.0], m) * (3.0 + rng.random(m))
+        sub, sup = rng.standard_normal(m - 1), rng.standard_normal(m - 1)
+        rhs = rng.standard_normal(m)
+        rhs[::7] = -0.0
+        u = solve_tridiagonal(sub, diag, sup, rhs)
+        assert u.tobytes() == _textbook_thomas(sub, diag, sup, rhs).tobytes()
+
+    @pytest.mark.parametrize("diag", [[0.0, 1.0], [1.0, 1.0]], ids=["row-0", "row-1"])
+    def test_zero_pivot_raises(self, diag):
+        # row 1's pivot is 1 - 1 * (1 / 1) = 0
+        with pytest.raises(ZeroDivisionError, match="zero pivot"):
+            solve_tridiagonal(np.array([1.0]), np.array(diag), np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestSweeps:

@@ -294,7 +294,6 @@ class TestGradDecomposition:
         net = init_mlp(widths, "tanh", "identity", std=0.4, seed=seed & 0xFFFF)
         xs = (np.arange(n) / n).reshape(-1, 1)
         target = rng.standard_normal((n, widths[-1]))
-        dec = grad_decomposition(net, xs, self._mse_pointwise(target),
-                                 output_dim=int(rng.integers(0, widths[-1])))
+        dec = grad_decomposition(net, xs, self._mse_pointwise(target))
         assert dec.real_residual < 1e-8
         assert dec.imag_residual < 1e-8
