@@ -128,8 +128,8 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines into typed values; unknown keys are errors."""
-    values = {}
+    """Parse `key = value` lines into typed values; unknown and repeated keys are errors."""
+    values, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
@@ -140,7 +140,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        values[key], set_on[key] = _coerce(key, raw), lineno
     return values
 
 

@@ -331,10 +331,12 @@ def run_poisson_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             "tracked_modes": list(modes)}
 
 
-def _energy_descent(cfg: ExperimentConfig, seed: int, grid: Grid1D,
-                    gvals: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
-    """_descent of a fresh seeded network on the discrete energy over the grid."""
+def _energy_descent(cfg: ExperimentConfig, seed: int,
+                    grid: Grid1D) -> Iterator[tuple[int, np.ndarray, float]]:
+    """_descent of a fresh seeded network on the discrete energy of the
+    source g_rhs over the grid."""
     net = init_mlp([1, *cfg.hidden_widths, 1], cfg.activation, "identity", cfg.init_std, cfg.init_mean, seed)
+    gvals = g_rhs(grid.points)
     batch = (grid.points.reshape(-1, 1), lambda out: energy_loss(out[:, 0], gvals, grid, cfg.beta))
     return _descent(net, itertools.repeat((batch,)), cfg)
 
@@ -344,7 +346,7 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     peaks, columns, record = _spectral_recorder(cfg, dft_matrix(len(ref)), ref)
 
     sup_errors: list[float] = []
-    descent = _energy_descent(cfg, seed, grid, g_rhs(grid.points))
+    descent = _energy_descent(cfg, seed, grid)
     # a finite energy implies finite grid values: each u_i enters a squared term
     for epoch, out, loss in _recorded(cfg, descent):
         u_pred = out[:, 0]
@@ -408,24 +410,20 @@ class _EarlyStates:
         return next((values for s, values in kept if s == step), None)
 
 
-def _hybrid_rows(run: IterativeRun, method: str, at: SwitchPoint | None = None) -> list[list]:
-    """Rows of a hybrid_*.csv: the phase-one columns of at, if given, then the
-    iterative solve, its wall clock carried on from the last recorded step."""
-    rows, base_wall = [], 0.0
-    if at is not None:
-        rows = [["dnn", *row] for row in zip(at.steps, at.wall_ms, at.sup_errors)]
-        base_wall = at.wall_ms[-1]
-    return rows + [[method, i, base_wall + wall, sup]
-                   for i, (wall, sup) in enumerate(zip(run.wall_ms, run.sup_errors))]
-
-
-_HYBRID_HEADER = ["phase", "step_or_iter", "cum_wall_ms", "sup_error"]
+def _hybrid_rows(run: IterativeRun, method: str, at: SwitchPoint) -> list[list]:
+    """Rows of a hybrid_*.csv or baseline.csv: the phase-one columns of at,
+    then the iterative solve, its wall clock carried on from the last recorded
+    step (from 0.0 when at recorded none, as the cold start)."""
+    base_wall = at.wall_ms[-1] if at.wall_ms else 0.0
+    return ([["dnn", *row] for row in zip(at.steps, at.wall_ms, at.sup_errors)]
+            + [[method, i, base_wall + wall, sup] for i, (wall, sup) in enumerate(zip(run.wall_ms, run.sup_errors))])
 
 
 def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Hand the energy-trained network's grid values to cfg.hybrid_method at the
-    plateau step p, early at _early_switch(p) and late at min(2p, epochs), and
-    compare each with a cold start from zero.
+    plateau step p, early at _early_switch(p) and late at 2p (TrainPhase caps a
+    stop at epochs), and compare each with a cold start: a fourth hand-off, from
+    the zero function at step 0 with no phase-one rows.
 
     One training stream runs to p and then on to the late switch: 2p + 1
     training steps instead of three replays from step 0, with the same files.
@@ -436,46 +434,43 @@ def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     alone. All training finishes before the first hand-off.
     """
     grid, rhs, ref = _poisson_setup(cfg)
-    gvals = g_rhs(grid.points)
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
 
     early_states = _EarlyStates(cfg.record_every, cfg.epochs)
-    stream = TrainPhase(early_states.passing(_energy_descent(cfg, seed, grid, gvals)), ref,
+    stream = TrainPhase(early_states.passing(_energy_descent(cfg, seed, grid)), ref,
                         cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
     at_plateau = stream.run()
-    plateau_step = at_plateau.step
-    early_step = _early_switch(plateau_step)
+    early_step = _early_switch(at_plateau.step)
     early_values = early_states.take(early_step)  # frees the kept states before the late run
-    at_late = stream.run(min(2 * plateau_step, cfg.epochs))
+    at_late = stream.run(2 * at_plateau.step)
     if early_values is None:  # over the cap: replay the grid values up to early_step
-        _, out, _ = next(itertools.islice(_energy_descent(cfg, seed, grid, gvals), early_step, None))
+        _, out, _ = next(itertools.islice(_energy_descent(cfg, seed, grid), early_step, None))
         early_values = out[:, 0].copy()
     k = bisect.bisect_right(at_plateau.steps, early_step)  # the plateau run's recorded steps up to it
     at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
                            at_plateau.wall_ms[:k], at_plateau.sup_errors[:k])
-    labelled = [(label, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
-                for label, at in (("early", at_early), ("plateau", at_plateau), ("late", at_late))]
-    cold = iterate(rhs, np.zeros(rhs.size), ref[1:-1], method=cfg.hybrid_method,
-                   max_iters=cfg.max_iters, tol=tol, timing=cfg.timing)
+    at_cold = SwitchPoint(0, False, np.zeros_like(ref), [], [], [])
+    starts = [(label, file, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
+              for label, file, at in (
+                  ("early", "hybrid_early.csv", at_early), ("plateau", "hybrid_plateau.csv", at_plateau),
+                  ("late", "hybrid_late.csv", at_late), ("cold", "baseline.csv", at_cold))]
 
-    for label, at, run in labelled:
-        write_csv(out_dir / f"hybrid_{label}.csv", _HYBRID_HEADER, _hybrid_rows(run, cfg.hybrid_method, at))
-    write_csv(out_dir / "baseline.csv", _HYBRID_HEADER, _hybrid_rows(cold, cfg.hybrid_method))
-    summary = [[label, at.step, run.sup_errors[0], run.iterations] for label, at, run in labelled]
-    summary.append(["cold", 0, cold.sup_errors[0], cold.iterations])
+    for _, file, at, run in starts:
+        write_csv(out_dir / file, ["phase", "step_or_iter", "cum_wall_ms", "sup_error"],
+                  _hybrid_rows(run, cfg.hybrid_method, at))
     write_csv(out_dir / "summary.csv", ["label", "switch_step", "sup_error_at_switch", "post_iterations"],
-              summary)
+              [[label, at.step, run.sup_errors[0], run.iterations] for label, _, at, run in starts])
     if cfg.svg:
-        runs = [(label, run) for label, _, run in labelled] + [("cold", cold)]
-        series = [(label, range(run.iterations + 1), run.sup_errors) for label, run in runs]
+        series = [(label, range(run.iterations + 1), run.sup_errors) for label, _, _, run in starts]
         write_svg_lines(out_dir / "hybrid.svg", series, title="warm vs cold iterative solve",
                         xlabel="post-switch iteration", ylabel="sup error")
+    *warm, (_, _, _, cold) = starts
     return {
-        "plateau_step": plateau_step,
+        "plateau_step": at_plateau.step,
         "plateau_detected": at_plateau.plateau_detected,
-        "post_iterations": {label: run.iterations for label, _, run in labelled},
+        "post_iterations": {label: run.iterations for label, _, _, run in warm},
         "cold_iterations": cold.iterations,
-        "sup_at_switch": {label: run.sup_errors[0] for label, _, run in labelled},
+        "sup_at_switch": {label: run.sup_errors[0] for label, _, _, run in warm},
     }
 
 

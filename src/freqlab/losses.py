@@ -79,8 +79,6 @@ def energy_loss(u_grid: np.ndarray, g_grid: np.ndarray, grid: Grid1D,
     npts = grid.n + 1
     if u.shape != (npts,) or g.shape != (npts,):
         raise ValueError(f"expected grid vectors of length {npts}")
-    if npts < 3:
-        raise ValueError("energy loss needs at least 3 grid points")
     dx = grid.dx
     diff = (u[1:] - u[:-1]) / dx
     value = dx * 0.5 * float(np.add.reduce(diff * diff)) - dx * float(np.add.reduce(g * u))
@@ -105,8 +103,6 @@ def discrete_energy_minimizer(g_grid: np.ndarray, grid: Grid1D, beta: float) -> 
     npts = grid.n + 1
     if g.shape != (npts,):
         raise ValueError(f"expected grid vector of length {npts}")
-    if npts < 3:
-        raise ValueError("energy minimizer needs at least 3 grid points")
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and positive, got {beta}; "
                          "beta = 0 makes the system singular")

@@ -348,7 +348,9 @@ def _require_positive_tol(tol: float) -> None:
 class SwitchPoint:
     """Where a train phase stopped: the state a hand-off starts from, and the
     phase-one columns a hybrid_*.csv reads, recorded up to it. Entry i of steps,
-    wall_ms and sup_errors belongs to the i-th recorded training step."""
+    wall_ms and sup_errors belongs to the i-th recorded training step. A start
+    that no training made, such as run_d_jacobi's cold start (the zero function
+    at step 0), has empty columns."""
 
     step: int
     plateau_detected: bool

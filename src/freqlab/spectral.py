@@ -213,7 +213,7 @@ def grad_decomposition(
     for j in range(n):
         seed = np.zeros_like(outputs)
         seed[j, 0] = 1.0
-        backprop(mlp, cache, seed, jac[j])
+        jac[j] = backprop(mlp, cache, seed)  # into=jac[j] would leave mlp.work holding jac
 
     k = np.arange(n)
     basis = np.exp((2j * math.pi / n) * np.outer(k, k)) / math.sqrt(n)  # basis[k, j]

@@ -68,6 +68,10 @@ class TestParsing:
         assert parse_config_text("svg = true")["svg"] is True
         assert parse_config_text("svg = 0")["svg"] is False
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^line 3: key 'lr' is already set on line 1$"):
+            parse_config_text("lr = 1\nseed = 2\nlr = 2\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("seed 3")
@@ -194,6 +198,15 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["poisson-direct", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_repeated_key_in_a_config_file_exits_2_but_repeated_set_overrides(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("lr = 1\nlr = 2\n")
+        out = tmp_path / "run"
+        assert main(["toy-ce", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "config error: line 2: key 'lr' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert resolve_config(build_parser().parse_args(["toy-ce", "--set", "lr=1", "--set", "lr=2"])).lr == 2.0
 
     @pytest.mark.parametrize("args", [
         ["poisson-dnn", "--preset", "desk-poisson-dnn", "--set", "lr=inf"],

@@ -40,9 +40,9 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
-def grid_stream(cfg, seed, grid, gvals):
+def grid_stream(cfg, seed, grid):
     """(full-grid network values, loss) per step of _energy_descent, as TrainPhase reads a stream."""
-    return ((out[:, 0], loss) for _, out, loss in ex._energy_descent(cfg, seed, grid, gvals))
+    return ((out[:, 0], loss) for _, out, loss in ex._energy_descent(cfg, seed, grid))
 
 
 class TestTargetToy:
@@ -330,14 +330,13 @@ class TestDJacobi:
     def test_switch_step_zero_equals_cold_from_untrained_net(self, tmp_path):
         # an untrained-but-seeded net is a fixed function; switching immediately
         # must reproduce a plain iteration from that function's interior values
-        from freqlab.poisson import run_hybrid, iterate, g_rhs
+        from freqlab.poisson import run_hybrid, iterate
 
         cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16)
         grid, rhs, ref = ex._poisson_setup(cfg)
-        gvals = g_rhs(grid.points)
-        stream = grid_stream(cfg, 3, grid, gvals)
+        stream = grid_stream(cfg, 3, grid)
         _, run = run_hybrid(rhs, stream, 1e-4, switch_step=0, max_iters=50_000)
-        u0_full = next(grid_stream(cfg, 3, grid, gvals))[0]
+        u0_full = next(grid_stream(cfg, 3, grid))[0]
         direct = iterate(rhs, u0_full[1:-1], ref[1:-1], max_iters=50_000, tol=1e-4)
         assert run.iterations == direct.iterations
 
@@ -345,13 +344,12 @@ class TestDJacobi:
 def _replayed_hybrids(cfg, seed):
     """The three hand-offs as independent run_hybrid calls, each training a
     fresh stream from step 0: (SwitchPoint, IterativeRun) pairs."""
-    from freqlab.poisson import g_rhs, run_hybrid
+    from freqlab.poisson import run_hybrid
 
     grid, rhs, ref = ex._poisson_setup(cfg)
-    gvals = g_rhs(grid.points)
 
     def hybrid(switch_step):
-        return run_hybrid(rhs, grid_stream(cfg, seed, grid, gvals),
+        return run_hybrid(rhs, grid_stream(cfg, seed, grid),
                           cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1]))), switch_step,
                           cfg.hybrid_method, cfg.max_iters, record_every=cfg.record_every,
                           plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
@@ -377,8 +375,8 @@ class TestDJacobiOneStream:
     NO_PLATEAU = dict(PLATEAU, plateau_window=100)
 
     def _run(self, tmp_path, monkeypatch, **shrink):
-        """The run's report, its forward calls and its hand-offs as
-        _hand_off_fields, in call order."""
+        """The run's report, its forward calls and its three warm hand-offs as
+        _hand_off_fields, in call order; the fourth, checked here, is the cold start."""
         forwards, hand_offs = [], []
         real_forward, real_hand_off = ex.forward, ex.hand_off
 
@@ -395,7 +393,10 @@ class TestDJacobiOneStream:
         monkeypatch.setattr(ex, "hand_off", captured)
         cfg = tiny("desk-d-jacobi", **shrink)
         report = run_single(cfg, 0, tmp_path)
-        return cfg, report, len(forwards), hand_offs
+        *warm, (step, plateau, values, steps, wall_ms, sup_errors, _) = hand_offs
+        assert (step, plateau, values) == (0, False, [0.0] * (cfg.grid_n + 1))
+        assert steps == wall_ms == sup_errors == []
+        return cfg, report, len(forwards), warm
 
     def test_forward_calls_are_one_stream_to_2p(self, tmp_path, monkeypatch):
         cfg, report, forwards, _ = self._run(tmp_path, monkeypatch, **self.PLATEAU)
@@ -684,7 +685,7 @@ class TestLoopBuffers:
         # fp64 activation is 133,120 bytes, past glibc's 128 KiB mmap threshold
         cfg = preset_config("desk-poisson-dnn")
         grid = Grid1D(n=cfg.grid_n)
-        descent = ex._energy_descent(cfg, 0, grid, g_rhs(grid.points))
+        descent = ex._energy_descent(cfg, 0, grid)
         for _ in range(3):
             next(descent)
         tracemalloc.start()
@@ -701,7 +702,7 @@ class TestLoopBuffers:
         ref = thomas_solve(assemble_poisson(grid, g_rhs))
 
         def phase():
-            return TrainPhase(grid_stream(cfg, 0, grid, g_rhs(grid.points)), ref,
+            return TrainPhase(grid_stream(cfg, 0, grid), ref,
                               cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs)
 
         k = 30
@@ -718,7 +719,7 @@ class TestLoopBuffers:
         cfg = tiny("desk-poisson-dnn", hidden_widths=(16, 8), epochs=43, record_every=10)
         run_single(cfg, 0, tmp_path)
         grid = Grid1D(n=cfg.grid_n)
-        descent = ex._energy_descent(cfg, 0, grid, g_rhs(grid.points))
+        descent = ex._energy_descent(cfg, 0, grid)
         states = {epoch: out[:, 0].copy() for epoch, out, _ in itertools.islice(descent, 42)}
         u_dnn = [float(row["u_dnn"]) for row in read_csv(tmp_path / "solution.csv")]
         assert np.array_equal(u_dnn, states[40])

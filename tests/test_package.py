@@ -76,6 +76,39 @@ def test_every_import_and_private_name_is_read_or_exported(path):
     assert unread - set(getattr(module, "__all__", ())) - UNREAD_ON_PURPOSE.get(path.stem, set()) == set()
 
 
+def test_every_name_unread_on_purpose_is_still_unread():
+    # an exemption outlives its reason silently unless it is checked too
+    package = Path(freqlab.__file__).parent
+    for stem, names in UNREAD_ON_PURPOSE.items():
+        assert names - _unread_names(ast.parse((package / f"{stem}.py").read_text())) == set(), stem
+
+
+#: the parameters every experiments._RUNNERS function takes, whether it reads them or not
+RUNNER_PARAMETERS = {"cfg", "seed", "out_dir"}
+
+
+def _unread_parameters(tree: ast.Module, exempt: dict[str, set[str]]) -> list[str]:
+    """name.parameter for each parameter of a function or lambda in tree that
+    its body never reads, but for the exempt parameters of the named functions."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if arg}
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        found += [f"{name}.{p}" for p in sorted(params - read - exempt.get(name, set()))]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(freqlab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    runners = {fn.__name__: RUNNER_PARAMETERS for fn in freqlab.experiments._RUNNERS.values()}
+    exempt = runners if path.stem == "experiments" else {}
+    assert _unread_parameters(ast.parse(path.read_text(), filename=str(path)), exempt) == []
+
+
 def test_bundled_openblas_runs_one_thread_although_numpy_loaded_first():
     # pytest's process imports numpy before freqlab, so the environment pin came too late
     if freqlab._bundled_openblas() is None:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ class TestGradDecomposition:
         def pointwise(outputs):
             return 2.0 * (outputs - target)
         return pointwise
+
+    def test_network_keeps_no_jacobian_after_the_call(self):
+        # 201 samples of a 1-64-64-1 network: P = 4,353, a 7.0 MB Jacobian; the
+        # network's own work arrays are about 0.4 MB
+        n = 201
+        xs = (np.arange(n) / n * 2 - 1).reshape(-1, 1)
+        net = init_mlp([1, 64, 64, 1], std=0.5, seed=3)
+        tracemalloc.start()
+        try:
+            dec = grad_decomposition(net, xs, self._mse_pointwise(np.zeros((n, 1))))
+            del dec
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * 2**20
 
     def test_identity_residuals_small_mse(self):
         n = 32
