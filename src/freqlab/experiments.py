@@ -34,18 +34,16 @@ reporting.stopwatch per recorder, TrainPhase and iterate call, counting from
 its start, and are all zero unless timing is enabled, so that identical
 (config, seed) pairs produce byte-identical files.
 
-The runners reach the other modules' functions (forward, iterate, write_csv,
-...) through this module's globals, imported by name, and run_hybrid and
-nufft_direct stay imported: perfbench/tracer.py wraps those names here to time
-each layer.
+The runners reach the other modules' functions (forward, iterate, run_hybrid,
+write_csv, ...) through this module's globals, imported by name, and
+nufft_direct, which no runner calls, stays imported: perfbench/tracer.py wraps
+those names here to time each layer.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -61,13 +59,11 @@ from .poisson import (
     Grid1D,
     IterativeRun,
     SwitchPoint,
-    TrainPhase,
     assemble_poisson,
     g_rhs,
-    hand_off,
     iterate,
     residual_inf,
-    run_hybrid,  # unused here; see the module docstring
+    run_hybrid,
     thomas_solve,
 )
 from .reporting import stopwatch, write_atomic, write_csv, write_svg_lines
@@ -365,51 +361,6 @@ def run_poisson_dnn(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 # warm-started iterative solves
 
 
-#: bytes of grid values run_d_jacobi keeps for its early switch. A run whose
-#: kept states would cross it replays the early prefix instead. At fig5 (1,001
-#: points, 8 KB a state, every step a candidate) about 0.75 t states are held
-#: at step t, so a plateau after about step 11,170 takes the replay.
-_EARLY_STATES_CAP = 64 * 2**20
-
-
-def _early_switch(p: int) -> int:
-    """The early hand-off step for a plateau at step p: p // 4, but at least
-    step 1 and at most p itself (step 0 for p = 0)."""
-    return min(max(1, p // 4), p)
-
-
-class _EarlyStates:
-    """Copies of the grid values at each step of a descent that can still turn
-    out to be its early switch: _early_switch(p) for a stop p, a multiple of
-    record_every or epochs. p >= t once the descent stands at step t, so steps
-    below _early_switch(t) are dropped as it goes, before step t is added.
-    Adding a state, all of one size, that would cross _EARLY_STATES_CAP drops
-    them all, for good."""
-
-    def __init__(self, record_every: int, epochs: int):
-        self._switches = {_early_switch(p) for p in (*range(0, epochs + 1, record_every), epochs)}
-        self._kept: deque[tuple[int, np.ndarray]] | None = deque()
-
-    def passing(self, descent: Iterator[tuple[int, np.ndarray, float]]) -> Iterator[tuple[np.ndarray, float]]:
-        """descent's (epoch, outputs, loss) as TrainPhase's (values, loss), keeping candidates until take."""
-        for t, out, loss in descent:
-            values, kept = out[:, 0], self._kept
-            if kept is not None:
-                while kept and kept[0][0] < _early_switch(t):
-                    kept.popleft()
-                if t in self._switches:
-                    if (len(kept) + 1) * values.nbytes > _EARLY_STATES_CAP:
-                        self._kept = None
-                    else:
-                        kept.append((t, values.copy()))
-            yield values, loss
-
-    def take(self, step: int) -> np.ndarray | None:
-        """The kept values at step, or None; frees every state and keeps no more."""
-        kept, self._kept = self._kept or (), None
-        return next((values for s, values in kept if s == step), None)
-
-
 def _hybrid_rows(run: IterativeRun, method: str, at: SwitchPoint) -> list[list]:
     """Rows of a hybrid_*.csv or baseline.csv: the phase-one columns of at,
     then the iterative solve, its wall clock carried on from the last recorded
@@ -420,57 +371,33 @@ def _hybrid_rows(run: IterativeRun, method: str, at: SwitchPoint) -> list[list]:
 
 
 def run_d_jacobi(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    """Hand the energy-trained network's grid values to cfg.hybrid_method at the
-    plateau step p, early at _early_switch(p) and late at 2p (TrainPhase caps a
-    stop at epochs), and compare each with a cold start: a fourth hand-off, from
-    the zero function at step 0 with no phase-one rows.
-
-    One training stream runs to p and then on to the late switch: 2p + 1
-    training steps instead of three replays from step 0, with the same files.
-    The early switch is built from the grid values kept on the way to p (see
-    _EarlyStates) and the plateau run's recorded columns up to it, at p = 0
-    (epochs = 0) from step 0's. Only over _EARLY_STATES_CAP does a second
-    stream replay the training up to the early switch, for its grid values
-    alone. All training finishes before the first hand-off.
-    """
+    """The energy-trained network's hybrid: poisson.run_hybrid with epochs as
+    max_steps, each stream a fresh _energy_descent from the untrained network.
+    Writes, after the last solve, hybrid_<label>.csv per warm hand-off,
+    baseline.csv for the cold start, summary.csv and, with cfg.svg, hybrid.svg."""
     grid, rhs, ref = _poisson_setup(cfg)
     tol = cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1])))
+    hybrid = run_hybrid(rhs, ref, lambda: ((out[:, 0], loss) for _, out, loss in _energy_descent(cfg, seed, grid)),
+                        tol, cfg.hybrid_method, cfg.max_iters, cfg.record_every, cfg.plateau_window,
+                        cfg.plateau_tol, cfg.epochs, cfg.timing)
 
-    early_states = _EarlyStates(cfg.record_every, cfg.epochs)
-    stream = TrainPhase(early_states.passing(_energy_descent(cfg, seed, grid)), ref,
-                        cfg.record_every, cfg.plateau_window, cfg.plateau_tol, cfg.epochs, cfg.timing)
-    at_plateau = stream.run()
-    early_step = _early_switch(at_plateau.step)
-    early_values = early_states.take(early_step)  # frees the kept states before the late run
-    at_late = stream.run(2 * at_plateau.step)
-    if early_values is None:  # over the cap: replay the grid values up to early_step
-        _, out, _ = next(itertools.islice(_energy_descent(cfg, seed, grid), early_step, None))
-        early_values = out[:, 0].copy()
-    k = bisect.bisect_right(at_plateau.steps, early_step)  # the plateau run's recorded steps up to it
-    at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
-                           at_plateau.wall_ms[:k], at_plateau.sup_errors[:k])
-    at_cold = SwitchPoint(0, False, np.zeros_like(ref), [], [], [])
-    starts = [(label, file, at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters, tol, cfg.timing))
-              for label, file, at in (
-                  ("early", "hybrid_early.csv", at_early), ("plateau", "hybrid_plateau.csv", at_plateau),
-                  ("late", "hybrid_late.csv", at_late), ("cold", "baseline.csv", at_cold))]
-
-    for _, file, at, run in starts:
-        write_csv(out_dir / file, ["phase", "step_or_iter", "cum_wall_ms", "sup_error"],
-                  _hybrid_rows(run, cfg.hybrid_method, at))
+    for label, at, run in hybrid.hand_offs:
+        write_csv(out_dir / ("baseline.csv" if label == "cold" else f"hybrid_{label}.csv"),
+                  ["phase", "step_or_iter", "cum_wall_ms", "sup_error"], _hybrid_rows(run, cfg.hybrid_method, at))
     write_csv(out_dir / "summary.csv", ["label", "switch_step", "sup_error_at_switch", "post_iterations"],
-              [[label, at.step, run.sup_errors[0], run.iterations] for label, _, at, run in starts])
+              [[label, at.step, run.sup_errors[0], run.iterations] for label, at, run in hybrid.hand_offs])
     if cfg.svg:
-        series = [(label, range(run.iterations + 1), run.sup_errors) for label, _, _, run in starts]
+        series = [(label, range(run.iterations + 1), run.sup_errors) for label, _, run in hybrid.hand_offs]
         write_svg_lines(out_dir / "hybrid.svg", series, title="warm vs cold iterative solve",
                         xlabel="post-switch iteration", ylabel="sup error")
-    *warm, (_, _, _, cold) = starts
+    *warm, (_, _, cold) = hybrid.hand_offs
+    _, at_plateau, _ = warm[1]
     return {
         "plateau_step": at_plateau.step,
         "plateau_detected": at_plateau.plateau_detected,
-        "post_iterations": {label: run.iterations for label, _, _, run in warm},
+        "post_iterations": {label: run.iterations for label, _, run in warm},
         "cold_iterations": cold.iterations,
-        "sup_at_switch": {label: run.sup_errors[0] for label, _, _, run in warm},
+        "sup_at_switch": {label: run.sup_errors[0] for label, _, run in warm},
     }
 
 

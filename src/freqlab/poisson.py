@@ -9,9 +9,10 @@ apply the constant 2/-1 stencil themselves. thomas_solve returns the direct
 solution on all n+1 grid points, boundary zeros included; the iterations work
 on the interior [1:-1]. The hybrid is two phases: a resumable TrainPhase, which
 takes its stop policy once and returns a SwitchPoint per run, and hand_off,
-which iterates from a SwitchPoint and returns the IterativeRun; run_hybrid
-composes them on one stream. Both histories, IterativeRun and the phase-one
-columns of a SwitchPoint, are held as one list per column.
+which iterates from a SwitchPoint and returns the IterativeRun. run_hybrid is
+their one composition: one stream handed off early, at the plateau and late,
+and a cold start. Both histories, IterativeRun and the phase-one columns of a
+SwitchPoint, are held as one list per column.
 
 iterate sweeps in blocks through row views built once per call, each sweep
 writing the next zero-padded row, and records each block at once, the mode
@@ -22,9 +23,12 @@ computed but not recorded; wall_ms is read after each sweep.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +53,7 @@ __all__ = [
     "halving_count",
     "iterate",
     "hand_off",
+    "Hybrid",
     "run_hybrid",
 ]
 
@@ -223,10 +228,13 @@ def mode_amplitudes(err: np.ndarray, n: int) -> np.ndarray:
 def halving_ratio(n: int, k: int) -> float:
     """Iterations (real-valued) for mode k's amplitude to halve under Jacobi.
 
-    |lambda_k| is never exactly 0: cos(k pi / n) of a double argument is at
-    least about 6.1e-17 in magnitude, so the ratio is at least about 0.0186.
+    log|lambda_k| = log1p(-2 sin^2(k' pi / 2n)), k' = min(k, n - k), keeps the
+    slow modes' distance from 1 that cos(k pi / n) rounds away on fine grids.
+    At k' = n/2 the angle is the double pi/4, where 2 sin^2 is just below 1, so
+    the ratio is at least about 0.0192.
     """
-    return math.log(0.5) / math.log(abs(jacobi_eigen(n, k)))
+    jacobi_eigen(n, k)  # raises ValueError for k outside 1..n-1
+    return math.log(0.5) / math.log1p(-2.0 * math.sin(math.pi / 2 * (min(k, n - k) / n)) ** 2)
 
 
 def halving_count(n: int, k: int) -> int:
@@ -349,7 +357,7 @@ class SwitchPoint:
     """Where a train phase stopped: the state a hand-off starts from, and the
     phase-one columns a hybrid_*.csv reads, recorded up to it. Entry i of steps,
     wall_ms and sup_errors belongs to the i-th recorded training step. A start
-    that no training made, such as run_d_jacobi's cold start (the zero function
+    that no training made, such as run_hybrid's cold start (the zero function
     at step 0), has empty columns."""
 
     step: int
@@ -450,19 +458,86 @@ def hand_off(rhs: np.ndarray, reference: np.ndarray, at: SwitchPoint, method: st
                    max_iters=max_iters, tol=tol, timing=timing)
 
 
-def run_hybrid(rhs: np.ndarray, solver_stream: Iterator[tuple[np.ndarray, float]], tol: float,
-               switch_step: int | None = None, method: str = "jacobi", max_iters: int = 200_000,
-               timing: bool = False, **policy) -> tuple[SwitchPoint, IterativeRun]:
-    """Train until the switch point, then hand the grid values to an iterative method.
+#: bytes of grid values run_hybrid keeps for its early switch; over it, a run replays
+#: the early prefix. At fig5 (1,001 points, 8 KB a state, every step a candidate)
+#: about 0.75 t states are held at step t, so a plateau after step 11,170 replays.
+_EARLY_STATES_CAP = 64 * 2**20
 
-    The two phases on one fresh stream against reference = thomas_solve(rhs):
-    TrainPhase(solver_stream, reference, **policy, timing=timing)
-    .run(switch_step), then hand_off. policy takes TrainPhase's record_every,
-    plateau_window, plateau_tol and max_steps. Callers that hand one stream
-    off at several switch points, or already hold the reference, use the
-    phases directly.
-    """
+
+def _early_switch(p: int) -> int:
+    """The early hand-off step for a plateau at step p: p // 4, but at least
+    step 1 and at most p itself (step 0 for p = 0)."""
+    return min(max(1, p // 4), p)
+
+
+class _EarlyStates:
+    """Copies of the grid values at each step of a stream that can still turn
+    out to be its early switch, _early_switch(p) for a stop p (a multiple of
+    record_every, or max_steps); as p >= t, steps below _early_switch(t) are
+    dropped before step t is added. A state, all of one size, that would cross
+    _EARLY_STATES_CAP drops them all, for good."""
+
+    def __init__(self, record_every: int, max_steps: int):
+        self._switches = {_early_switch(p) for p in (*range(0, max_steps + 1, record_every), max_steps)}
+        self._kept: deque[tuple[int, np.ndarray]] | None = deque()
+
+    def passing(self, stream: Iterable[tuple[np.ndarray, float]]) -> Iterator[tuple[np.ndarray, float]]:
+        """Pass stream's (values, loss) on, values as floats, the t-th at step t; keep candidates until take."""
+        for t, (values, loss) in enumerate(stream):
+            values, kept = np.asarray(values, dtype=float), self._kept
+            if kept is not None:
+                while kept and kept[0][0] < _early_switch(t):
+                    kept.popleft()
+                if t in self._switches:
+                    if (len(kept) + 1) * values.nbytes > _EARLY_STATES_CAP:
+                        self._kept = None
+                    else:
+                        kept.append((t, values.copy()))
+            yield values, loss
+
+    def take(self, step: int) -> np.ndarray | None:
+        """The kept values at step, or None; frees every state and keeps no more."""
+        kept, self._kept = self._kept or (), None
+        return next((values for s, values in kept if s == step), None)
+
+
+@dataclass
+class Hybrid:
+    """run_hybrid's hand-offs as (label, SwitchPoint, IterativeRun): early, plateau,
+    late and cold; switched_at is the step its stream stopped at, the late switch."""
+
+    hand_offs: list[tuple[str, SwitchPoint, IterativeRun]]
+    switched_at: int
+
+
+def run_hybrid(rhs: np.ndarray, reference: np.ndarray, streams: Callable[[], Iterable[tuple[np.ndarray, float]]],
+               tol: float, method: str, max_iters: int, record_every: int, plateau_window: int,
+               plateau_tol: float, max_steps: int, timing: bool = False) -> Hybrid:
+    """Hand one training stream to method at its loss plateau p, early at
+    _early_switch(p) and late at 2p (each stop capped at max_steps), beside a
+    cold start from the zero function at step 0 with no phase-one columns; a
+    tol that is not positive is rejected before training. streams() starts a
+    fresh (full-grid values, loss) stream from the untrained state, each state
+    of reference's shape. One stream runs on to the late switch: switched_at + 1
+    steps. The early switch takes the grid values kept on the way (see
+    _EarlyStates) and the plateau run's columns up to it; only over
+    _EARLY_STATES_CAP is streams() called again, to replay to the early switch
+    for its values alone, steps that switched_at + 1 leaves out. All training
+    ends before the first hand-off."""
     _require_positive_tol(tol)
-    reference = thomas_solve(rhs)
-    at = TrainPhase(solver_stream, reference, **policy, timing=timing).run(switch_step)
-    return at, hand_off(rhs, reference, at, method, max_iters, tol, timing)
+    early_states = _EarlyStates(record_every, max_steps)
+    stream = TrainPhase(early_states.passing(streams()), reference, record_every, plateau_window,
+                        plateau_tol, max_steps, timing)
+    at_plateau = stream.run()
+    early_step = _early_switch(at_plateau.step)
+    early_values = early_states.take(early_step)  # frees the kept states before the late run
+    at_late = stream.run(2 * at_plateau.step)
+    if early_values is None:  # over the cap: replay the grid values up to early_step
+        values, _ = next(itertools.islice(streams(), early_step, None))
+        early_values = np.array(values, dtype=float)
+    k = bisect.bisect_right(at_plateau.steps, early_step)  # the plateau run's recorded steps up to it
+    at_early = SwitchPoint(early_step, False, early_values, at_plateau.steps[:k],
+                           at_plateau.wall_ms[:k], at_plateau.sup_errors[:k])
+    return Hybrid([(label, at, hand_off(rhs, reference, at, method, max_iters, tol, timing)) for label, at in (
+        ("early", at_early), ("plateau", at_plateau), ("late", at_late),
+        ("cold", SwitchPoint(0, False, np.zeros_like(reference), [], [], [])))], at_late.step)

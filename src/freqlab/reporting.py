@@ -57,17 +57,13 @@ def format_value(v) -> str:
         return ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
+    return _spec(type(v)) % (v,)
 
 
 def _spec(t: type) -> str:
-    """The %-format that writes a value of type t as format_value does, or "%s"
-    for a type whose values go through format_value (bool, np.bool_, None,
-    str, ...)."""
+    """The %-format of a CSV value of type t: %d for an integer, %.17g for a
+    float, and "%s" for the rest (bool, np.bool_, None, str, ...), whose
+    values write_csv turns into text with format_value first."""
     if issubclass(t, (int, np.integer)) and not issubclass(t, bool):
         return "%d"
     if issubclass(t, (float, np.floating)):

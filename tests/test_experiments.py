@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import freqlab
 import freqlab.experiments as ex
+import freqlab.poisson as poisson_mod
 from freqlab.cli import main
 from freqlab.config import default_config, preset_config
 from freqlab.errors import ConfigError, DivergenceError
@@ -24,6 +26,8 @@ from freqlab.poisson import (
     TrainPhase,
     assemble_poisson,
     g_rhs,
+    hand_off,
+    iterate,
     mode_amplitudes,
     thomas_solve,
 )
@@ -330,30 +334,25 @@ class TestDJacobi:
     def test_switch_step_zero_equals_cold_from_untrained_net(self, tmp_path):
         # an untrained-but-seeded net is a fixed function; switching immediately
         # must reproduce a plain iteration from that function's interior values
-        from freqlab.poisson import run_hybrid, iterate
-
         cfg = tiny("desk-d-jacobi", hidden_widths=(16, 8), grid_n=16)
         grid, rhs, ref = ex._poisson_setup(cfg)
-        stream = grid_stream(cfg, 3, grid)
-        _, run = run_hybrid(rhs, stream, 1e-4, switch_step=0, max_iters=50_000)
+        at = TrainPhase(grid_stream(cfg, 3, grid), ref).run(0)
+        run = hand_off(rhs, ref, at, "jacobi", 50_000, 1e-4)
         u0_full = next(grid_stream(cfg, 3, grid))[0]
         direct = iterate(rhs, u0_full[1:-1], ref[1:-1], max_iters=50_000, tol=1e-4)
         assert run.iterations == direct.iterations
 
 
 def _replayed_hybrids(cfg, seed):
-    """The three hand-offs as independent run_hybrid calls, each training a
-    fresh stream from step 0: (SwitchPoint, IterativeRun) pairs."""
-    from freqlab.poisson import run_hybrid
-
+    """The three hand-offs as independent TrainPhase runs and hand_offs, each
+    training a fresh stream from step 0: (SwitchPoint, IterativeRun) pairs."""
     grid, rhs, ref = ex._poisson_setup(cfg)
 
     def hybrid(switch_step):
-        return run_hybrid(rhs, grid_stream(cfg, seed, grid),
-                          cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1]))), switch_step,
-                          cfg.hybrid_method, cfg.max_iters, record_every=cfg.record_every,
-                          plateau_window=cfg.plateau_window, plateau_tol=cfg.plateau_tol,
-                          max_steps=cfg.epochs)
+        at = TrainPhase(grid_stream(cfg, seed, grid), ref, cfg.record_every, cfg.plateau_window,
+                        cfg.plateau_tol, cfg.epochs).run(switch_step)
+        return at, hand_off(rhs, ref, at, cfg.hybrid_method, cfg.max_iters,
+                            cfg.iter_tol_rel * float(np.max(np.abs(ref[1:-1]))))
 
     plateau = hybrid(None)
     p = plateau[0].step
@@ -378,7 +377,7 @@ class TestDJacobiOneStream:
         """The run's report, its forward calls and its three warm hand-offs as
         _hand_off_fields, in call order; the fourth, checked here, is the cold start."""
         forwards, hand_offs = [], []
-        real_forward, real_hand_off = ex.forward, ex.hand_off
+        real_forward, real_hand_off = ex.forward, poisson_mod.hand_off
 
         def counted(*args):
             forwards.append(1)
@@ -390,7 +389,7 @@ class TestDJacobiOneStream:
             return run
 
         monkeypatch.setattr(ex, "forward", counted)
-        monkeypatch.setattr(ex, "hand_off", captured)
+        monkeypatch.setattr(poisson_mod, "hand_off", captured)
         cfg = tiny("desk-d-jacobi", **shrink)
         report = run_single(cfg, 0, tmp_path)
         *warm, (step, plateau, values, steps, wall_ms, sup_errors, _) = hand_offs
@@ -407,7 +406,7 @@ class TestDJacobiOneStream:
 
     def test_over_the_cap_the_early_prefix_is_replayed(self, tmp_path, monkeypatch):
         # ten 17-point states fit; the run's candidates between p // 4 and p need more
-        monkeypatch.setattr(ex, "_EARLY_STATES_CAP", 10 * 17 * 8)
+        monkeypatch.setattr(poisson_mod, "_EARLY_STATES_CAP", 10 * 17 * 8)
         cfg, report, forwards, hand_offs = self._run(tmp_path, monkeypatch, **self.PLATEAU)
         p = report.metrics["plateau_step"]
         assert forwards == 2 * p + max(1, p // 4) + 2
@@ -420,9 +419,8 @@ class TestDJacobiOneStream:
         # the early switches of every stop q, step 0 that of q = 0
         switches = {min(max(1, q // 4), q) for q in plateaus}
         for p in plateaus:
-            states = ex._EarlyStates(record_every, epochs)
-            for t, (values, _) in enumerate(states.passing((t, np.full((3, 1), float(t)), 0.0)
-                                                           for t in range(p + 1))):
+            states = poisson_mod._EarlyStates(record_every, epochs)
+            for t, (values, _) in enumerate(states.passing((np.full(3, float(t)), 0.0) for t in range(p + 1))):
                 values[:] = -1.0  # the descent's next step overwrites its outputs
                 assert all(min(max(1, t // 4), t) <= s and s in switches for s, _ in states._kept)
             early = states.take(min(max(1, p // 4), p))
@@ -431,10 +429,10 @@ class TestDJacobiOneStream:
 
     def test_early_states_past_the_cap_are_dropped_for_good(self, monkeypatch):
         # fig5's 1,001-point states with every step a candidate, under a cap of 100 states
-        monkeypatch.setattr(ex, "_EARLY_STATES_CAP", 100 * 1001 * 8)
-        states = ex._EarlyStates(1, 200_000)
+        monkeypatch.setattr(poisson_mod, "_EARLY_STATES_CAP", 100 * 1001 * 8)
+        states = poisson_mod._EarlyStates(1, 200_000)
         held = []
-        for t, _ in enumerate(states.passing((t, np.zeros((1001, 1)), 0.0) for t in range(400))):
+        for t, _ in enumerate(states.passing((np.zeros(1001), 0.0) for _ in range(400))):
             held.append(None if states._kept is None else len(states._kept))
         # steps max(1, t // 4) .. t are held: 100 states at t = 132, the 101st would be at 133
         assert held[132] == 100 and held[133:] == [None] * (400 - 133)
@@ -843,7 +841,7 @@ class TestBlasThreads:
 
 
 class TestTracer:
-    def test_traced_d_jacobi_finds_the_names_it_wraps(self, tmp_path):
+    def test_traced_d_jacobi_finds_the_names_it_wraps(self, tmp_path, monkeypatch):
         # perfbench/tracer.py wraps experiments' module globals by name; a span
         # count of zero would mean the runners no longer call through them
         root = Path(__file__).resolve().parents[1]
@@ -856,7 +854,16 @@ class TestTracer:
              "--set", "max_iters=20000", "--out", str(out)],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        names = [span[2] for span in json.loads(spans_path.read_text())["spans"]]
+        spans = json.loads(spans_path.read_text())["spans"]
+        names = [span[2] for span in spans]
         p = int(re.search(r"plateau_step=(\d+)", proc.stdout).group(1))
         assert names.count("poisson.iterate") == 4
         assert names.count("nn.forward") == 2 * p + 1
+        assert [span[5] for span in spans if span[2] == "poisson.run_hybrid"] == [2 * p + 1]
+        # the benchmark's own per-layer arithmetic, tracer.py loaded without writing a bytecode cache
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(tracer)
+        calls, _, counts = tracer.self_times(spans)
+        assert counts["poisson.run_hybrid"] == calls["nn.forward"]

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -321,6 +324,11 @@ class TestHalving:
         halved = np.flatnonzero(trace <= 0.5 * trace[0] * (1.0 + 1e-9))
         assert halved[:1].tolist() == [9]
 
+    @pytest.mark.parametrize("n", [10**8, 10**9])
+    def test_slowest_mode_follows_the_closed_form_on_fine_grids(self, n):
+        # ln 0.5 / ln cos(pi/n) -> 2 ln2 n^2 / pi^2; cos(pi/n) itself rounds away most of 1 - cos
+        assert halving_ratio(n, 1) == pytest.approx(2 * math.log(2) * n ** 2 / math.pi ** 2, rel=1e-6)
+
 
 class TestIterate:
     def test_fixed_point_terminates_immediately(self):
@@ -547,8 +555,8 @@ class TestHybrid:
 
     def test_warm_start_within_target_does_zero_iterations(self):
         rhs, ref = self._rhs_and_ref()
-        stream = iter([(ref, 0.5)])
-        at, run = run_hybrid(rhs, stream, 1e-6, switch_step=0)
+        at = TrainPhase(iter([(ref, 0.5)]), ref).run(0)
+        run = hand_off(rhs, ref, at, "jacobi", 200_000, 1e-6)
         assert run.iterations == 0
         assert at.step == 0
 
@@ -560,7 +568,8 @@ class TestHybrid:
             yield u0_full, 1.0
             raise AssertionError("must not train past the switch step")
 
-        _, run = run_hybrid(rhs, stream(), 1e-8, switch_step=0, max_iters=100_000)
+        at = TrainPhase(stream(), ref).run(0)
+        run = hand_off(rhs, ref, at, "jacobi", 100_000, 1e-8)
         direct = iterate(rhs, u0_full[1:-1], ref[1:-1], max_iters=100_000, tol=1e-8)
         assert run.iterations == direct.iterations
         assert run.sup_errors[-1] == pytest.approx(direct.sup_errors[-1])
@@ -575,31 +584,29 @@ class TestHybrid:
                 yield np.zeros(rhs.size + 2), loss
                 step += 1
 
-        at, _ = run_hybrid(rhs, stream(), 1e-3, plateau_window=10, plateau_tol=0.05,
-                           max_steps=10_000)
+        at = TrainPhase(stream(), ref, plateau_window=10, plateau_tol=0.05, max_steps=10_000).run()
         assert at.plateau_detected
         assert at.step < 200
 
     def test_divergent_stream_raises(self):
-        rhs, _ = self._rhs_and_ref()
+        rhs, ref = self._rhs_and_ref()
         bad = np.full(rhs.size + 2, np.nan)
         with pytest.raises(DivergenceError):
-            run_hybrid(rhs, iter([(bad, 1.0)]), 1e-3, switch_step=0)
+            run_hybrid(rhs, ref, lambda: iter([(bad, 1.0)]), 1e-3, "jacobi", 200_000, 1, 200, 0.01, 200_000)
 
     def test_max_steps_cap(self):
-        rhs, _ = self._rhs_and_ref()
+        rhs, ref = self._rhs_and_ref()
 
         def stream():
             while True:
                 yield np.zeros(rhs.size + 2), 1.0
 
-        at, _ = run_hybrid(rhs, stream(), 1e-12, plateau_window=10_000, plateau_tol=1e-9,
-                           max_steps=25, max_iters=1)
+        at = TrainPhase(stream(), ref, plateau_window=10_000, plateau_tol=1e-9, max_steps=25).run()
         assert at.step == 25
         assert not at.plateau_detected
 
     def test_plateau_rule_runs_only_on_recorded_steps(self, monkeypatch):
-        rhs, _ = self._rhs_and_ref()
+        rhs, ref = self._rhs_and_ref()
         calls = []
         real = poisson_mod._plateau_reached
 
@@ -613,8 +620,7 @@ class TestHybrid:
             while True:
                 yield np.zeros(rhs.size + 2), 1.0
 
-        at, _ = run_hybrid(rhs, stream(), 1e-12, plateau_window=10_000, record_every=4,
-                           max_steps=40, max_iters=1)
+        at = TrainPhase(stream(), ref, plateau_window=10_000, record_every=4, max_steps=40).run()
         assert at.step == 40
         assert len(calls) == len(at.steps) == 11
 
@@ -622,15 +628,65 @@ class TestHybrid:
     def test_non_positive_tol_rejected_before_training(self, tol):
         rhs, ref = self._rhs_and_ref()
 
-        def stream():
+        def streams():
             raise AssertionError("must not train with a bad tol")
-            yield
 
         with pytest.raises(ValueError, match="tol"):
-            run_hybrid(rhs, stream(), tol)
+            run_hybrid(rhs, ref, streams, tol, "jacobi", 10, 1, 200, 0.01, 200_000)
         at = TrainPhase(iter([(ref, 1.0)]), ref).run(0)
         with pytest.raises(ValueError, match="tol"):
             hand_off(rhs, ref, at, "jacobi", 10, tol)
+
+
+class TestRunHybrid:
+    # losses 31, 30, ..., 2 over steps 0..29, then 1.0: with record_every = 1,
+    # plateau_window = 10 and plateau_tol = 0.05 the first flat pair of windows
+    # ends at step 49 (step 48's earlier window, steps 29..38, has mean 1.1)
+    P = 49
+    MAX_STEPS = 200
+
+    def _hybrid(self):
+        """run_hybrid on the synthetic stream, and the number of streams() calls."""
+        rhs = assemble_poisson(Grid1D(n=8), g_rhs)
+        calls = []
+
+        def streams():
+            calls.append(1)
+            values = np.empty(rhs.size + 2)  # one buffer, written over at every step, as a network's outputs
+            for step in itertools.count():
+                values[:] = 0.01 * step
+                yield values, max(30.0 - step, 0.0) + 1.0
+
+        hybrid = run_hybrid(rhs, thomas_solve(rhs), streams, 1e-3, "jacobi", 50, 1, 10, 0.05, self.MAX_STEPS)
+        return hybrid, len(calls)
+
+    @staticmethod
+    def _fields(hybrid):
+        return [(label, at.step, at.plateau_detected, at.grid_values.tolist(), at.steps, at.wall_ms,
+                 at.sup_errors, run) for label, at, run in hybrid.hand_offs]
+
+    def test_one_stream_handed_off_early_at_the_plateau_late_and_cold(self):
+        hybrid, calls = self._hybrid()
+        p = self.P
+        assert calls == 1
+        assert [label for label, _, _ in hybrid.hand_offs] == ["early", "plateau", "late", "cold"]
+        (_, early, _), (_, plateau, _), (_, late, _), (_, cold, _) = hybrid.hand_offs
+        assert [at.step for at in (early, plateau, late, cold)] == [max(1, p // 4), p, min(2 * p, self.MAX_STEPS), 0]
+        assert plateau.plateau_detected and not early.plateau_detected
+        assert hybrid.switched_at == late.step
+        k = len(early.steps)
+        assert early.steps == plateau.steps[:k] == list(range(p // 4 + 1))
+        assert (early.wall_ms, early.sup_errors) == (plateau.wall_ms[:k], plateau.sup_errors[:k])
+        assert early.grid_values.tolist() == [0.01 * (p // 4)] * 9  # a copy, not the stream's buffer
+        assert cold.grid_values.tolist() == [0.0] * 9 and cold.steps == cold.wall_ms == cold.sup_errors == []
+
+    def test_over_the_cap_a_second_stream_replays_the_early_values(self, monkeypatch):
+        kept, kept_calls = self._hybrid()
+        monkeypatch.setattr(poisson_mod, "_EARLY_STATES_CAP", 2 * 9 * 8)  # two states fit
+        replayed, calls = self._hybrid()
+        assert (kept_calls, calls) == (1, 2)
+        assert self._fields(replayed) == self._fields(kept)
+        assert replayed.switched_at == kept.switched_at
 
 
 class TestTrainPhase:
@@ -694,7 +750,7 @@ class TestTrainPhase:
         with pytest.raises(ValueError, match="no states"):
             TrainPhase(iter(()), thomas_solve(rhs)).run()
         with pytest.raises(ValueError, match="no states"):
-            run_hybrid(rhs, iter(()), 1e-3)
+            run_hybrid(rhs, thomas_solve(rhs), lambda: iter(()), 1e-3, "jacobi", 10, 1, 200, 0.01, 200_000)
 
     def test_switch_step_above_max_steps_stops_at_max_steps(self):
         consumed = []
