@@ -25,9 +25,9 @@ so every consumer reads or copies them before resuming it.
 toy_ce, mnist_pca and poisson_dnn take the F-Principle measurement through one
 recorder, _spectral_recorder, which starts its own clock, and _emit_trace
 writes it; the runner builds the recorder's phase matrix once. Histories are
-columns: the recorder's trace.csv columns, an IterativeRun and a SwitchPoint's
-phase-one record each hold one list per column, and the CSV rows are zipped
-from them.
+columns: the recorder's trace.csv columns and a SwitchPoint's phase-one record
+each hold one list per column, an IterativeRun one array("d") per column, whose
+items are Python floats too, and the CSV rows are zipped from them.
 mnist_pca builds its row-major images and one-hot matrices once, after PCA,
 from data's (images, labels) pair. Wall-clock columns come from one
 reporting.stopwatch per recorder, TrainPhase and iterate call, counting from

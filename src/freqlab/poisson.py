@@ -11,14 +11,17 @@ on the interior [1:-1]. The hybrid is two phases: a resumable TrainPhase, which
 takes its stop policy once and returns a SwitchPoint per run, and hand_off,
 which iterates from a SwitchPoint and returns the IterativeRun. run_hybrid is
 their one composition: one stream handed off early, at the plateau and late,
-and a cold start. Both histories, IterativeRun and the phase-one columns of a
-SwitchPoint, are held as one list per column.
+and a cold start. Both histories are held one column each: an IterativeRun's
+columns, which can run to hundreds of thousands of sweeps, as array("d") at 8
+bytes a value, and the phase-one columns of a SwitchPoint, a few thousand
+recorded steps at most, as lists.
 
 iterate sweeps in blocks through row views built once per call, each sweep
 writing the next zero-padded row, and records each block at once, the mode
 amplitudes as one stacked matmul that makes each row's BLAS call, so the bits
-are those of one sweep at a time. Sweeps past the stop in the last block are
-computed but not recorded; wall_ms is read after each sweep.
+are those of one sweep at a time; a block's values go into the columns as raw
+fp64 bytes. Sweeps past the stop in the last block are computed but not
+recorded; wall_ms is read after each sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -250,12 +254,13 @@ def halving_count(n: int, k: int) -> int:
 @dataclass
 class IterativeRun:
     """Per-iteration history of an iterative solve against a known reference:
-    one list per column, alphas one per tracked mode k. Entry i of each list
-    belongs to iteration i; iteration 0 is the initial state."""
+    one array("d") per column, alphas one per tracked mode k. Entry i of each
+    column belongs to iteration i; iteration 0 is the initial state. A column
+    takes 8 bytes a value, and indexing or iterating it yields Python floats."""
 
-    wall_ms: list[float] = field(default_factory=list)
-    sup_errors: list[float] = field(default_factory=list)
-    alphas: dict[int, list[float]] = field(default_factory=dict)
+    wall_ms: array = field(default_factory=lambda: array("d"))
+    sup_errors: array = field(default_factory=lambda: array("d"))
+    alphas: dict[int, array] = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -281,7 +286,8 @@ def iterate(
     Sweeps run in blocks of up to _BLOCK rows through row views built once per
     call; each block is recorded at once, its mode amplitudes as one stacked
     product, so up to _BLOCK - 1 sweeps past the stop are computed and not
-    recorded. wall_ms is read after each sweep.
+    recorded. wall_ms is read after each sweep. The run's columns are
+    array("d"), each block appended as its fp64 bytes.
     """
     plan = METHODS.get(method)
     if plan is None:
@@ -299,7 +305,7 @@ def iterate(
     m = rhs.size
     n = m + 1
     basis = np.array([sine_mode(n, k) for k in track]).reshape(len(track), m)
-    run = IterativeRun(alphas={k: [] for k in track})
+    run = IterativeRun(alphas={k: array("d") for k in track})
     elapsed = stopwatch(timing)
     rows = max(1, min(_BLOCK, max_iters))
     states = np.zeros((rows + 1, m + 2))  # row 0 carries the last recorded state
@@ -317,9 +323,10 @@ def iterate(
         hits = np.flatnonzero(sups <= tol)
         if hits.size:
             count = int(hits[0]) + 1
-        run.sup_errors.extend(sups[:count].tolist())
-        for k, column in zip(track, ((2.0 / n) * dots[:count]).T.tolist()):
-            run.alphas[k].extend(column)
+        # frombytes takes bytes, not an ndarray; the rows of the product are the columns
+        run.sup_errors.frombytes(sups[:count].tobytes())
+        for k, column in zip(track, np.multiply(2.0 / n, dots[:count].T, order="C")):
+            run.alphas[k].frombytes(column.tobytes())
 
     states[0, 1:-1] = u0
     run.wall_ms.append(elapsed())

@@ -116,21 +116,23 @@ def _escape(text: str) -> str:
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     """Axis ticks on [lo, hi]: whole exponents when log, else round steps;
-    linear ticks need hi > lo, which write_svg_lines ensures by widening."""
+    linear ticks need hi > lo, which write_svg_lines ensures by widening.
+
+    Linear ticks are floats, the i-th first + i * step, not a running sum: on
+    a range of an ulp (x of 2**53 and over) the step is below an ulp, so
+    t += step would leave t where it is, and ticks that round to one value
+    are written once."""
     if log:
         lo_e, hi_e = math.floor(lo), math.ceil(hi)
         step = max(1, (hi_e - lo_e) // 6)
         return [float(e) for e in range(lo_e, hi_e + 1, step)]
     raw = (hi - lo) / 5
-    mag = 10 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * abs(step):
-        out.append(t)
-        t += step
-    return out
+    pad = 1e-12 * step
+    ticks = itertools.takewhile(lambda t: t <= hi + pad, (first + i * step for i in itertools.count()))
+    return [t for t in dict.fromkeys(ticks) if t >= lo - pad]
 
 
 def write_svg_lines(
@@ -144,20 +146,28 @@ def write_svg_lines(
 
     Nonpositive and non-finite values are clipped to a tenth of the smallest
     positive value in the data (the scale is for ratios, not signs). Each
-    polyline's points are written in pieces of _CHUNK points.
+    polyline's points are written in pieces of _CHUNK points. Series that
+    share one xs object share one float array of it. An x range of one value
+    is widened to one unit, or, where that rounds away, to one ulp.
     """
-    xs_ys = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for _, xs, ys in series]
+    x_arrays: dict[int, np.ndarray] = {}
+    for _, xs, _ in series:
+        if id(xs) not in x_arrays:
+            x_arrays[id(xs)] = np.asarray(xs, dtype=float)
+    xs_ys = [(x_arrays[id(xs)], np.asarray(ys, dtype=float)) for _, xs, ys in series]
     for (label, _, _), (xs, ys) in zip(series, xs_ys):
         if xs.size != ys.size:
             raise ValueError(f"series {label!r} has {xs.size} x values but {ys.size} y values")
     if not any(x.size for x, _ in xs_ys):
         raise ValueError("no data to plot")
-    smallest = min(float(y[(y > 0) & np.isfinite(y)].min(initial=math.inf)) for _, y in xs_ys)
+    # the minimum is exact in any order, so taking it in place of a masked copy keeps the bits
+    smallest = min(float(np.min(y, where=(y > 0) & np.isfinite(y), initial=math.inf)) for _, y in xs_ys)
     floor = (smallest / 10) if smallest < math.inf else 1e-16
 
     def scale(y: np.ndarray) -> np.ndarray:
         """Plotted y: log10 of y clipped at floor, by math.log10 (numpy's may round differently)."""
-        clipped = np.maximum(np.where(np.isfinite(y), y, floor), floor)
+        clipped = np.where(np.isfinite(y), y, floor)
+        np.maximum(clipped, floor, out=clipped)
         return np.fromiter(map(math.log10, clipped), dtype=float, count=y.size)
 
     xs_ys = [(x, scale(y)) for x, y in xs_ys]
@@ -167,6 +177,10 @@ def write_svg_lines(
     y_hi = max(float(y.max()) for _, y in xs_ys if y.size)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    if x_hi == x_lo:  # 1.0 is below half an ulp of x_lo; at the float maximum, widen downward
+        x_hi = math.nextafter(x_lo, math.inf)
+        if x_hi == math.inf:
+            x_lo, x_hi = math.nextafter(x_lo, -math.inf), x_lo
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 

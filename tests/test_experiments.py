@@ -840,6 +840,32 @@ class TestBlasThreads:
         assert library == cli
 
 
+class TestRelaxMemory:
+    def test_relax_peak_rss_over_its_imports(self, tmp_path):
+        # the benchmark's relax run against a process that only imports the CLI: the
+        # difference is the run's own memory, about 8.5 MB with 8-byte history columns
+        # and a row-blocked DFT, 16.7 MB before; relax's RSS drifts by up to 1.5 MB
+        src = str(Path(freqlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        # a child's ru_maxrss counts its parent's pages up to the exec, so a small
+        # wrapper, not this test process, starts each measured child
+        wrapper = ("import resource, subprocess, sys\n"
+                   "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+                   "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+        def peak_kib(*args):
+            done = subprocess.run([sys.executable, "-c", wrapper, sys.executable, *args],
+                                  env=env, check=True, capture_output=True, text=True)
+            return int(done.stdout)
+
+        run = peak_kib("-m", "freqlab.cli", "poisson-jacobi", "--set", "grid_n=512", "--set", "max_iters=2000000",
+                       "--svg", "--out", str(tmp_path))
+        imports = peak_kib("-c", "import freqlab.cli")
+        assert (tmp_path / "iters.svg").exists()
+        assert run - imports <= 12 * 1024
+
+
 class TestTracer:
     def test_traced_d_jacobi_finds_the_names_it_wraps(self, tmp_path, monkeypatch):
         # perfbench/tracer.py wraps experiments' module globals by name; a span

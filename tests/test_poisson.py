@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,31 @@ class TestIterate:
             iterate(rhs, np.zeros(rhs.size), np.zeros(rhs.size), max_iters=5, track_modes=[2, 2, 3])
 
 
+class TestHistoryColumns:
+    """An IterativeRun's columns are array("d"): 8 bytes a value, read as Python floats."""
+
+    def test_every_column_is_fp64(self):
+        rhs = make_rhs(n=16, seed=10)
+        run = iterate(rhs, np.zeros(rhs.size), thomas_solve(rhs)[1:-1], max_iters=300, track_modes=(1, 3))
+        columns = [run.wall_ms, run.sup_errors, *run.alphas.values()]
+        assert [column.typecode for column in columns] == ["d"] * 4
+        assert all(type(value) is float for column in columns for value in column)
+
+    def test_history_costs_eight_bytes_a_value(self):
+        # relax's grid and one tracked mode; lists of floats held 1.4 MB here
+        rhs = assemble_poisson(Grid1D(n=512), g_rhs)
+        u_star, u0 = thomas_solve(rhs)[1:-1], np.zeros(rhs.size)
+        tracemalloc.start()
+        try:
+            run = iterate(rhs, u0, u_star, max_iters=20_000, track_modes=(2,))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        values = len(run.wall_ms) + len(run.sup_errors) + len(run.alphas[2])
+        assert values == 3 * 20_001
+        assert held <= 8 * values + 64 * 2**10
+
+
 def _reference_jacobi_step(rhs, u):
     ext = np.zeros(rhs.size + 2)
     ext[1:-1] = u
@@ -514,7 +540,7 @@ class TestBlocks:
             tol = _reference_iterate(rhs, u0, u_star, method, at)[0][at]
         run = iterate(rhs, u0, u_star, method=method, max_iters=2 * self.B + 3, tol=tol, timing=True)
         assert run.iterations == at
-        assert run.wall_ms == [float(i) for i in range(at + 1)]
+        assert run.wall_ms.tolist() == [float(i) for i in range(at + 1)]
 
     @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
     def test_tol_met_by_the_initial_state_does_no_sweep(self, method):

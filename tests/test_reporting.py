@@ -240,6 +240,27 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+class TestEqualHugeX:
+    """An x range of one value is widened to one unit; where x + 1.0 rounds back to
+    x (2**53 and over) it is widened by an ulp, downward at the float maximum."""
+
+    @pytest.mark.parametrize("x", [2.0**53, 1e300, -1e300, float(np.finfo(float).max)],
+                             ids=["2**53", "1e300", "-1e300", "float max"])
+    def test_equal_huge_x_values_plot_inside_the_axes(self, tmp_path, x):
+        path = write_svg_lines(tmp_path / "t.svg", [("a", [x, x], [1.0, 2.0])])
+        root = ET.parse(path).getroot()
+        (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        points = [tuple(map(float, point.split(","))) for point in line.get("points").split()]
+        assert len(points) == 2
+        left, right = reporting._ML, reporting._W - reporting._MR
+        assert all(left <= px <= right for px, _ in points)
+        # with no title or xlabel, the x tick labels are the only centred text
+        x_ticks = [float(el.get("x")) for el in root.iter()
+                   if el.tag.endswith("text") and el.get("text-anchor") == "middle"]
+        assert x_ticks and all(left <= t <= right for t in x_ticks)
+        assert len(set(x_ticks)) == len(x_ticks)
+
+
 class TestWriterMemory:
     """The writers stream their text in pieces, so their memory does not grow with the data."""
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqlab.spectral as spectral_mod
 from freqlab.losses import mse_loss
 from freqlab.nn import backprop, forward, init_mlp
 from freqlab.spectral import (
@@ -43,7 +44,7 @@ class TestDft:
         assert spec[1] == pytest.approx(-2j, abs=1e-12)
         assert abs(spec[1]) == pytest.approx(2.0, abs=1e-12)
 
-    # an empty vector fails in dft_matrix, a 2-d or 0-d input in spectrum's shape check
+    # an empty vector fails in dft_uniform's own check, a 2-d or 0-d input in spectrum's shape check
     @pytest.mark.parametrize("values", [np.array([]), np.ones((2, 2)), np.array(5.0)],
                              ids=["empty", "2d", "0d"])
     def test_empty_rejected(self, values):
@@ -170,6 +171,39 @@ class TestPhaseMatrices:
                       lambda: nufft_matrix([1.5], 4), lambda: nufft_matrix(np.zeros((2, 2)), 4)):
             with pytest.raises(ValueError):
                 build()
+
+
+class TestDftRowBlocks:
+    """dft_uniform builds and applies dft_matrix's rows in blocks of
+    spectral._DFT_ROWS; it must give the bits of the whole matrix applied at once."""
+
+    B = spectral_mod._DFT_ROWS
+    SIZES = {
+        "1-300": range(1, 301),
+        "513 and 1001": (513, 1001),
+        # a one-row block would be a 1 x N product, which numpy forms as a dot with other bits
+        "one row past a block": range(B + 1, 16 * B + 2, B),
+    }
+
+    @pytest.mark.parametrize("sizes", sorted(SIZES))
+    def test_bits_of_the_whole_matrix(self, sizes):
+        rng = np.random.default_rng(0)
+        for n in self.SIZES[sizes]:
+            v = rng.standard_normal(n)
+            assert dft_uniform(v).tobytes() == spectrum(dft_matrix(n), v).tobytes(), n
+
+    def test_holds_a_block_of_phases_not_the_matrix(self):
+        # the whole phase matrix at N = 513 takes 4.2 MB, and building it 8 MB at its peak
+        v = np.random.default_rng(1).standard_normal(513)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dft_uniform(v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPeaks:
